@@ -129,7 +129,7 @@ def _hscic_core(x_feats, z, y, x_params, z_params, y_params, lam):
     k_zz = gram(z, z, z_params)
     u = k_zz @ w
     v = k_xx @ w
-    term1 = np.einsum("ji,jk,ki->i", w, k_xx * k_zz, w)
+    term1 = np.einsum("ji,ji->i", w, (k_xx * k_zz) @ w)
     term2 = np.einsum("li,li,li->i", w, v, u)
     p = np.einsum("li,li->i", w, v)
     q = np.einsum("li,li->i", w, u)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NumericalError
 from .kernels import KernelParams, as_points, gram, regularized_solve
 
 LOO_DIAG_GUARD = 1e-10
@@ -49,7 +49,12 @@ class CmeModel:
 
 @dataclass
 class LooReport:
-    """Grid search record. Entries follow the (lam outer, sigma2_y inner) order."""
+    """Grid search record. Entries follow the (lam outer, sigma2_y inner) order.
+
+    floored_eigs[j] counts the negative eigenvalues of K_YY at sigma2_ys grid
+    value j that were clamped to 0 before scoring (roundoff on a numerically
+    low-rank Gram, or an exactly singular one from duplicated y rows).
+    """
 
     lams: np.ndarray
     sigma2_ys: np.ndarray
@@ -57,14 +62,18 @@ class LooReport:
     best_lam: float
     best_sigma2_y: float
     best_error: float
+    floored_eigs: np.ndarray
 
     def as_rows(self):
         return list(zip(self.lams, self.sigma2_ys, self.errors))
 
+    def floor_rows(self):
+        """(sigma2_y, number of clamped eigenvalues) per grid bandwidth."""
+        grid = self.sigma2_ys[:len(self.floored_eigs)]
+        return list(zip(grid, self.floored_eigs))
 
-def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
-            z_params: KernelParams) -> CmeModel:
-    """Fit the embedding regression weights on a holdout set."""
+
+def _check_holdout(holdout_y, holdout_z):
     holdout_y = as_points(holdout_y)
     holdout_z = as_points(holdout_z)
     if holdout_y.shape[0] != holdout_z.shape[0]:
@@ -74,6 +83,14 @@ def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     m = holdout_y.shape[0]
     if m < 2:
         raise ConfigError(f"need at least 2 holdout points, got {m}")
+    return holdout_y, holdout_z
+
+
+def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
+            z_params: KernelParams) -> CmeModel:
+    """Fit the embedding regression weights on a holdout set."""
+    holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
+    m = holdout_y.shape[0]
     k_yy = gram(holdout_y, holdout_y, y_params)
     k_zz = gram(holdout_z, holdout_z, z_params)
     w1 = regularized_solve(k_yy, lam, np.eye(m))
@@ -81,6 +98,51 @@ def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     w2 = w1 @ k_zz @ w1
     w2 = 0.5 * (w2 + w2.T)
     return CmeModel(holdout_y, holdout_z, float(lam), y_params, z_params, w1, w2)
+
+
+def _loo_errors(holdout_y, k_zz, lams, y_params: KernelParams):
+    """Leave-one-out errors of every lam in lams from one eigendecomposition.
+
+    With K_YY = U diag(s) U^T and d = s / (s + lam), the hat matrix is
+    A = U diag(d) U^T = W U^T with W = U diag(d). Then
+        diag(A) = (U o U) d,
+        diag(A K_ZZ) = (U o K_ZZ U) d,
+        diag(A K_ZZ A^T) = rowsum((W C) o W),  C = U^T K_ZZ U,
+    so each lam costs one M^3 product. Negative eigenvalues, which a PSD
+    Gram has only through roundoff, are clamped to 0 (Rifkin & Lippert 2007).
+    Returns (errors, number of clamped eigenvalues).
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    if np.any(~np.isfinite(lams) | (lams <= 0)):
+        raise ConfigError(f"lambda values must be positive and finite, got {lams.tolist()}")
+    k_yy = gram(holdout_y, holdout_y, y_params)
+    try:
+        s, u = np.linalg.eigh(k_yy)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition of K_YY failed: {exc}") from None
+    del k_yy
+    if not np.all(np.isfinite(s)):
+        raise NumericalError("K_YY has non-finite eigenvalues")
+    n_floored = int(np.count_nonzero(s < 0.0))
+    np.maximum(s, 0.0, out=s)
+    ku = k_zz @ u
+    c = u.T @ ku
+    d = s[:, None] / (s[:, None] + lams[None, :])
+    diag_a = (u * u) @ d
+    diag_ak = (u * ku) @ d
+    del ku
+    k_zz_diag = np.diag(k_zz)
+    errors = np.empty(len(lams))
+    for j in range(len(lams)):
+        denom = 1.0 - diag_a[:, j]
+        if np.any(denom <= LOO_DIAG_GUARD):
+            errors[j] = math.inf
+            continue
+        w = u * d[:, j]
+        resid = k_zz_diag - 2.0 * diag_ak[:, j] + np.einsum("ij,ij->i", w @ c, w)
+        np.maximum(resid, 0.0, out=resid)
+        errors[j] = np.mean(resid / denom**2)
+    return errors, n_floored
 
 
 def loo_error(holdout_y, holdout_z, lam: float, y_params: KernelParams,
@@ -93,20 +155,10 @@ def loo_error(holdout_y, holdout_z, lam: float, y_params: KernelParams,
         r_i = k(z_i, z_i) - 2 (A K_ZZ)_ii + (A K_ZZ A^T)_ii.
     Returns +inf when any 1 - A_ii falls below the diagonal guard.
     """
-    holdout_y = as_points(holdout_y)
-    holdout_z = as_points(holdout_z)
-    m = holdout_y.shape[0]
-    k_yy = gram(holdout_y, holdout_y, y_params)
+    holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
     k_zz = gram(holdout_z, holdout_z, z_params)
-    w1 = regularized_solve(k_yy, lam, np.eye(m))
-    A = k_yy @ w1
-    denom = 1.0 - np.diag(A)
-    if np.any(denom <= LOO_DIAG_GUARD):
-        return math.inf
-    AK = A @ k_zz
-    resid = np.diag(k_zz) - 2.0 * np.diag(AK) + np.einsum("ij,ij->i", AK, A)
-    np.maximum(resid, 0.0, out=resid)
-    return float(np.mean(resid / denom**2))
+    errors, _ = _loo_errors(holdout_y, k_zz, [lam], y_params)
+    return float(errors[0])
 
 
 def _better(err, lam, s2, best):
@@ -131,30 +183,37 @@ def select_hyperparams(holdout_y, holdout_z,
                        ) -> tuple[CmeModel, LooReport]:
     """Grid-search (lam, sigma2_y) by leave-one-out error and fit the winner.
 
-    The z-kernel bandwidth is fixed by the caller and not searched.
+    The z-kernel bandwidth is fixed by the caller and not searched. K_ZZ is
+    built once, and one eigendecomposition of K_YY per sigma2_y scores the
+    whole lambda grid.
     """
     lambda_grid = [float(v) for v in lambda_grid]
     sigma2_y_grid = [float(v) for v in sigma2_y_grid]
     if not lambda_grid or not sigma2_y_grid:
         raise ConfigError("hyperparameter grids must be non-empty")
+    y_params = [KernelParams(sigma2=s2) for s2 in sigma2_y_grid]
+    holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
 
-    lams, s2s, errs = [], [], []
+    k_zz = gram(holdout_z, holdout_z, z_params)
+    errors = np.empty((len(lambda_grid), len(sigma2_y_grid)))
+    floored = np.empty(len(sigma2_y_grid), dtype=np.int64)
+    for j, params in enumerate(y_params):
+        errors[:, j], floored[j] = _loo_errors(holdout_y, k_zz, lambda_grid, params)
+    del k_zz
+
     best = None
-    for lam in lambda_grid:
-        if lam <= 0:
-            raise ConfigError(f"lambda grid values must be positive, got {lam}")
-        for s2 in sigma2_y_grid:
-            err = loo_error(holdout_y, holdout_z, lam, KernelParams(sigma2=s2), z_params)
-            lams.append(lam)
-            s2s.append(s2)
-            errs.append(err)
+    for i, lam in enumerate(lambda_grid):
+        for j, s2 in enumerate(sigma2_y_grid):
+            err = float(errors[i, j])
             if math.isfinite(err) and _better(err, lam, s2, best):
                 best = (err, lam, s2)
 
     if best is None:
         raise ConfigError("all grid points produced non-finite leave-one-out error")
     b_err, b_lam, b_s2 = best
-    report = LooReport(np.array(lams), np.array(s2s), np.array(errs), b_lam, b_s2, b_err)
+    report = LooReport(np.repeat(lambda_grid, len(sigma2_y_grid)),
+                       np.tile(sigma2_y_grid, len(lambda_grid)),
+                       errors.ravel(), b_lam, b_s2, b_err, floored)
     model = fit_cme(holdout_y, holdout_z, b_lam, KernelParams(sigma2=b_s2), z_params)
     return model, report
 

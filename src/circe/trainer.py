@@ -158,9 +158,9 @@ class _RffContext:
                 f"rff_bank_dim={bank} smaller than rff_dim={config.rff_dim}"
             )
         self.d_active = config.rff_dim
-        self.y_map = sample_rff(bank, d_y, model.y_params.sigma2,
+        self.y_map = sample_rff(d_y, bank, model.y_params.sigma2,
                                 seed=config.seed * 2 + 1)
-        self.z_map = sample_rff(bank, d_z, model.z_params.sigma2,
+        self.z_map = sample_rff(d_z, bank, model.z_params.sigma2,
                                 seed=config.seed * 2 + 2)
         self.weights = precompute_rff_weights(model, self.y_map, self.z_map,
                                               refresh_period=config.rff_refresh)

@@ -47,6 +47,7 @@ def test_fit_cme_prints_report_and_saves(tmp_path):
                    "--config", str(cfg_path))
     assert proc.returncode == 0, proc.stderr
     assert "selected lambda=" in proc.stdout
+    assert "sigma2_y eigenvalues_floored" in proc.stdout
     assert proc.stdout.count("\n") >= 4
     assert (tmp_path / "cme_uni1_seed1.npz").exists()
 

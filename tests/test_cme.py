@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circe.cme import (
+    LOO_DIAG_GUARD,
     CmeModel,
     fit_cme,
     load_cme,
@@ -13,7 +14,8 @@ from circe.cme import (
     _better,
 )
 from circe.exceptions import ConfigError
-from circe.kernels import KernelParams, gram
+from circe.kernels import KernelParams, gram, regularized_solve
+from circe.scm import SCM_CASES, make_dataset
 
 
 def _sample_pairs(rng, m):
@@ -40,6 +42,21 @@ def naive_loo(y, z, lam, y_params, z_params):
             + coef @ k_zz[np.ix_(keep, keep)] @ coef
         )
     return total / m
+
+
+def cholesky_loo(y, z, lam, y_params, z_params):
+    """Reference: the dense closed-form LOO through a Cholesky solve."""
+    m = y.shape[0]
+    k_yy = gram(y, y, y_params)
+    k_zz = gram(z, z, z_params)
+    A = k_yy @ regularized_solve(k_yy, lam, np.eye(m))
+    denom = 1.0 - np.diag(A)
+    if np.any(denom <= LOO_DIAG_GUARD):
+        return math.inf
+    AK = A @ k_zz
+    resid = np.diag(k_zz) - 2.0 * np.diag(AK) + np.einsum("ij,ij->i", AK, A)
+    np.maximum(resid, 0.0, out=resid)
+    return float(np.mean(resid / denom**2))
 
 
 def test_loo_matches_naive_retraining():
@@ -112,6 +129,39 @@ def test_select_hyperparams_minimizes_loo_on_grid():
     direct = loo_error(y, z, report.best_lam,
                        KernelParams(sigma2=report.best_sigma2_y), zp)
     assert direct == pytest.approx(report.best_error, rel=1e-12)
+    # the returned model is bitwise the plain fit at the winner
+    refit = fit_cme(y, z, report.best_lam, KernelParams(sigma2=report.best_sigma2_y), zp)
+    assert np.array_equal(model.w1, refit.w1)
+    assert np.array_equal(model.w2, refit.w2)
+
+
+@pytest.mark.parametrize("case", SCM_CASES)
+def test_spectral_grid_matches_cholesky_reference(case):
+    zp = KernelParams(sigma2=1.0)
+    for seed in range(5):
+        ds = make_dataset(case, 1000, 2, seed, m_holdout=200)
+        y = ds.standardizer.transform("y", ds.holdout.y)
+        z = ds.standardizer.transform("z", ds.holdout.z)
+        _, report = select_hyperparams(y, z, z_params=zp)
+        best = None
+        for lam, s2, err in report.as_rows():
+            ref = cholesky_loo(y, z, lam, KernelParams(sigma2=s2), zp)
+            assert err == pytest.approx(ref, rel=1e-8)
+            if math.isfinite(ref) and _better(ref, lam, s2, best):
+                best = (ref, lam, s2)
+        assert (report.best_lam, report.best_sigma2_y) == best[1:]
+
+
+def test_singular_holdout_is_floored_and_finite():
+    rng = np.random.default_rng(8)
+    y, z = _sample_pairs(rng, 30)
+    y2 = np.vstack([y, y])
+    z2 = np.vstack([z, y**2 + rng.standard_normal(y.shape)])
+    _, report = select_hyperparams(y2, z2)
+    assert np.all(np.isfinite(report.errors))
+    assert report.floored_eigs.shape == (4,)
+    assert report.floored_eigs.sum() > 0
+    assert [s2 for s2, _ in report.floor_rows()] == [0.001, 0.01, 0.1, 1.0]
 
 
 def test_tie_breaking_prefers_larger_lambda_then_sigma():

@@ -229,3 +229,19 @@ def test_train_data_builders():
     assert td.train.inputs.shape[1] == 3
     td_all = train_data_from_dataset(ds, reuse_holdout=True)
     assert td_all.train.n == 1600
+
+
+def test_rff_training_run_finishes():
+    from circe.harness import SweepConfig, run_single_with_model
+
+    config = SweepConfig(
+        cases=("uni1",), methods=("circe",), seeds=(0,), gammas={"circe": [1.0]},
+        n=600, d=2, m_holdout=100, epochs=1, batch_size=64, lr=1e-3,
+        weight_decay=0.0, hidden_widths=(8,), n_interventions=5,
+        lambda_grid=(0.1,), sigma2_y_grid=(1.0,),
+        use_rff=True, rff_dim=64, rff_bank_dim=128, rff_refresh=2,
+    )
+    record, _ = run_single_with_model(config, "uni1", "circe", 1.0, 0, strict=True)
+    assert not record.unstable
+    assert np.isfinite(record.mse_in)
+    assert np.isfinite(record.vcf)
