@@ -7,7 +7,7 @@ from .exceptions import CirceError, ConfigError, NumericalError
 from .harness import eval_vcf, pareto_front, run_single, run_sweep
 from .kernels import KernelParams, gram, kernel_eval, regularized_solve, trace_product
 from .nn import Adam, AdamW, MlpModel
-from .rff import circe_rff, precompute_rff_weights, sample_rff
+from .rff import precompute_rff_weights, sample_rff
 from .scm import gen_nonlinear_gcm_case, gen_scm, gen_toy, intervene_z, make_dataset
 from .trainer import TrainConfig, loss_and_grad, train
 
@@ -25,7 +25,6 @@ __all__ = [
     "TrainConfig",
     "centered_gram",
     "circe_oracle",
-    "circe_rff",
     "circe_statistic",
     "eval_vcf",
     "fit_cme",

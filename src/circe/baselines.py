@@ -157,18 +157,3 @@ def hscic_with_grad(x_feats, z, y, x_params: KernelParams, z_params: KernelParam
     grad = gram_backprop(coeff, ex["x_feats"], ex["k_xx"], x_params.sigma2)
     return estimate, grad
 
-
-def baseline_grad_wrt_features(statistic: str, x_feats, z, y, *,
-                               y_params: KernelParams, lam: float,
-                               x_params: KernelParams | None = None,
-                               z_params: KernelParams | None = None) -> np.ndarray:
-    """Gradient of the trainable value for the named baseline."""
-    if statistic == "gcm":
-        _, grad = gcm_with_grad(x_feats, z, y, y_params, lam)
-        return grad
-    if statistic == "hscic":
-        if x_params is None or z_params is None:
-            raise ConfigError("hscic needs x_params and z_params")
-        _, grad = hscic_with_grad(x_feats, z, y, x_params, z_params, y_params, lam)
-        return grad
-    raise ConfigError(f"unknown baseline {statistic!r}")

@@ -38,14 +38,6 @@ class CmeModel:
     def n_holdout(self) -> int:
         return self.holdout_y.shape[0]
 
-    def embedding_coeffs(self, y) -> np.ndarray:
-        """Coefficients beta over holdout z-features for query points y.
-
-        Returns an (M, B) matrix; column b gives mu(y_b) = sum_j beta[j, b] psi(z_j).
-        """
-        k_Yy = gram(self.holdout_y, y, self.y_params)
-        return self.w1 @ k_Yy
-
 
 @dataclass
 class LooReport:

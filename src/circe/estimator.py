@@ -17,12 +17,14 @@ from .exceptions import ConfigError
 from .kernels import KernelParams, as_points, gram, trace_product
 
 VARIANTS = ("plain", "debiased", "centered")
+# rows per block when building the holdout cross-term factors
+FACTOR_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
 class CenteredGram:
     """K_yy o (K_zz - P - P^T + Q) for a batch, with P and Q the embedding
-    cross terms; see centered_gram."""
+    cross terms; see centered_from_factors."""
 
     matrix: np.ndarray
     batch_size: int
@@ -38,6 +40,43 @@ class CirceEstimate:
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+
+
+def cross_factors(y, z, model: CmeModel):
+    """Per-row factors (L, R_p, R_q) = (K_yY, K_zZ W1, K_yY W2), each (n, M).
+
+    The holdout cross terms of the centered Gram are P = L R_p^T and
+    Q = L R_q^T; W1 and W2 are symmetric, so row i of every factor depends on
+    point i alone and a batch of rows is a row gather. Rows are filled in
+    blocks of FACTOR_BLOCK_ROWS so no full (n, M) Gram temporary is alive.
+    """
+    y = as_points(y)
+    z = as_points(z)
+    n, m = y.shape[0], model.n_holdout
+    factors = tuple(np.empty((n, m)) for _ in range(3))
+    left, right_p, right_q = factors
+    for start in range(0, n, FACTOR_BLOCK_ROWS):
+        rows = slice(start, start + FACTOR_BLOCK_ROWS)
+        left[rows] = gram(y[rows], model.holdout_y, model.y_params)
+        np.matmul(gram(z[rows], model.holdout_z, model.z_params), model.w1,
+                  out=right_p[rows])
+        np.matmul(left[rows], model.w2, out=right_q[rows])
+    return factors
+
+
+def centered_from_factors(batch_y, batch_z, y_params: KernelParams,
+                          z_params: KernelParams, left: np.ndarray,
+                          right_p: np.ndarray, right_q: np.ndarray) -> CenteredGram:
+    """K_yy o (K_zz - P - P^T + Q) with P = left right_p^T, Q = left right_q^T.
+
+    The factors come from cross_factors (exact holdout regression) or from
+    random feature products (circe.rff); each has one row per batch point.
+    """
+    k_yy = gram(batch_y, batch_y, y_params)
+    k_zz = gram(batch_z, batch_z, z_params)
+    P = left @ right_p.T
+    Q = left @ right_q.T
+    return CenteredGram(matrix=k_yy * (k_zz - P - P.T + Q), batch_size=k_yy.shape[0])
 
 
 def centered_gram(batch_y, batch_z, model: CmeModel,
@@ -63,16 +102,8 @@ def centered_gram(batch_y, batch_z, model: CmeModel,
         raise ConfigError(
             f"batch_y has {batch_y.shape[0]} rows, batch_z {batch_z.shape[0]}"
         )
-
-    k_yy = gram(batch_y, batch_y, y_params)
-    k_zz = gram(batch_z, batch_z, z_params)
-    k_yY = gram(batch_y, model.holdout_y, y_params)
-    k_Zz = gram(model.holdout_z, batch_z, z_params)
-
-    P = k_yY @ (model.w1 @ k_Zz)
-    Q = k_yY @ model.w2 @ k_yY.T
-    inner = k_zz - P - P.T + Q
-    return CenteredGram(matrix=k_yy * inner, batch_size=batch_y.shape[0])
+    return centered_from_factors(batch_y, batch_z, y_params, z_params,
+                                 *cross_factors(batch_y, batch_z, model))
 
 
 def _centering_projection(k: np.ndarray) -> np.ndarray:

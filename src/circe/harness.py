@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cme import DEFAULT_LAMBDA_GRID, DEFAULT_SIGMA2_Y_GRID, select_hyperparams
-from .exceptions import ConfigError
+from .exceptions import CirceError, ConfigError
 from .kernels import KernelParams
 from .scm import SCM_CASES, ScmBatch, make_dataset, regenerate
 from .trainer import METHODS, TrainConfig, train, train_data_from_dataset
@@ -249,8 +249,9 @@ def run_single_with_model(config: SweepConfig, case: str, method: str,
                           gamma: float, seed: int, strict: bool = False):
     """One training run; returns (RunRecord, model).
 
-    With strict=False any failure becomes an unstable row with NaN metrics
-    and a None model, so sweeps always complete.
+    With strict=False a CirceError or FloatingPointError becomes an unstable
+    row with NaN metrics and a None model, so one failed run does not end the
+    sweep; any other exception is a bug and propagates.
     """
     start = time.perf_counter()
     try:
@@ -282,7 +283,7 @@ def run_single_with_model(config: SweepConfig, case: str, method: str,
             wall_seconds=time.perf_counter() - start,
         )
         return record, model
-    except Exception:
+    except (CirceError, FloatingPointError):
         if strict:
             raise
         record = RunRecord(

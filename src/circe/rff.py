@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cme import CmeModel
-from .estimator import CenteredGram, CirceEstimate, circe_statistic
+from .estimator import CenteredGram, centered_from_factors
 from .exceptions import ConfigError
-from .kernels import KernelParams, as_points, gram
+from .kernels import KernelParams, as_points
 
 
 @dataclass(frozen=True)
@@ -150,18 +150,7 @@ def rff_centered_gram(batch_y, batch_z, weights: RffCmeWeights,
         rescale_y = y_map.d_total / d_active
         w2_sub = weights.w2r[np.ix_(idx_y, idx_y)] * rescale_y
 
-    k_yy = gram(batch_y, batch_y, KernelParams(sigma2=y_map.sigma2))
-    k_zz = gram(batch_z, batch_z, KernelParams(sigma2=z_map.sigma2))
-    P = ry @ w1_sub @ rz.T
-    Q = ry @ w2_sub @ ry.T
-    inner = k_zz - P - P.T + Q
-    return CenteredGram(matrix=k_yy * inner, batch_size=b)
-
-
-def circe_rff(batch_x_gram, batch_y, batch_z, weights: RffCmeWeights,
-              y_map: RffMap, z_map: RffMap, d_active: int, variant: str,
-              batch_index: int = 0) -> CirceEstimate:
-    """Batch statistic on the RFF-approximated centered Gram."""
-    centered = rff_centered_gram(batch_y, batch_z, weights, y_map, z_map,
-                                 d_active, batch_index)
-    return circe_statistic(np.asarray(batch_x_gram, dtype=np.float64), centered, variant)
+    # P = ry w1_sub rz^T and Q = ry w2_sub ry^T as per-row factors
+    return centered_from_factors(batch_y, batch_z, KernelParams(sigma2=y_map.sigma2),
+                                 KernelParams(sigma2=z_map.sigma2),
+                                 ry, rz @ w1_sub.T, ry @ w2_sub.T)

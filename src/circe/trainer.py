@@ -19,8 +19,10 @@ from .cme import CmeModel
 from .estimator import (
     VARIANTS,
     CenteredGram,
+    centered_from_factors,
     centered_gram,
     circe_statistic,
+    cross_factors,
     statistic_gradient_coeff,
 )
 from .exceptions import ConfigError, NumericalError
@@ -125,27 +127,21 @@ class TrainLog:
 
 
 class _CirceContext:
-    """Holdout cross terms precomputed once per run and sliced per batch.
+    """Holdout cross-term factors of every training row, built once per run.
 
-    For a batch drawn by row index the centered Gram equals the direct
-    per-batch computation; only the train-by-holdout products are reused.
+    A batch drawn by row index gathers its rows of the factors; the centered
+    Gram equals the direct per-batch computation bitwise.
     """
 
     def __init__(self, train_y, train_z, model: CmeModel):
         self.model = model
-        self.ky_all = gram(train_y, model.holdout_y, model.y_params)
-        kz_cross = gram(model.holdout_z, train_z, model.z_params)
-        self.w1kz_all = model.w1 @ kz_cross
-        self.w2ky_t = model.w2 @ self.ky_all.T
+        self.factors = cross_factors(train_y, train_z, model)
 
-    def batch_centered(self, batch: TrainBatch, idx: np.ndarray) -> CenteredGram:
-        k_yy = gram(batch.y, batch.y, self.model.y_params)
-        k_zz = gram(batch.z, batch.z, self.model.z_params)
-        ky = self.ky_all[idx]
-        p = ky @ self.w1kz_all[:, idx]
-        q = ky @ self.w2ky_t[:, idx]
-        matrix = k_yy * (k_zz - p - p.T + q)
-        return CenteredGram(matrix=matrix, batch_size=batch.n)
+    def batch_centered(self, batch: TrainBatch, idx: np.ndarray,
+                       batch_index: int) -> CenteredGram:
+        return centered_from_factors(batch.y, batch.z, self.model.y_params,
+                                     self.model.z_params,
+                                     *(f[idx] for f in self.factors))
 
 
 class _RffContext:
@@ -165,7 +161,8 @@ class _RffContext:
         self.weights = precompute_rff_weights(model, self.y_map, self.z_map,
                                               refresh_period=config.rff_refresh)
 
-    def batch_centered(self, batch: TrainBatch, batch_index: int) -> CenteredGram:
+    def batch_centered(self, batch: TrainBatch, idx: np.ndarray,
+                       batch_index: int) -> CenteredGram:
         return rff_centered_gram(batch.y, batch.z, self.weights, self.y_map,
                                  self.z_map, self.d_active, batch_index)
 
@@ -176,7 +173,11 @@ def _penalty_features(config: TrainConfig, feats, pred):
 
 def loss_and_grad(model: MlpModel, batch: TrainBatch, cme_model: CmeModel | None,
                   config: TrainConfig, context=None, batch_index: int = 0):
-    """Scalar loss, parameter gradients, diagnostics for one batch."""
+    """Scalar loss, parameter gradients, diagnostics for one batch.
+
+    context is None (the centered Gram is built from the holdout directly) or
+    a (run context, training row indices of the batch) pair from train().
+    """
     feats, pred, cache = model.forward(batch.inputs)
     b = batch.n
     err = pred - batch.targets
@@ -199,15 +200,12 @@ def loss_and_grad(model: MlpModel, batch: TrainBatch, cme_model: CmeModel | None
     if config.method == "circe":
         if cme_model is None:
             raise ConfigError("method 'circe' needs a fitted embedding model")
-        if isinstance(context, tuple):
-            ctx, idx = context
-            if isinstance(ctx, _RffContext):
-                centered = ctx.batch_centered(batch, batch_index)
-            else:
-                centered = ctx.batch_centered(batch, idx)
-        else:
+        if context is None:
             centered = centered_gram(batch.y, batch.z, cme_model,
                                      cme_model.y_params, cme_model.z_params)
+        else:
+            ctx, idx = context
+            centered = ctx.batch_centered(batch, idx, batch_index)
         k_xx = gram(x, x, x_params)
         stat = circe_statistic(k_xx, centered, config.variant)
         coeff = statistic_gradient_coeff(centered, config.variant)

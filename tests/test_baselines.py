@@ -3,7 +3,6 @@ import pytest
 
 from circe.baselines import (
     GcmEstimate,
-    baseline_grad_wrt_features,
     gcm_statistic,
     gcm_with_grad,
     hscic_statistic,
@@ -157,15 +156,10 @@ def test_grad_dispatch_and_validation():
     y = rng.standard_normal((16, 1))
     z = rng.standard_normal((16, 1))
     x = rng.standard_normal((16, 1))
-    g1 = baseline_grad_wrt_features("gcm", x, z, y, y_params=YP, lam=LAM)
+    _, g1 = gcm_with_grad(x, z, y, YP, LAM)
     assert g1.shape == x.shape
-    g2 = baseline_grad_wrt_features("hscic", x, z, y, y_params=YP, lam=LAM,
-                                    x_params=XP, z_params=ZP)
+    _, g2 = hscic_with_grad(x, z, y, XP, ZP, YP, LAM)
     assert g2.shape == x.shape
-    with pytest.raises(ConfigError):
-        baseline_grad_wrt_features("hscic", x, z, y, y_params=YP, lam=LAM)
-    with pytest.raises(ConfigError):
-        baseline_grad_wrt_features("kci", x, z, y, y_params=YP, lam=LAM)
     with pytest.raises(ConfigError):
         gcm_statistic(x[:4], z[:4], y[:4], YP, LAM)
     with pytest.raises(ConfigError):

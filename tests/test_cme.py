@@ -91,8 +91,8 @@ def test_duplicating_holdout_with_doubled_lambda_preserves_predictions():
     dup = fit_cme(np.vstack([y, y]), np.vstack([z, z]), 2 * lam, yp, zp)
 
     query = rng.standard_normal((7, 1))
-    beta_base = base.embedding_coeffs(query)
-    beta_dup = dup.embedding_coeffs(query)
+    beta_base = base.w1 @ gram(base.holdout_y, query, yp)
+    beta_dup = dup.w1 @ gram(dup.holdout_y, query, yp)
     # collapse the duplicated coefficients back onto the original points
     collapsed = beta_dup[:15] + beta_dup[15:]
     assert np.allclose(collapsed, beta_base, atol=1e-9)

@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import circe.harness as harness_mod
 from circe.exceptions import ConfigError
 from circe.harness import (
     CSV_COLUMNS,
@@ -177,6 +181,42 @@ def test_sweep_records_failures_as_unstable_rows():
     assert records[0].unstable
     assert any_unstable
     assert np.isnan(records[0].mse_in)
+
+
+def test_sweep_lets_unexpected_errors_through(monkeypatch):
+    # only package errors and floating-point errors become unstable rows
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the training loop")
+
+    monkeypatch.setattr(harness_mod, "train", broken)
+    config = tiny_sweep_config(methods=("none",), seeds=(0,))
+    with pytest.raises(RuntimeError, match="bug in the training loop"):
+        run_single(config, "uni1", "none", 0.0, 0)
+
+
+def _load_diff_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "diff_results.py"
+    spec = importlib.util.spec_from_file_location("diff_results", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_diff_results_tool_reports_changed_cells(tmp_path, capsys):
+    tool = _load_diff_tool()
+    records = [make_record(seed=s, mse_in=0.5 + s) for s in range(3)]
+    write_records_csv(records, tmp_path / "a.csv")
+    # wall_seconds alone never counts as a difference
+    write_records_csv([make_record(seed=s, mse_in=0.5 + s, wall_seconds=9.0)
+                       for s in range(3)], tmp_path / "b.csv")
+    records[1] = make_record(seed=1, mse_in=0.25)
+    write_records_csv(records, tmp_path / "c.csv")
+
+    assert tool.main([str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+    assert tool.main([str(tmp_path / "a.csv"), str(tmp_path / "c.csv")]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1] == "uni1 circe 1.0 1 mse_in: 1.5 -> 0.25"
+    assert lines[:-1] == ["no differences except wall_seconds"]
 
 
 def test_summarize_records_medians_and_front():

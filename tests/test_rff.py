@@ -5,7 +5,7 @@ from circe.cme import fit_cme
 from circe.estimator import centered_gram, circe_statistic
 from circe.exceptions import ConfigError
 from circe.kernels import KernelParams, gram
-from circe.rff import precompute_rff_weights, sample_rff, circe_rff
+from circe.rff import precompute_rff_weights, rff_centered_gram, sample_rff
 
 YP = KernelParams(sigma2=0.5)
 ZP = KernelParams(sigma2=1.0)
@@ -16,6 +16,11 @@ def _fitted(rng, m=80):
     y = rng.standard_normal((m, 1))
     z = y**2 + 0.5 * rng.standard_normal((m, 1))
     return fit_cme(y, z, 0.01, YP, ZP)
+
+
+def _rff_value(k_xx, y, z, w, ym, zm, d_active, variant, batch_index=0):
+    centered = rff_centered_gram(y, z, w, ym, zm, d_active, batch_index)
+    return circe_statistic(k_xx, centered, variant).value
 
 
 def _batch(rng, b=48):
@@ -92,7 +97,7 @@ def test_full_bank_statistic_approaches_exact():
             ym = sample_rff(1, d_total, YP.sigma2, seed=100 + seed)
             zm = sample_rff(1, d_total, ZP.sigma2, seed=200 + seed)
             w = precompute_rff_weights(model, ym, zm)
-            vals.append(circe_rff(k_xx, y, z, w, ym, zm, d_total, "plain").value)
+            vals.append(_rff_value(k_xx, y, z, w, ym, zm, d_total, "plain"))
         errs.append(np.median(np.abs(np.array(vals) - exact)))
     assert errs[0] > errs[2]
     assert errs[2] <= 0.35 * abs(exact) + 1e-3
@@ -112,12 +117,12 @@ def test_subset_rescaling_keeps_values_comparable():
         ym = sample_rff(1, 1024, YP.sigma2, seed=300 + seed)
         zm = sample_rff(1, 1024, ZP.sigma2, seed=400 + seed)
         w = precompute_rff_weights(model, ym, zm, refresh_period=1)
-        v = circe_rff(k_xx, y, z, w, ym, zm, 512, "plain", batch_index=seed).value
+        v = _rff_value(k_xx, y, z, w, ym, zm, 512, "plain", batch_index=seed)
         sub_errs.append(abs(v - exact))
         ym2 = sample_rff(1, 512, YP.sigma2, seed=500 + seed)
         zm2 = sample_rff(1, 512, ZP.sigma2, seed=600 + seed)
         w2 = precompute_rff_weights(model, ym2, zm2)
-        v2 = circe_rff(k_xx, y, z, w2, ym2, zm2, 512, "plain").value
+        v2 = _rff_value(k_xx, y, z, w2, ym2, zm2, 512, "plain")
         dedicated_errs.append(abs(v2 - exact))
     # same order of accuracy; a mis-scaled subset would be off by about 2x
     assert np.median(sub_errs) <= 3.0 * np.median(dedicated_errs) + 1e-4
@@ -132,12 +137,12 @@ def test_rff_statistic_deterministic_given_seed_and_index():
     ym = sample_rff(1, 64, YP.sigma2, seed=21)
     zm = sample_rff(1, 64, ZP.sigma2, seed=22)
     w = precompute_rff_weights(model, ym, zm, refresh_period=2)
-    a = circe_rff(k_xx, y, z, w, ym, zm, 32, "centered", batch_index=5).value
-    b = circe_rff(k_xx, y, z, w, ym, zm, 32, "centered", batch_index=5).value
+    a = _rff_value(k_xx, y, z, w, ym, zm, 32, "centered", batch_index=5)
+    b = _rff_value(k_xx, y, z, w, ym, zm, 32, "centered", batch_index=5)
     assert a == b
     # same refresh slot shares the subset, a later slot redraws it
-    same_slot = circe_rff(k_xx, y, z, w, ym, zm, 32, "centered", batch_index=4).value
-    other_slot = circe_rff(k_xx, y, z, w, ym, zm, 32, "centered", batch_index=7).value
+    same_slot = _rff_value(k_xx, y, z, w, ym, zm, 32, "centered", batch_index=4)
+    other_slot = _rff_value(k_xx, y, z, w, ym, zm, 32, "centered", batch_index=7)
     assert a == same_slot
     assert a != other_slot
 
@@ -145,18 +150,17 @@ def test_rff_statistic_deterministic_given_seed_and_index():
 def test_rff_argument_validation():
     rng = np.random.default_rng(7)
     model = _fitted(rng, m=20)
-    x, y, z = _batch(rng, b=8)
-    k_xx = gram(x, x, XP)
+    _, y, z = _batch(rng, b=8)
     ym = sample_rff(1, 16, YP.sigma2, seed=31)
     zm = sample_rff(1, 16, ZP.sigma2, seed=32)
     w = precompute_rff_weights(model, ym, zm)
     with pytest.raises(ConfigError):
-        circe_rff(k_xx, y, z, w, ym, zm, 17, "plain")
+        rff_centered_gram(y, z, w, ym, zm, 17)
     with pytest.raises(ConfigError):
-        circe_rff(k_xx, y, z, w, ym, zm, 0, "plain")
+        rff_centered_gram(y, z, w, ym, zm, 0)
     other = sample_rff(1, 8, YP.sigma2, seed=33)
     with pytest.raises(ConfigError):
-        circe_rff(k_xx, y, z, w, other, zm, 8, "plain")
+        rff_centered_gram(y, z, w, other, zm, 8)
     with pytest.raises(ConfigError):
         sample_rff(0, 16, 1.0, seed=0)
     with pytest.raises(ConfigError):

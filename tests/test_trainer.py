@@ -3,18 +3,20 @@ import pytest
 
 import circe.trainer as trainer_mod
 from circe.cme import fit_cme
-from circe.estimator import centered_gram
+from circe.estimator import FACTOR_BLOCK_ROWS, centered_gram
 from circe.exceptions import ConfigError
 from circe.kernels import KernelParams
 from circe.nn import MlpModel
-from circe.scm import gen_toy
+from circe.scm import gen_toy, make_dataset
 from circe.trainer import (
     TrainBatch,
     TrainConfig,
     TrainData,
     _CirceContext,
+    _RffContext,
     loss_and_grad,
     train,
+    train_data_from_dataset,
     train_data_from_toy,
 )
 
@@ -84,9 +86,8 @@ def test_gamma_zero_reduces_to_mse_oracle():
     assert loss0 == pytest.approx(float(np.mean((pred - batch.targets) ** 2)))
 
 
-def test_precomputed_context_matches_direct_centered_gram():
-    rng = np.random.default_rng(11)
-    n = 120
+def _context_problem(n, seed):
+    rng = np.random.default_rng(seed)
     y = rng.standard_normal((n, 1))
     z = y**2 + rng.standard_normal((n, 1))
     batch = TrainBatch(rng.standard_normal((n, 2)), rng.standard_normal((n, 1)),
@@ -94,12 +95,61 @@ def test_precomputed_context_matches_direct_centered_gram():
     hy = rng.standard_normal((40, 1))
     hz = hy**2 + rng.standard_normal((40, 1))
     cme = fit_cme(hy, hz, 0.05, KernelParams(1.0), KernelParams(0.7))
+    return rng, batch, cme
+
+
+def _assert_context_matches_direct(batch, cme, idx):
     ctx = _CirceContext(batch.y, batch.z, cme)
-    idx = rng.permutation(n)[:32]
     mini = batch.take(idx)
-    fast = ctx.batch_centered(mini, idx)
+    fast = ctx.batch_centered(mini, idx, 0)
     direct = centered_gram(mini.y, mini.z, cme, cme.y_params, cme.z_params)
-    assert np.max(np.abs(fast.matrix - direct.matrix)) <= 1e-10
+    assert np.array_equal(fast.matrix, direct.matrix)
+
+
+def test_precomputed_context_matches_direct_centered_gram():
+    rng, batch, cme = _context_problem(120, 11)
+    _assert_context_matches_direct(batch, cme, rng.permutation(batch.n)[:32])
+
+
+def test_context_gathers_rows_from_partial_last_block():
+    # 1029 rows: one full block plus a 5-row block, every one of them gathered
+    n = FACTOR_BLOCK_ROWS + 5
+    rng, batch, cme = _context_problem(n, 12)
+    tail = np.arange(FACTOR_BLOCK_ROWS, n)
+    idx = np.concatenate([tail, rng.permutation(FACTOR_BLOCK_ROWS)[:27]])
+    _assert_context_matches_direct(batch, cme, rng.permutation(idx))
+
+
+def test_rff_context_statistic_approaches_exact_context():
+    # loss_and_grad on one uni1 batch: the full-bank RFF statistic converges to
+    # the exact one as the bank grows (Rahimi & Recht 2007)
+    ds = make_dataset("uni1", 1500, 2, seed=0, m_holdout=200)
+    std, hold = ds.standardizer, ds.holdout
+    params = KernelParams(1.0)
+    cme = fit_cme(std.transform("y", hold.y), std.transform("z", hold.z), 0.1,
+                  params, params)
+    data = train_data_from_dataset(ds).train
+    idx = np.arange(256)
+    mini = data.take(idx)
+    base = TrainConfig(method="circe", gamma=1.0, hidden_widths=(8,),
+                       regularize="features")
+    model = MlpModel(data.inputs.shape[1], base.hidden_widths, seed=0)
+
+    def statistic(config, ctx):
+        _, _, diag = loss_and_grad(model, mini, cme, config, context=(ctx, idx))
+        return diag["statistic"]
+
+    exact = statistic(base, _CirceContext(data.y, data.z, cme))
+    errors = {}
+    for bank in (256, 2048):
+        errors[bank] = []
+        for seed in range(5):
+            config = base.replace(use_rff=True, rff_dim=bank, seed=seed)
+            approx = statistic(config, _RffContext(cme, config, 1, 1))
+            errors[bank].append(abs(approx - exact))
+    # perfbench's rff_tolerance at bank 2048
+    assert max(errors[2048]) <= 2.0 * (0.05 * abs(exact) + 1e-3)
+    assert np.median(errors[2048]) < np.median(errors[256])
 
 
 def test_training_is_deterministic_bitwise():
@@ -219,9 +269,6 @@ def test_config_validation():
 
 
 def test_train_data_builders():
-    from circe.scm import make_dataset
-    from circe.trainer import train_data_from_dataset
-
     ds = make_dataset("uni1", 2000, 1, seed=0, m_holdout=200)
     td = train_data_from_dataset(ds)
     assert td.train.n == 1400
