@@ -90,9 +90,9 @@ def _cmd_fit_cme(args) -> int:
     print("lambda sigma2_y loo_error")
     for lam, s2, err in report.as_rows():
         print(f"{lam:g} {s2:g} {err:.6g}")
-    print("sigma2_y eigenvalues_floored")
-    for s2, count in report.floor_rows():
-        print(f"{s2:g} {count}")
+    print("sigma2_y eigenvalues_floored rank")
+    for s2, count, rank in report.floor_rows():
+        print(f"{s2:g} {count} {rank}")
     print(f"selected lambda={model.lam:g} sigma2_y={model.y_params.sigma2:g} "
           f"loo={report.best_error:.6g}")
     out = _out_dir(args)

@@ -3,20 +3,25 @@ leave-one-out model selection.
 
 The embedding of Z given Y is estimated from a holdout set of (y, z) pairs:
 mu(y) = sum_j beta_j(y) psi(z_j) with beta(y) = (K_YY + lam I)^{-1} k_Y(y).
-The leave-one-out error of the fit has a closed form and never refits.
+The fit is one eigendecomposition of K_YY, truncated to its numerically
+nonzero part; the leave-one-out error of every lam has a closed form in the
+same eigenpairs and never refits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError, NumericalError
-from .kernels import KernelParams, as_points, gram, regularized_solve
+from .kernels import KernelParams, as_points, gram
 
 LOO_DIAG_GUARD = 1e-10
+# eigenpairs of K_YY at or below this fraction of the largest eigenvalue are
+# dropped from the fit: at M = 1000 they are roundoff of a low-rank Gram
+RANK_CUT = 1e-12
 
 DEFAULT_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0)
 DEFAULT_SIGMA2_Y_GRID = (0.001, 0.01, 0.1, 1.0)
@@ -24,19 +29,31 @@ DEFAULT_SIGMA2_Y_GRID = (0.001, 0.01, 0.1, 1.0)
 
 @dataclass
 class CmeModel:
-    """Fitted embedding regression. w1 = (K_YY + lam I)^{-1}, w2 = w1 K_ZZ w1."""
+    """Fitted embedding regression, kept as the truncated spectrum of K_YY.
+
+    K_YY ~ u diag(s) u^T over the r eigenpairs above RANK_CUT times the
+    largest eigenvalue, and c = u^T K_ZZ u. With D = diag(1 / (s + lam)) the
+    regression weights on the kept subspace are W1 = u D u^T, and
+    W2 = W1 K_ZZ W1 = u D c D u^T; the discarded eigenpairs are roundoff of a
+    numerically low-rank Gram.
+    """
 
     holdout_y: np.ndarray
     holdout_z: np.ndarray
     lam: float
     y_params: KernelParams
     z_params: KernelParams
-    w1: np.ndarray
-    w2: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    c: np.ndarray
 
     @property
     def n_holdout(self) -> int:
         return self.holdout_y.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.s.shape[0]
 
 
 @dataclass
@@ -44,8 +61,9 @@ class LooReport:
     """Grid search record. Entries follow the (lam outer, sigma2_y inner) order.
 
     floored_eigs[j] counts the negative eigenvalues of K_YY at sigma2_ys grid
-    value j that were clamped to 0 before scoring (roundoff on a numerically
-    low-rank Gram, or an exactly singular one from duplicated y rows).
+    value j (roundoff on a numerically low-rank Gram, or an exactly singular
+    one from duplicated y rows); ranks[j] counts the eigenpairs kept by the
+    rank cut, which drops the negative ones with the rest of the roundoff.
     """
 
     lams: np.ndarray
@@ -55,14 +73,15 @@ class LooReport:
     best_sigma2_y: float
     best_error: float
     floored_eigs: np.ndarray
+    ranks: np.ndarray
 
     def as_rows(self):
         return list(zip(self.lams, self.sigma2_ys, self.errors))
 
     def floor_rows(self):
-        """(sigma2_y, number of clamped eigenvalues) per grid bandwidth."""
+        """(sigma2_y, negative eigenvalues, kept rank) per grid bandwidth."""
         grid = self.sigma2_ys[:len(self.floored_eigs)]
-        return list(zip(grid, self.floored_eigs))
+        return list(zip(grid, self.floored_eigs, self.ranks))
 
 
 def _check_holdout(holdout_y, holdout_z):
@@ -78,35 +97,20 @@ def _check_holdout(holdout_y, holdout_z):
     return holdout_y, holdout_z
 
 
-def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
-            z_params: KernelParams) -> CmeModel:
-    """Fit the embedding regression weights on a holdout set."""
-    holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
-    m = holdout_y.shape[0]
-    k_yy = gram(holdout_y, holdout_y, y_params)
-    k_zz = gram(holdout_z, holdout_z, z_params)
-    w1 = regularized_solve(k_yy, lam, np.eye(m))
-    w1 = 0.5 * (w1 + w1.T)
-    w2 = w1 @ k_zz @ w1
-    w2 = 0.5 * (w2 + w2.T)
-    return CmeModel(holdout_y, holdout_z, float(lam), y_params, z_params, w1, w2)
-
-
-def _loo_errors(holdout_y, k_zz, lams, y_params: KernelParams):
-    """Leave-one-out errors of every lam in lams from one eigendecomposition.
-
-    With K_YY = U diag(s) U^T and d = s / (s + lam), the hat matrix is
-    A = U diag(d) U^T = W U^T with W = U diag(d). Then
-        diag(A) = (U o U) d,
-        diag(A K_ZZ) = (U o K_ZZ U) d,
-        diag(A K_ZZ A^T) = rowsum((W C) o W),  C = U^T K_ZZ U,
-    so each lam costs one M^3 product. Negative eigenvalues, which a PSD
-    Gram has only through roundoff, are clamped to 0 (Rifkin & Lippert 2007).
-    Returns (errors, number of clamped eigenvalues).
-    """
+def _check_lams(lams) -> np.ndarray:
     lams = np.asarray(lams, dtype=np.float64)
     if np.any(~np.isfinite(lams) | (lams <= 0)):
         raise ConfigError(f"lambda values must be positive and finite, got {lams.tolist()}")
+    return lams
+
+
+def _spectrum(holdout_y, y_params: KernelParams, k_zz):
+    """Truncated eigendecomposition of K_YY with K_ZZ projected onto it.
+
+    Returns (s, u, ku, c, n_negative): the r eigenvalues above RANK_CUT times
+    the largest, their eigenvectors u (M, r), ku = K_ZZ u, the symmetric
+    c = u^T K_ZZ u, and the count of negative eigenvalues before the cut.
+    """
     k_yy = gram(holdout_y, holdout_y, y_params)
     try:
         s, u = np.linalg.eigh(k_yy)
@@ -115,15 +119,43 @@ def _loo_errors(holdout_y, k_zz, lams, y_params: KernelParams):
     del k_yy
     if not np.all(np.isfinite(s)):
         raise NumericalError("K_YY has non-finite eigenvalues")
-    n_floored = int(np.count_nonzero(s < 0.0))
-    np.maximum(s, 0.0, out=s)
+    n_negative = int(np.count_nonzero(s < 0.0))
+    # eigh sorts ascending, so the kept eigenpairs are the last r
+    cut = int(np.searchsorted(s, RANK_CUT * s[-1], side="right"))
+    s = s[cut:].copy()
+    u = np.ascontiguousarray(u[:, cut:])
     ku = k_zz @ u
     c = u.T @ ku
+    c = 0.5 * (c + c.T)
+    return s, u, ku, c, n_negative
+
+
+def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
+            z_params: KernelParams) -> CmeModel:
+    """Fit the embedding regression on a holdout set: one eigendecomposition
+    of K_YY, truncated at RANK_CUT."""
+    lam = float(_check_lams([lam])[0])
+    holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
+    k_zz = gram(holdout_z, holdout_z, z_params)
+    s, u, _, c, _ = _spectrum(holdout_y, y_params, k_zz)
+    return CmeModel(holdout_y, holdout_z, lam, y_params, z_params, u, s, c)
+
+
+def _loo_errors(s, u, ku, c, k_zz_diag, lams):
+    """Leave-one-out errors of every lam in lams from one eigendecomposition.
+
+    With K_YY = U diag(s) U^T and d = s / (s + lam), the hat matrix is
+    A = U diag(d) U^T = W U^T with W = U diag(d). Then
+        diag(A) = (U o U) d,
+        diag(A K_ZZ) = (U o K_ZZ U) d,
+        diag(A K_ZZ A^T) = rowsum((W C) o W),  C = U^T K_ZZ U,
+    so each lam costs one M r^2 product over the r kept eigenpairs; a
+    discarded eigenvalue would contribute d below RANK_CUT s_max / lam
+    (Rifkin & Lippert 2007).
+    """
     d = s[:, None] / (s[:, None] + lams[None, :])
     diag_a = (u * u) @ d
     diag_ak = (u * ku) @ d
-    del ku
-    k_zz_diag = np.diag(k_zz)
     errors = np.empty(len(lams))
     for j in range(len(lams)):
         denom = 1.0 - diag_a[:, j]
@@ -134,7 +166,7 @@ def _loo_errors(holdout_y, k_zz, lams, y_params: KernelParams):
         resid = k_zz_diag - 2.0 * diag_ak[:, j] + np.einsum("ij,ij->i", w @ c, w)
         np.maximum(resid, 0.0, out=resid)
         errors[j] = np.mean(resid / denom**2)
-    return errors, n_floored
+    return errors
 
 
 def loo_error(holdout_y, holdout_z, lam: float, y_params: KernelParams,
@@ -147,10 +179,11 @@ def loo_error(holdout_y, holdout_z, lam: float, y_params: KernelParams,
         r_i = k(z_i, z_i) - 2 (A K_ZZ)_ii + (A K_ZZ A^T)_ii.
     Returns +inf when any 1 - A_ii falls below the diagonal guard.
     """
+    lams = _check_lams([lam])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
     k_zz = gram(holdout_z, holdout_z, z_params)
-    errors, _ = _loo_errors(holdout_y, k_zz, [lam], y_params)
-    return float(errors[0])
+    s, u, ku, c, _ = _spectrum(holdout_y, y_params, k_zz)
+    return float(_loo_errors(s, u, ku, c, np.diag(k_zz), lams)[0])
 
 
 def _better(err, lam, s2, best):
@@ -176,64 +209,79 @@ def select_hyperparams(holdout_y, holdout_z,
     """Grid-search (lam, sigma2_y) by leave-one-out error and fit the winner.
 
     The z-kernel bandwidth is fixed by the caller and not searched. K_ZZ is
-    built once, and one eigendecomposition of K_YY per sigma2_y scores the
-    whole lambda grid.
+    built once, and one truncated eigendecomposition of K_YY per sigma2_y
+    scores the whole lambda grid. Only the leading bandwidth's spectrum is
+    kept, and the winner is built from it, bitwise equal to fit_cme there.
     """
     lambda_grid = [float(v) for v in lambda_grid]
     sigma2_y_grid = [float(v) for v in sigma2_y_grid]
     if not lambda_grid or not sigma2_y_grid:
         raise ConfigError("hyperparameter grids must be non-empty")
+    lams = _check_lams(lambda_grid)
     y_params = [KernelParams(sigma2=s2) for s2 in sigma2_y_grid]
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
 
     k_zz = gram(holdout_z, holdout_z, z_params)
+    k_zz_diag = np.diag(k_zz).copy()
     errors = np.empty((len(lambda_grid), len(sigma2_y_grid)))
     floored = np.empty(len(sigma2_y_grid), dtype=np.int64)
-    for j, params in enumerate(y_params):
-        errors[:, j], floored[j] = _loo_errors(holdout_y, k_zz, lambda_grid, params)
-    del k_zz
-
-    best = None
-    for i, lam in enumerate(lambda_grid):
-        for j, s2 in enumerate(sigma2_y_grid):
+    ranks = np.empty(len(sigma2_y_grid), dtype=np.int64)
+    best = best_spectrum = None
+    for j, (s2, params) in enumerate(zip(sigma2_y_grid, y_params)):
+        s, u, ku, c, floored[j] = _spectrum(holdout_y, params, k_zz)
+        ranks[j] = s.shape[0]
+        errors[:, j] = _loo_errors(s, u, ku, c, k_zz_diag, lams)
+        for i, lam in enumerate(lambda_grid):
             err = float(errors[i, j])
             if math.isfinite(err) and _better(err, lam, s2, best):
                 best = (err, lam, s2)
+                best_spectrum = (u, s, c)
+    del k_zz
 
     if best is None:
         raise ConfigError("all grid points produced non-finite leave-one-out error")
     b_err, b_lam, b_s2 = best
     report = LooReport(np.repeat(lambda_grid, len(sigma2_y_grid)),
                        np.tile(sigma2_y_grid, len(lambda_grid)),
-                       errors.ravel(), b_lam, b_s2, b_err, floored)
-    model = fit_cme(holdout_y, holdout_z, b_lam, KernelParams(sigma2=b_s2), z_params)
+                       errors.ravel(), b_lam, b_s2, b_err, floored, ranks)
+    model = CmeModel(holdout_y, holdout_z, b_lam, KernelParams(sigma2=b_s2), z_params,
+                     *best_spectrum)
     return model, report
+
+
+MODEL_SCHEMA_VERSION = 2
 
 
 def save_cme(model: CmeModel, path) -> None:
     np.savez(
         path,
-        schema_version=1,
+        schema_version=MODEL_SCHEMA_VERSION,
         holdout_y=model.holdout_y,
         holdout_z=model.holdout_z,
         lam=model.lam,
         sigma2_y=model.y_params.sigma2,
         sigma2_z=model.z_params.sigma2,
-        w1=model.w1,
-        w2=model.w2,
+        u=model.u,
+        s=model.s,
+        c=model.c,
     )
 
 
 def load_cme(path) -> CmeModel:
     with np.load(path) as data:
-        if int(data["schema_version"]) != 1:
-            raise ConfigError(f"unknown model schema {data['schema_version']}")
+        version = int(data["schema_version"])
+        if version != MODEL_SCHEMA_VERSION:
+            raise ConfigError(
+                f"model schema version {version} is not {MODEL_SCHEMA_VERSION}; "
+                "refit the model with `circe fit-cme`"
+            )
         return CmeModel(
             holdout_y=data["holdout_y"],
             holdout_z=data["holdout_z"],
             lam=float(data["lam"]),
             y_params=KernelParams(sigma2=float(data["sigma2_y"])),
             z_params=KernelParams(sigma2=float(data["sigma2_z"])),
-            w1=data["w1"],
-            w2=data["w2"],
+            u=data["u"],
+            s=data["s"],
+            c=data["c"],
         )

@@ -43,24 +43,29 @@ def _check_variant(variant: str) -> None:
 
 
 def cross_factors(y, z, model: CmeModel):
-    """Per-row factors (L, R_p, R_q) = (K_yY, K_zZ W1, K_yY W2), each (n, M).
+    """Per-row factors (L, R_p, R_q) = (K_yY u, K_zZ u D, L D c D), each (n, r).
 
-    The holdout cross terms of the centered Gram are P = L R_p^T and
-    Q = L R_q^T; W1 and W2 are symmetric, so row i of every factor depends on
-    point i alone and a batch of rows is a row gather. Rows are filled in
-    blocks of FACTOR_BLOCK_ROWS so no full (n, M) Gram temporary is alive.
+    With the model's truncated spectrum u, s, c and D = diag(1 / (s + lam)),
+    the holdout cross terms of the centered Gram are P = L R_p^T and
+    Q = L R_q^T. Row i of every factor depends on point i alone, so a batch
+    of rows is a row gather. Rows are filled in blocks of FACTOR_BLOCK_ROWS
+    so no full (n, M) Gram temporary is alive.
     """
     y = as_points(y)
     z = as_points(z)
-    n, m = y.shape[0], model.n_holdout
-    factors = tuple(np.empty((n, m)) for _ in range(3))
+    n = y.shape[0]
+    d = 1.0 / (model.s + model.lam)
+    u_d = model.u * d
+    dcd = d[:, None] * model.c * d
+    factors = tuple(np.empty((n, model.rank)) for _ in range(3))
     left, right_p, right_q = factors
     for start in range(0, n, FACTOR_BLOCK_ROWS):
         rows = slice(start, start + FACTOR_BLOCK_ROWS)
-        left[rows] = gram(y[rows], model.holdout_y, model.y_params)
-        np.matmul(gram(z[rows], model.holdout_z, model.z_params), model.w1,
+        np.matmul(gram(y[rows], model.holdout_y, model.y_params), model.u,
+                  out=left[rows])
+        np.matmul(gram(z[rows], model.holdout_z, model.z_params), u_d,
                   out=right_p[rows])
-        np.matmul(left[rows], model.w2, out=right_q[rows])
+        np.matmul(left[rows], dcd, out=right_q[rows])
     return factors
 
 
@@ -84,6 +89,7 @@ def centered_gram(batch_y, batch_z, model: CmeModel,
     """Centered joint Gram of a batch against a fitted embedding model.
 
     With W1 = (K_YY + lam I)^{-1} and W2 = W1 K_ZZ W1 over the holdout,
+    both taken on the model's kept eigenpairs (see cross_factors),
         P = K_yY W1 K_Zz,   Q = K_yY W2 K_Yy,
         result = K_yy o (K_zz - P - P^T + Q).
     The kernel parameters must match the ones the model was fitted with.

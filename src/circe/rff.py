@@ -21,7 +21,7 @@ import numpy as np
 from .cme import CmeModel
 from .estimator import CenteredGram, centered_from_factors
 from .exceptions import ConfigError
-from .kernels import KernelParams, as_points
+from .kernels import KernelParams, as_points, gram
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,21 @@ class RffCmeWeights:
     refresh_period: int | None = None
 
 
+def _dense_weights(model: CmeModel):
+    """W1 = (K_YY + lam I)^{-1} = u (D - I/lam) u^T + I/lam and W2 = W1 K_ZZ W1,
+    rebuilt as dense (M, M) arrays from the model's kept eigenpairs.
+
+    Random features of the holdout are not confined to the kept eigenvectors
+    of K_YY, so W1 keeps the I/lam term on the rest and stays the full inverse.
+    """
+    inv_lam = 1.0 / model.lam
+    w1 = (model.u * (1.0 / (model.s + model.lam) - inv_lam)) @ model.u.T
+    w1[np.diag_indices_from(w1)] += inv_lam
+    w1 = 0.5 * (w1 + w1.T)
+    w2 = w1 @ gram(model.holdout_z, model.holdout_z, model.z_params) @ w1
+    return w1, 0.5 * (w2 + w2.T)
+
+
 def precompute_rff_weights(model: CmeModel, y_map: RffMap, z_map: RffMap,
                            refresh_period: int | None = None) -> RffCmeWeights:
     """Fold the holdout regression weights into the two feature banks."""
@@ -95,10 +110,11 @@ def precompute_rff_weights(model: CmeModel, y_map: RffMap, z_map: RffMap,
         )
     if refresh_period is not None and refresh_period < 1:
         raise ConfigError(f"refresh_period must be positive, got {refresh_period}")
+    w1, w2 = _dense_weights(model)
     ry = y_map.features(model.holdout_y)
     rz = z_map.features(model.holdout_z)
-    w1r = ry.T @ model.w1 @ rz
-    w2r = ry.T @ model.w2 @ ry
+    w1r = ry.T @ w1 @ rz
+    w2r = ry.T @ w2 @ ry
     return RffCmeWeights(w1r=w1r, w2r=w2r, d_total_y=y_map.d_total,
                          d_total_z=z_map.d_total, refresh_period=refresh_period)
 

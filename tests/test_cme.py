@@ -18,6 +18,19 @@ from circe.kernels import KernelParams, gram, regularized_solve
 from circe.scm import SCM_CASES, make_dataset
 
 
+def _closed_w1(model):
+    """(K_YY + lam I)^{-1} from the model's holdout, by a dense solve."""
+    k_yy = gram(model.holdout_y, model.holdout_y, model.y_params)
+    m = model.n_holdout
+    return np.linalg.solve(k_yy + model.lam * np.eye(m), np.eye(m))
+
+
+def _spectral_w1(model):
+    """The model's W1 rebuilt from its kept eigenpairs, u (D - I/lam) u^T + I/lam."""
+    d = 1.0 / (model.s + model.lam) - 1.0 / model.lam
+    return (model.u * d) @ model.u.T + np.eye(model.n_holdout) / model.lam
+
+
 def _sample_pairs(rng, m):
     y = rng.standard_normal((m, 1))
     z = y**2 + rng.standard_normal((m, 1))
@@ -91,8 +104,9 @@ def test_duplicating_holdout_with_doubled_lambda_preserves_predictions():
     dup = fit_cme(np.vstack([y, y]), np.vstack([z, z]), 2 * lam, yp, zp)
 
     query = rng.standard_normal((7, 1))
-    beta_base = base.w1 @ gram(base.holdout_y, query, yp)
-    beta_dup = dup.w1 @ gram(dup.holdout_y, query, yp)
+    beta_base = _spectral_w1(base) @ gram(base.holdout_y, query, yp)
+    beta_dup = _spectral_w1(dup) @ gram(dup.holdout_y, query, yp)
+    assert np.allclose(beta_base, _closed_w1(base) @ gram(y, query, yp), atol=1e-9)
     # collapse the duplicated coefficients back onto the original points
     collapsed = beta_dup[:15] + beta_dup[15:]
     assert np.allclose(collapsed, beta_base, atol=1e-9)
@@ -111,8 +125,12 @@ def test_fit_cme_weights_match_direct_formulas():
     k_yy = gram(y, y, yp)
     k_zz = gram(z, z, zp)
     w1 = np.linalg.solve(k_yy + 0.01 * np.eye(20), np.eye(20))
-    assert np.allclose(model.w1, w1, atol=1e-9)
-    assert np.allclose(model.w2, w1 @ k_zz @ w1, atol=1e-9)
+    assert np.allclose(_spectral_w1(model), w1, atol=1e-9)
+    # the kept eigenvectors see W2 = W1 K_ZZ W1 as D c D
+    d = 1.0 / (model.s + model.lam)
+    w2 = model.u.T @ (w1 @ k_zz @ w1) @ model.u
+    assert np.allclose(d[:, None] * model.c * d, w2, atol=1e-9)
+    assert np.array_equal(model.c, model.c.T)
 
 
 def test_select_hyperparams_minimizes_loo_on_grid():
@@ -131,8 +149,10 @@ def test_select_hyperparams_minimizes_loo_on_grid():
     assert direct == pytest.approx(report.best_error, rel=1e-12)
     # the returned model is bitwise the plain fit at the winner
     refit = fit_cme(y, z, report.best_lam, KernelParams(sigma2=report.best_sigma2_y), zp)
-    assert np.array_equal(model.w1, refit.w1)
-    assert np.array_equal(model.w2, refit.w2)
+    for name in ("u", "s", "c"):
+        assert np.array_equal(getattr(model, name), getattr(refit, name))
+    kept = {s2: rank for s2, _, rank in report.floor_rows()}
+    assert model.rank == kept[model.y_params.sigma2]
 
 
 @pytest.mark.parametrize("case", SCM_CASES)
@@ -161,7 +181,7 @@ def test_singular_holdout_is_floored_and_finite():
     assert np.all(np.isfinite(report.errors))
     assert report.floored_eigs.shape == (4,)
     assert report.floored_eigs.sum() > 0
-    assert [s2 for s2, _ in report.floor_rows()] == [0.001, 0.01, 0.1, 1.0]
+    assert [row[0] for row in report.floor_rows()] == [0.001, 0.01, 0.1, 1.0]
 
 
 def test_tie_breaking_prefers_larger_lambda_then_sigma():
@@ -191,6 +211,24 @@ def test_fit_cme_shape_checks():
                 KernelParams(sigma2=1.0), KernelParams(sigma2=1.0))
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+def test_fit_cme_rejects_bad_lambda(lam):
+    rng = np.random.default_rng(9)
+    y, z = _sample_pairs(rng, 10)
+    with pytest.raises(ConfigError):
+        fit_cme(y, z, lam, KernelParams(sigma2=1.0), KernelParams(sigma2=1.0))
+
+
+def test_load_rejects_version_1_model(tmp_path):
+    path = tmp_path / "old.npz"
+    eye = np.eye(3)
+    np.savez(path, schema_version=1, holdout_y=np.zeros((3, 1)),
+             holdout_z=np.zeros((3, 1)), lam=0.1, sigma2_y=1.0, sigma2_z=1.0,
+             w1=eye, w2=eye)
+    with pytest.raises(ConfigError, match="version 1.*circe fit-cme"):
+        load_cme(path)
+
+
 def test_cme_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     y, z = _sample_pairs(rng, 12)
@@ -202,6 +240,6 @@ def test_cme_serialization_roundtrip(tmp_path):
     assert loaded.lam == model.lam
     assert loaded.y_params == model.y_params
     assert loaded.z_params == model.z_params
-    assert np.array_equal(loaded.w1, model.w1)
-    assert np.array_equal(loaded.w2, model.w2)
+    for name in ("u", "s", "c"):
+        assert np.array_equal(getattr(loaded, name), getattr(model, name))
     assert np.array_equal(loaded.holdout_y, model.holdout_y)

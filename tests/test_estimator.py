@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from circe.cme import fit_cme
+from circe.cme import fit_cme, select_hyperparams
 from circe.estimator import (
     CenteredGram,
     centered_gram,
     circe_oracle,
     circe_statistic,
+    cross_factors,
     statistic_gradient_coeff,
 )
 from circe.exceptions import ConfigError
 from circe.kernels import KernelParams, gram
+from circe.scm import make_dataset
+from circe.trainer import train_data_from_dataset
 
 
 YP = KernelParams(sigma2=0.5)
@@ -22,6 +25,18 @@ def _model(rng, m=60, lam=0.01):
     y = rng.standard_normal((m, 1))
     z = y**2 + 0.5 * rng.standard_normal((m, 1))
     return fit_cme(y, z, lam, YP, ZP)
+
+
+def _dense_cross_terms(model, y, z):
+    """P = K_yY W1 K_Zz and Q = K_yY W1 K_ZZ W1 K_Yy with the dense
+    W1 = (K_YY + lam I)^{-1}."""
+    m = model.n_holdout
+    k_YY = gram(model.holdout_y, model.holdout_y, model.y_params)
+    k_ZZ = gram(model.holdout_z, model.holdout_z, model.z_params)
+    w1 = np.linalg.solve(k_YY + model.lam * np.eye(m), np.eye(m))
+    k_yY = gram(y, model.holdout_y, model.y_params)
+    k_Zz = gram(model.holdout_z, z, model.z_params)
+    return k_yY @ w1 @ k_Zz, k_yY @ (w1 @ k_ZZ @ w1) @ k_yY.T
 
 
 def _batch(rng, b=24, dependent=True):
@@ -40,15 +55,44 @@ def test_centered_gram_matches_direct_formula():
     x, y, z = _batch(rng)
     cg = centered_gram(y, z, model, YP, ZP)
 
-    k_yy = gram(y, y, YP)
-    k_zz = gram(z, z, ZP)
-    k_yY = gram(y, model.holdout_y, YP)
-    k_Zz = gram(model.holdout_z, z, ZP)
-    P = k_yY @ model.w1 @ k_Zz
-    Q = k_yY @ model.w2 @ k_yY.T
-    expected = k_yy * (k_zz - P - P.T + Q)
+    P, Q = _dense_cross_terms(model, y, z)
+    expected = gram(y, y, YP) * (gram(z, z, ZP) - P - P.T + Q)
     assert np.allclose(cg.matrix, expected, atol=1e-12)
     assert cg.batch_size == 24
+
+
+def test_duplicated_holdout_keeps_unique_rank_and_cross_terms():
+    # doubling every holdout row leaves K_YY of rank at most 15; the kept
+    # eigenpairs still reproduce the dense ridge cross terms
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal((15, 1))
+    z = y**2 + 0.5 * rng.standard_normal((15, 1))
+    model = fit_cme(np.vstack([y, y]), np.vstack([z, z]), 0.05, YP, ZP)
+    assert model.rank <= 15
+    _, by, bz = _batch(rng, b=10)
+    left, right_p, right_q = cross_factors(by, bz, model)
+    assert left.shape == (10, model.rank)
+    P, Q = _dense_cross_terms(model, by, bz)
+    assert np.allclose(left @ right_p.T, P, atol=1e-9)
+    assert np.allclose(left @ right_q.T, Q, atol=1e-9)
+
+
+@pytest.mark.parametrize("case", ["uni1", "multi2"])
+def test_low_rank_centered_gram_matches_dense_at_full_holdout(case):
+    # the grid winner at M = 1000 is truncated to its numerically nonzero
+    # eigenpairs; the centered Gram stays within 1e-7 of the dense ridge form
+    ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
+    std = ds.standardizer
+    model, _ = select_hyperparams(std.transform("y", ds.holdout.y),
+                                  std.transform("z", ds.holdout.z))
+    assert model.rank < model.n_holdout
+    batch = train_data_from_dataset(ds).train.take(np.arange(256))
+    cg = centered_gram(batch.y, batch.z, model, model.y_params, model.z_params)
+    P, Q = _dense_cross_terms(model, batch.y, batch.z)
+    expected = (gram(batch.y, batch.y, model.y_params)
+                * (gram(batch.z, batch.z, model.z_params) - P - P.T + Q))
+    rel = np.max(np.abs(cg.matrix - expected)) / np.max(np.abs(expected))
+    assert rel <= 1e-7
 
 
 def test_statistic_variants_match_brute_force_sums():

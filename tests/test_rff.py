@@ -65,8 +65,11 @@ def test_weights_match_direct_products():
     w = precompute_rff_weights(model, ym, zm)
     ry = ym.features(model.holdout_y)
     rz = zm.features(model.holdout_z)
-    assert np.allclose(w.w1r, ry.T @ model.w1 @ rz, atol=1e-12)
-    assert np.allclose(w.w2r, ry.T @ model.w2 @ ry, atol=1e-12)
+    k_yy = gram(model.holdout_y, model.holdout_y, YP)
+    k_zz = gram(model.holdout_z, model.holdout_z, ZP)
+    w1 = np.linalg.solve(k_yy + model.lam * np.eye(30), np.eye(30))
+    assert np.allclose(w.w1r, ry.T @ w1 @ rz, atol=1e-12)
+    assert np.allclose(w.w2r, ry.T @ (w1 @ k_zz @ w1) @ ry, atol=1e-12)
 
 
 def test_weight_bandwidth_mismatch_rejected():
