@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConfigError, NumericalError
 
@@ -75,11 +74,15 @@ def gram(rows, cols, params: KernelParams) -> np.ndarray:
 
 
 def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
-    """Solve (K + lam * I) S = B for symmetric PSD K via Cholesky.
+    """Solve (K + lam * I) S = B for symmetric PSD K on numpy's LAPACK.
 
-    Jitter escalates tenfold from JITTER_START * mean(diag) up to
-    JITTER_CAP * mean(diag) when factorization fails; a relative residual
-    above RESIDUAL_TOL raises NumericalError.
+    A Cholesky factorization tests definiteness, with jitter escalating
+    tenfold from JITTER_START * mean(diag) up to JITTER_CAP * mean(diag)
+    while it fails; an LU solve of the same matrix gives S. A relative
+    residual against K + lam * I above RESIDUAL_TOL raises NumericalError.
+    No scipy solver: scipy's bundled OpenBLAS thread pool contends with
+    numpy's for the cores, and a 256-row HSCIC step on two cores took
+    70-104 ms with scipy's Cholesky solve against 28-33 ms on numpy alone.
     """
     K = np.asarray(K, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -97,22 +100,20 @@ def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
         mean_diag = 1.0
 
     jitter = 0.0
+    jittered = A
     while True:
         try:
-            chol = scipy.linalg.cho_factor(
-                A + jitter * np.eye(n) if jitter else A,
-                lower=True,
-                check_finite=False,
-            )
+            np.linalg.cholesky(jittered)
             break
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             jitter = JITTER_START * mean_diag if jitter == 0.0 else jitter * 10.0
             if jitter > JITTER_CAP * mean_diag * (1 + 1e-12):
                 raise NumericalError(
                     f"Cholesky failed at jitter cap {JITTER_CAP * mean_diag:.3e}"
                 ) from None
+            jittered = A + jitter * np.eye(n)
 
-    S = scipy.linalg.cho_solve(chol, B, check_finite=False)
+    S = np.linalg.solve(jittered, B)
     b_norm = float(np.linalg.norm(B))
     residual = float(np.linalg.norm(A @ S - B)) / max(b_norm, np.finfo(np.float64).tiny)
     if not np.isfinite(residual) or residual > RESIDUAL_TOL:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from circe.baselines import (
+    GCM_SMOOTHMAX_TAU,
     GcmEstimate,
     gcm_statistic,
     gcm_with_grad,
@@ -9,7 +11,7 @@ from circe.baselines import (
     hscic_with_grad,
 )
 from circe.exceptions import ConfigError, NumericalError
-from circe.kernels import KernelParams
+from circe.kernels import KernelParams, gram, gram_backprop
 
 YP = KernelParams(sigma2=1.0)
 XP = KernelParams(sigma2=1.0)
@@ -186,3 +188,61 @@ def test_gcm_failure_mode_light():
         if est.value < 1.96:
             below += 1
     assert below >= int(0.7 * seeds)
+
+
+def _gcm_dense(x, z, y, y_params, lam):
+    """GCM through the n x n smoother A = K(K + lam I)^-1: (t, smooth max, grad)."""
+    n = y.shape[0]
+    k_yy = gram(y, y, y_params)
+    a = k_yy @ np.linalg.solve(k_yy + lam * np.eye(n), np.eye(n))
+    hat = 0.5 * (a + a.T)
+    rx, rz = x - hat @ x, z - hat @ z
+    prods = rx[:, :, None] * rz[:, None, :]
+    m = prods.mean(axis=0)
+    s = np.sqrt(np.mean(prods**2, axis=0) - m**2)
+    t = np.sqrt(n) * m / s
+    soft = np.exp(GCM_SMOOTHMAX_TAU * (np.abs(t) - np.abs(t).max()))
+    soft /= soft.sum()
+    dt_dr = (np.sqrt(n) / (n * s)) * (1.0 - m * (prods - m) / (s * s))
+    coeff = np.einsum("jk,ljk,lk->lj", soft * np.sign(t), dt_dr, rz)
+    grad = (np.eye(n) - hat.T) @ coeff
+    return t, logsumexp(GCM_SMOOTHMAX_TAU * np.abs(t)) / GCM_SMOOTHMAX_TAU, grad
+
+
+def _hscic_dense(x, z, y, x_params, z_params, y_params, lam):
+    """HSCIC value and gradient with the three-product gradient coefficient."""
+    n = y.shape[0]
+    k_yy = gram(y, y, y_params)
+    w = np.linalg.solve(k_yy + lam * np.eye(n), k_yy)
+    k_xx, k_zz = gram(x, x, x_params), gram(z, z, z_params)
+    u, v = k_zz @ w, k_xx @ w
+    term1 = np.einsum("ji,ji->i", w, (k_xx * k_zz) @ w)
+    term2 = np.einsum("li,li,li->i", w, v, u)
+    p, q = np.einsum("li,li->i", w, v), np.einsum("li,li->i", w, u)
+    coeff = ((w @ w.T) * k_zz - 2.0 * (w * u) @ w.T + (w * q) @ w.T) / n
+    grad = gram_backprop(coeff, x, k_xx, x_params.sigma2)
+    return np.mean(term1 - 2.0 * term2 + p * q), grad
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def test_gcm_and_hscic_match_dense_smoother_forms():
+    rng = np.random.default_rng(31)
+    n = 64
+    y = rng.standard_normal((n, 1))
+    z = np.hstack([y**2, -y]) + rng.standard_normal((n, 2))
+    x = np.hstack([z[:, :1], np.sin(y), y]) + 0.5 * rng.standard_normal((n, 3))
+
+    est, grad = gcm_with_grad(x, z, y, YP, LAM)
+    t, smooth, grad_ref = _gcm_dense(x, z, y, YP, LAM)
+    assert est.included.all()
+    assert _rel(est.raw_covs, t) <= 1e-10
+    assert est.regularizer_value == pytest.approx(smooth, rel=1e-10)
+    assert _rel(grad, grad_ref) <= 1e-10
+
+    est, grad = hscic_with_grad(x, z, y, XP, ZP, YP, LAM)
+    value, grad_ref = _hscic_dense(x, z, y, XP, ZP, YP, LAM)
+    assert est.value == pytest.approx(value, rel=1e-10)
+    assert _rel(grad, grad_ref) <= 1e-10

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import circe.trainer as trainer_mod
 from circe.cme import fit_cme
@@ -246,6 +247,27 @@ def test_skip_and_unstable_flags(monkeypatch):
     assert log.skipped_steps > 0
     assert log.unstable
     assert all(np.all(np.isfinite(p)) for p in model.params)
+
+
+@pytest.mark.parametrize("method", ["none", "circe", "hscic", "gcm"])
+def test_training_step_runs_on_numpy_linear_algebra_only(monkeypatch, method):
+    # numpy and scipy bundle separate OpenBLAS thread pools; a scipy solve
+    # between numpy's products makes the two pools contend for the cores
+    ds = make_dataset("uni1", 1000, 1, seed=0, m_holdout=100)
+    data = train_data_from_dataset(ds)
+    std = ds.standardizer
+    cme = fit_cme(std.transform("y", ds.holdout.y), std.transform("z", ds.holdout.z),
+                  0.1, KernelParams(1.0), KernelParams(1.0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg called during training")
+
+    for name in ("cho_factor", "cho_solve", "solve", "lu_factor"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    config = TrainConfig(method=method, gamma=1.0, batch_size=64, epochs=1,
+                         lr=1e-3, weight_decay=0.0, hidden_widths=(8,), seed=0)
+    _, log = train(config, data, cme_model=cme)
+    assert log.skipped_steps == 0
 
 
 def test_config_validation():
