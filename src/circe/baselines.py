@@ -9,7 +9,7 @@ I - A = lam (K_yy + lam I)^-1, its residuals take one solve with d_x + d_z
 right-hand sides and its gradient one with d_x. Every solve runs in
 kernels.regularized_solve on numpy's LAPACK (Cholesky test, LU solve), not
 scipy's, whose own OpenBLAS thread pool contends with numpy's for the
-cores: a 256-row GCM step on two cores took 43-71 ms with it, 15-18 without.
+cores: a 256-row GCM step on two cores took 43-71 ms with it, 15-19 without.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def _check_batch(x_feats, z, y, lam):
 
 def _gcm_core(x_feats, z, y, y_params, lam):
     x_feats, z, y = _check_batch(x_feats, z, y, lam)
-    (n, d_x), d_z = x_feats.shape, z.shape[1]
+    n, d_x = x_feats.shape
+    d_z = z.shape[1]
     k_yy = gram(y, y, y_params)
     resid = lam * regularized_solve(k_yy, lam, np.hstack([x_feats, z]))
     rx, rz = resid[:, :d_x], resid[:, d_x:]

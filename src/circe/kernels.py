@@ -82,7 +82,7 @@ def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
     residual against K + lam * I above RESIDUAL_TOL raises NumericalError.
     No scipy solver: scipy's bundled OpenBLAS thread pool contends with
     numpy's for the cores, and a 256-row HSCIC step on two cores took
-    70-104 ms with scipy's Cholesky solve against 28-33 ms on numpy alone.
+    70-104 ms with scipy's Cholesky solve against 26-33 ms on numpy alone.
     """
     K = np.asarray(K, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
