@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -268,6 +273,36 @@ def test_training_step_runs_on_numpy_linear_algebra_only(monkeypatch, method):
                          lr=1e-3, weight_decay=0.0, hidden_widths=(8,), seed=0)
     _, log = train(config, data, cme_model=cme)
     assert log.skipped_steps == 0
+
+
+_TRAIN_WITHOUT_SCIPY_LINALG = """
+import sys
+from circe.cme import fit_cme
+from circe.kernels import KernelParams
+from circe.scm import make_dataset
+from circe.trainer import TrainConfig, train, train_data_from_dataset
+ds = make_dataset("uni1", 600, 1, seed=0, m_holdout=100)
+std = ds.standardizer
+cme = fit_cme(std.transform("y", ds.holdout.y), std.transform("z", ds.holdout.z),
+              0.1, KernelParams(1.0), KernelParams(1.0))
+for method in ("none", "circe", "hscic", "gcm"):
+    config = TrainConfig(method=method, gamma=1.0, batch_size=64, epochs=1,
+                         lr=1e-3, weight_decay=0.0, hidden_widths=(8,), seed=0)
+    train(config, train_data_from_dataset(ds), cme_model=cme)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_training_never_imports_scipy_linalg():
+    # a `from scipy.linalg import ...` binds the function at import time and
+    # escapes the monkeypatch above; a fresh interpreter catches that too
+    src = str(Path(trainer_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _TRAIN_WITHOUT_SCIPY_LINALG],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_config_validation():

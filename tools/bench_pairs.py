@@ -1,12 +1,11 @@
 """Run perfbench on two checkouts in alternating pairs and summarize them.
 
 Usage:
-    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \
-        --workloads train_baselines train_circe --out BENCH_7.json
+    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json
 
 Each checkout is a directory holding src/ and perfbench/, such as a
-`git clone` of a commit. Pair i runs every workload at seed i on both
-checkouts with the run length of BENCHMARK.json; the parent goes first in
+`git clone` of a commit. Ten pairs run; pair i runs every workload of
+BENCHMARK.json at seed i on both checkouts with its run length; the parent goes first in
 even pairs and the change in odd ones. The output JSON holds, per workload
 and end-to-end metric, {min, q1, median, q3, max, n} for each side and the
 change's wins over the parent (ties count for neither), plus each side's
@@ -24,6 +23,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+PAIRS = 10
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -52,30 +53,25 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=0)
-    ap.add_argument("--workloads", nargs="+",
-                    default=[w["name"] for w in SPEC["workloads"]])
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = {w: {side: [] for side in sides} for w in args.workloads}
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for workload in args.workloads:
+    runs = {w: {side: [] for side in sides} for w in WORKLOADS}
+    for seed in range(PAIRS):
+        order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+        for workload in WORKLOADS:
             for side in order:
                 run = run_once(sides[side], workload, seed)
                 runs[workload][side].append(run)
-                print(f"pair {i} {workload} {side}: " + " ".join(
+                print(f"pair {seed} {workload} {side}: " + " ".join(
                     f"{k}={v:.4g}" for k, v in run["metrics"].items()), flush=True)
 
-    out = {"pairs": args.pairs, "seeds": [args.first_seed, args.first_seed + args.pairs - 1],
+    out = {"pairs": PAIRS, "seeds": [0, PAIRS - 1],
            "run_seconds": SPEC["run_seconds"], "sides": {}, "workloads": {}}
     for side in sides:
-        prov = runs[args.workloads[0]][side][0]["provenance"]
+        prov = runs[WORKLOADS[0]][side][0]["provenance"]
         out["sides"][side] = {k: prov[k] for k in
                               ("commit", "source_sha256", "blas_threads", "blas_env", "nproc")}
     for workload, by_side in runs.items():
