@@ -111,9 +111,7 @@ def _cmd_train(args) -> int:
         raise ConfigError("train config needs a 'case' entry")
     method = cfg.pop("method", "none")
     gamma = float(cfg.pop("gamma", 0.0))
-    if args.seed is not None:
-        cfg["seeds"] = [args.seed]
-    seeds = cfg.pop("seeds", [0])
+    seeds = [args.seed] if args.seed is not None else cfg.pop("seeds", [0])
     sweep_config = SweepConfig.from_dict({
         **cfg,
         "cases": [case],

@@ -12,7 +12,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,10 +22,11 @@ from .kernels import KernelParams
 from .scm import SCM_CASES, ScmBatch, make_dataset, regenerate
 from .trainer import METHODS, TrainConfig, train, train_data_from_dataset
 
-SCHEMA_VERSION = 1
+# schema 1 had an mse_ood column, always NaN in sweeps; readers ignore it
+SCHEMA_VERSION = 2
 CSV_COLUMNS = (
     "schema_version", "case_id", "method", "variant", "gamma", "seed",
-    "lambda", "sigma2_y", "sigma2_z", "mse_in", "mse_ood", "vcf",
+    "lambda", "sigma2_y", "sigma2_z", "mse_in", "vcf",
     "statistic_final", "unstable", "wall_seconds",
 )
 DEFAULT_N_INTERVENTIONS = 20
@@ -64,7 +65,6 @@ class RunRecord:
     sigma2_y: float
     sigma2_z: float
     mse_in: float
-    mse_ood: float
     vcf: float
     statistic_final: float
     unstable: bool
@@ -75,8 +75,8 @@ class RunRecord:
             str(SCHEMA_VERSION), self.case_id, self.method, self.variant,
             repr(float(self.gamma)), str(self.seed), repr(float(self.lam)),
             repr(float(self.sigma2_y)), repr(float(self.sigma2_z)),
-            repr(float(self.mse_in)), repr(float(self.mse_ood)),
-            repr(float(self.vcf)), repr(float(self.statistic_final)),
+            repr(float(self.mse_in)), repr(float(self.vcf)),
+            repr(float(self.statistic_final)),
             str(bool(self.unstable)), repr(float(self.wall_seconds)),
         ]
 
@@ -92,6 +92,11 @@ def predictor_from_model(model, standardizer):
     return predict
 
 
+def _check_n_interventions(n_interventions: int) -> None:
+    if n_interventions < 2:
+        raise ConfigError(f"n_interventions must be >= 2, got {n_interventions}")
+
+
 def eval_vcf(predict, batch: ScmBatch, n_interventions: int = DEFAULT_N_INTERVENTIONS,
              seed: int = 0) -> VcfResult:
     """Mean over points of the predictor's variance under z interventions.
@@ -99,8 +104,7 @@ def eval_vcf(predict, batch: ScmBatch, n_interventions: int = DEFAULT_N_INTERVEN
     z' is drawn from the marginal of Z by resampling the batch's own z
     column; all Z-descendants are regenerated from stored noises.
     """
-    if n_interventions < 2:
-        raise ConfigError(f"n_interventions must be >= 2, got {n_interventions}")
+    _check_n_interventions(n_interventions)
     rng = np.random.default_rng(seed)
     b = batch.n
     preds = np.empty((n_interventions, b))
@@ -138,8 +142,17 @@ def pareto_front(points) -> list:
     return keep
 
 
-@dataclass
+# set by each run from the sweep axes and the LOO winner, so not config keys
+PER_RUN_FIELDS = {"method", "gamma", "seed", "lam", "sigma2_y"}
+
+
+@dataclass(init=False)
 class SweepConfig:
+    """Sweep axes plus one TrainConfig template for every run, validated when
+    built. Flat keywords naming a TrainConfig field fill the template, except
+    PER_RUN_FIELDS, which are unknown keys; lr and weight_decay override the
+    case's CASE_OPTIM_DEFAULTS unless None."""
+
     cases: tuple
     methods: tuple
     seeds: tuple = DEFAULT_SEEDS
@@ -147,32 +160,33 @@ class SweepConfig:
     n: int = 10_000
     d: int = 2
     m_holdout: int = 1000
-    epochs: int = 100
-    batch_size: int = 256
-    lr: float | None = None
-    weight_decay: float | None = None
-    optimizer: str = "adam"
-    variant: str = "centered"
-    regularize: str = "prediction"
-    hidden_widths: tuple = (64,) * 9
-    lam: float = 0.01
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     sigma2_y_grid: tuple = DEFAULT_SIGMA2_Y_GRID
-    sigma2_x: float = 1.0
-    sigma2_z: float = 1.0
     n_interventions: int = DEFAULT_N_INTERVENTIONS
-    use_rff: bool = False
-    rff_dim: int = 512
-    rff_bank_dim: int | None = None
-    rff_refresh: int | None = None
+    lr: float | None = None
+    weight_decay: float | None = None
+    train: TrainConfig = TrainConfig()
 
-    def __post_init__(self):
-        self.cases = tuple(self.cases)
-        self.methods = tuple(self.methods)
+    def __init__(self, cases, methods, train: TrainConfig = TrainConfig(), **kw):
+        own = {f.name for f in fields(self)}
+        flat = {f.name for f in fields(TrainConfig)} - own - PER_RUN_FIELDS
+        unknown = set(kw) - own - flat
+        if unknown:
+            raise ConfigError(f"unknown sweep config keys: {sorted(unknown)}")
+        if not isinstance(train, TrainConfig):
+            raise ConfigError("the sweep's train template must be a TrainConfig")
+        for key in own & set(kw):
+            setattr(self, key, kw[key])
+        overrides = {k: getattr(self, k) for k in ("lr", "weight_decay")
+                     if getattr(self, k) is not None}
+        self.train = train.replace(**overrides,
+                                   **{k: v for k, v in kw.items() if k in flat})
+        self.cases = tuple(cases)
+        self.methods = tuple(methods)
         self.seeds = tuple(int(s) for s in self.seeds)
-        self.hidden_widths = tuple(int(w) for w in self.hidden_widths)
         self.lambda_grid = tuple(float(v) for v in self.lambda_grid)
         self.sigma2_y_grid = tuple(float(v) for v in self.sigma2_y_grid)
+        _check_n_interventions(self.n_interventions)
         if not self.cases:
             raise ConfigError("sweep needs at least one case")
         for case in self.cases:
@@ -195,10 +209,6 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown sweep config keys: {sorted(unknown)}")
         if "cases" not in raw or "methods" not in raw:
             raise ConfigError("sweep config requires 'cases' and 'methods'")
         return cls(**raw)
@@ -214,12 +224,6 @@ class SweepConfig:
             raise ConfigError("sweep config must be a JSON object")
         return cls.from_dict(raw)
 
-    def optim_for(self, case: str):
-        lr_default, wd_default = CASE_OPTIM_DEFAULTS[case]
-        lr = self.lr if self.lr is not None else lr_default
-        wd = self.weight_decay if self.weight_decay is not None else wd_default
-        return lr, wd
-
 
 # per-process cache of (dataset, cme 5-tuple) keyed by case/seed/geometry
 _CASE_CACHE: dict = {}
@@ -227,7 +231,7 @@ _CASE_CACHE: dict = {}
 
 def _prepare_case(config: SweepConfig, case: str, seed: int):
     key = (case, seed, config.n, config.d, config.m_holdout,
-           config.lambda_grid, config.sigma2_y_grid, config.sigma2_z)
+           config.lambda_grid, config.sigma2_y_grid, config.train.sigma2_z)
     if key in _CASE_CACHE:
         return _CASE_CACHE[key]
     ds = make_dataset(case, config.n, config.d, seed, m_holdout=config.m_holdout)
@@ -238,7 +242,7 @@ def _prepare_case(config: SweepConfig, case: str, seed: int):
         hold_y, hold_z,
         lambda_grid=config.lambda_grid,
         sigma2_y_grid=config.sigma2_y_grid,
-        z_params=KernelParams(sigma2=config.sigma2_z),
+        z_params=KernelParams(sigma2=config.train.sigma2_z),
     )
     prepared = (ds, cme, report)
     _CASE_CACHE[key] = prepared
@@ -254,47 +258,33 @@ def run_single_with_model(config: SweepConfig, case: str, method: str,
     sweep; any other exception is a bug and propagates.
     """
     start = time.perf_counter()
+    nan = float("nan")
     try:
         ds, cme, _ = _prepare_case(config, case, seed)
-        lr, wd = config.optim_for(case)
-        train_config = TrainConfig(
-            method=method, gamma=float(gamma), batch_size=config.batch_size,
-            epochs=config.epochs, lr=lr, weight_decay=wd,
-            optimizer=config.optimizer, seed=seed, variant=config.variant,
-            hidden_widths=config.hidden_widths, regularize=config.regularize,
-            lam=cme.lam,
-            sigma2_x=config.sigma2_x, sigma2_y=cme.y_params.sigma2,
-            sigma2_z=config.sigma2_z, use_rff=config.use_rff,
-            rff_dim=config.rff_dim, rff_bank_dim=config.rff_bank_dim,
-            rff_refresh=config.rff_refresh,
+        lr, wd = CASE_OPTIM_DEFAULTS[case]
+        train_config = config.train.replace(
+            method=method, gamma=float(gamma), seed=seed, lam=cme.lam,
+            sigma2_y=cme.y_params.sigma2,
+            lr=lr if config.lr is None else config.lr,
+            weight_decay=wd if config.weight_decay is None else config.weight_decay,
         )
-        data = train_data_from_dataset(ds)
-        model, log = train(train_config, data,
+        model, log = train(train_config, train_data_from_dataset(ds),
                            cme_model=cme if method == "circe" else None)
         predict = predictor_from_model(model, ds.standardizer)
         vcf = eval_vcf(predict, ds.eval, config.n_interventions, seed=seed)
-        mse_in = log.epochs[-1]["eval_mse"]
-        record = RunRecord(
-            case_id=case, method=method, variant=config.variant,
-            gamma=float(gamma), seed=seed, lam=train_config.lam,
-            sigma2_y=cme.y_params.sigma2, sigma2_z=config.sigma2_z,
-            mse_in=mse_in, mse_ood=float("nan"), vcf=vcf.value,
-            statistic_final=log.final_statistic, unstable=log.unstable,
-            wall_seconds=time.perf_counter() - start,
-        )
-        return record, model
+        metrics = dict(lam=cme.lam, sigma2_y=cme.y_params.sigma2,
+                       mse_in=log.epochs[-1]["eval_mse"], vcf=vcf.value,
+                       statistic_final=log.final_statistic, unstable=log.unstable)
     except (CirceError, FloatingPointError):
         if strict:
             raise
-        record = RunRecord(
-            case_id=case, method=method, variant=config.variant,
-            gamma=float(gamma), seed=seed, lam=float("nan"),
-            sigma2_y=float("nan"), sigma2_z=config.sigma2_z,
-            mse_in=float("nan"), mse_ood=float("nan"), vcf=float("nan"),
-            statistic_final=float("nan"), unstable=True,
-            wall_seconds=time.perf_counter() - start,
-        )
-        return record, None
+        model = None
+        metrics = dict(lam=nan, sigma2_y=nan, mse_in=nan, vcf=nan,
+                       statistic_final=nan, unstable=True)
+    record = RunRecord(case_id=case, method=method, variant=config.train.variant,
+                       gamma=float(gamma), seed=seed, sigma2_z=config.train.sigma2_z,
+                       wall_seconds=time.perf_counter() - start, **metrics)
+    return record, model
 
 
 def run_single(config: SweepConfig, case: str, method: str, gamma: float,
@@ -305,11 +295,8 @@ def run_single(config: SweepConfig, case: str, method: str, gamma: float,
 
 def _run_case_seed(payload):
     config, case, seed = payload
-    rows = []
-    for method in config.methods:
-        for gamma in config.gammas[method]:
-            rows.append(run_single(config, case, method, gamma, seed))
-    return (case, seed), rows
+    return [run_single(config, case, method, gamma, seed)
+            for method in config.methods for gamma in config.gammas[method]]
 
 
 def run_sweep(config: SweepConfig, out_csv=None, workers: int = 1):
@@ -317,26 +304,16 @@ def run_sweep(config: SweepConfig, out_csv=None, workers: int = 1):
     if workers < 1:
         raise ConfigError(f"workers must be positive, got {workers}")
     jobs = [(config, case, seed) for case in config.cases for seed in config.seeds]
-    by_job = {}
     if workers == 1 or len(jobs) == 1:
-        for job in jobs:
-            key, rows = _run_case_seed(job)
-            by_job[key] = rows
+        per_job = [_run_case_seed(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, rows in pool.map(_run_case_seed, jobs):
-                by_job[key] = rows
-    records = []
-    for case in config.cases:
-        for method in config.methods:
-            for gamma in config.gammas[method]:
-                for seed in config.seeds:
-                    rows = by_job[(case, seed)]
-                    for row in rows:
-                        if (row.method == method and row.gamma == float(gamma)
-                                and row.seed == seed):
-                            records.append(row)
-                            break
+            per_job = list(pool.map(_run_case_seed, jobs))
+    by_key = {(r.case_id, r.method, r.gamma, r.seed): r
+              for rows in per_job for r in rows}
+    records = [by_key[(case, method, float(gamma), seed)]
+               for case in config.cases for method in config.methods
+               for gamma in config.gammas[method] for seed in config.seeds]
     if out_csv is not None:
         write_records_csv(records, out_csv)
     any_unstable = any(r.unstable for r in records)
@@ -366,8 +343,7 @@ def read_records_csv(path) -> list:
                     seed=int(row["seed"]), lam=float(row["lambda"]),
                     sigma2_y=float(row["sigma2_y"]),
                     sigma2_z=float(row["sigma2_z"]),
-                    mse_in=float(row["mse_in"]), mse_ood=float(row["mse_ood"]),
-                    vcf=float(row["vcf"]),
+                    mse_in=float(row["mse_in"]), vcf=float(row["vcf"]),
                     statistic_final=float(row["statistic_final"]),
                     unstable=row["unstable"] == "True",
                     wall_seconds=float(row["wall_seconds"]),

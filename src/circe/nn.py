@@ -17,6 +17,14 @@ LEAKY_SLOPE = 0.01
 CHECKPOINT_VERSION = 1
 
 
+def hidden_widths_tuple(hidden_widths) -> tuple:
+    """The hidden layer widths as a tuple of ints; each must be positive."""
+    hidden_widths = tuple(int(w) for w in hidden_widths)
+    if any(w < 1 for w in hidden_widths):
+        raise ConfigError(f"hidden widths must be positive, got {hidden_widths}")
+    return hidden_widths
+
+
 class MlpModel:
     """Leaky-ReLU MLP, He-initialized, float64 throughout.
 
@@ -28,9 +36,7 @@ class MlpModel:
                  seed: int = 0, slope: float = LEAKY_SLOPE):
         if in_dim < 1 or out_dim < 1:
             raise ConfigError(f"bad dims in={in_dim} out={out_dim}")
-        hidden_widths = tuple(int(w) for w in hidden_widths)
-        if any(w < 1 for w in hidden_widths):
-            raise ConfigError(f"hidden widths must be positive, got {hidden_widths}")
+        hidden_widths = hidden_widths_tuple(hidden_widths)
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.hidden_widths = hidden_widths

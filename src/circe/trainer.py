@@ -3,8 +3,9 @@ penalty, with analytic gradients end to end.
 
 The penalty attaches to the scalar prediction by default (the predictor
 itself is what must be invariant); feature-level attachment is available
-through config. Per-run determinism is seed-scoped: same config and data
-give bitwise-identical parameters.
+through config. The circe penalty always uses the exact low-rank embedding.
+Per-run determinism is seed-scoped: same config and data give
+bitwise-identical parameters.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .estimator import (
 )
 from .exceptions import ConfigError, NumericalError
 from .kernels import KernelParams, as_points, gram, gram_backprop
-from .nn import MlpModel, make_optimizer
-from .rff import precompute_rff_weights, rff_centered_gram, sample_rff
+from .nn import MlpModel, hidden_widths_tuple, make_optimizer
 
 METHODS = ("none", "circe", "hscic", "gcm")
 REGULARIZE_LEVELS = ("prediction", "features")
@@ -37,6 +37,9 @@ UNSTABLE_SKIP_FRACTION = 0.01
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every setting of one run. A value train() could not use raises
+    ConfigError here, by the optimizer's, nn's and KernelParams' own checks."""
+
     method: str = "none"
     gamma: float = 0.0
     batch_size: int = 256
@@ -52,10 +55,6 @@ class TrainConfig:
     sigma2_x: float = 1.0
     sigma2_y: float = 1.0
     sigma2_z: float = 1.0
-    use_rff: bool = False
-    rff_dim: int = 512
-    rff_bank_dim: int | None = None
-    rff_refresh: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -70,9 +69,13 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        if self.lr <= 0 or self.lam <= 0:
-            raise ConfigError("lr and lam must be positive")
-        object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
+        if self.lam <= 0:
+            raise ConfigError(f"lam must be positive, got {self.lam}")
+        make_optimizer(self.optimizer, self.lr, self.weight_decay)
+        for sigma2 in (self.sigma2_x, self.sigma2_y, self.sigma2_z):
+            KernelParams(sigma2=sigma2)
+        object.__setattr__(self, "hidden_widths",
+                           hidden_widths_tuple(self.hidden_widths))
 
     def replace(self, **kw) -> "TrainConfig":
         return dataclasses.replace(self, **kw)
@@ -137,34 +140,10 @@ class _CirceContext:
         self.model = model
         self.factors = cross_factors(train_y, train_z, model)
 
-    def batch_centered(self, batch: TrainBatch, idx: np.ndarray,
-                       batch_index: int) -> CenteredGram:
+    def batch_centered(self, batch: TrainBatch, idx: np.ndarray) -> CenteredGram:
         return centered_from_factors(batch.y, batch.z, self.model.y_params,
                                      self.model.z_params,
                                      *(f[idx] for f in self.factors))
-
-
-class _RffContext:
-    """Feature banks and projected embedding weights for the RFF path."""
-
-    def __init__(self, model: CmeModel, config: TrainConfig, d_y: int, d_z: int):
-        bank = config.rff_bank_dim or config.rff_dim
-        if bank < config.rff_dim:
-            raise ConfigError(
-                f"rff_bank_dim={bank} smaller than rff_dim={config.rff_dim}"
-            )
-        self.d_active = config.rff_dim
-        self.y_map = sample_rff(d_y, bank, model.y_params.sigma2,
-                                seed=config.seed * 2 + 1)
-        self.z_map = sample_rff(d_z, bank, model.z_params.sigma2,
-                                seed=config.seed * 2 + 2)
-        self.weights = precompute_rff_weights(model, self.y_map, self.z_map,
-                                              refresh_period=config.rff_refresh)
-
-    def batch_centered(self, batch: TrainBatch, idx: np.ndarray,
-                       batch_index: int) -> CenteredGram:
-        return rff_centered_gram(batch.y, batch.z, self.weights, self.y_map,
-                                 self.z_map, self.d_active, batch_index)
 
 
 def _penalty_features(config: TrainConfig, feats, pred):
@@ -172,7 +151,7 @@ def _penalty_features(config: TrainConfig, feats, pred):
 
 
 def loss_and_grad(model: MlpModel, batch: TrainBatch, cme_model: CmeModel | None,
-                  config: TrainConfig, context=None, batch_index: int = 0):
+                  config: TrainConfig, context=None):
     """Scalar loss, parameter gradients, diagnostics for one batch.
 
     context is None (the centered Gram is built from the holdout directly) or
@@ -205,7 +184,7 @@ def loss_and_grad(model: MlpModel, batch: TrainBatch, cme_model: CmeModel | None
                                      cme_model.y_params, cme_model.z_params)
         else:
             ctx, idx = context
-            centered = ctx.batch_centered(batch, idx, batch_index)
+            centered = ctx.batch_centered(batch, idx)
         k_xx = gram(x, x, x_params)
         stat = circe_statistic(k_xx, centered, config.variant)
         coeff = statistic_gradient_coeff(centered, config.variant)
@@ -255,16 +234,11 @@ def train(config: TrainConfig, data: TrainData,
 
     context = None
     if config.method == "circe" and config.gamma > 0.0:
-        if config.use_rff:
-            context = _RffContext(cme_model, config,
-                                  batch.y.shape[1], batch.z.shape[1])
-        else:
-            context = _CirceContext(batch.y, batch.z, cme_model)
+        context = _CirceContext(batch.y, batch.z, cme_model)
 
     rng = np.random.default_rng(config.seed)
     log = TrainLog()
     n_batches = n // config.batch_size
-    batch_index = 0
     last_stat = float("nan")
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -279,13 +253,10 @@ def train(config: TrainConfig, data: TrainData,
                 loss, grads, diag = loss_and_grad(
                     model, mini, cme_model, config,
                     context=None if context is None else (context, idx),
-                    batch_index=batch_index,
                 )
             except NumericalError:
                 log.skipped_steps += 1
-                batch_index += 1
                 continue
-            batch_index += 1
             finite = diag["finite"] and all(np.all(np.isfinite(g)) for g in grads)
             if not finite:
                 log.skipped_steps += 1

@@ -119,6 +119,22 @@ def test_sweep_partial_failure_exits_4(tmp_path):
     assert len(records) == 1 and records[0].unstable
 
 
+def test_sweep_value_no_run_accepts_exits_2(tmp_path):
+    # rejected when the config is built, not written as a sweep of NaN rows
+    cfg = {
+        "cases": ["uni1"], "methods": ["none"], "seeds": [0],
+        "n": 600, "d": 2, "m_holdout": 100, "epochs": 1, "batch_size": 64,
+        "hidden_widths": [8], "lambda_grid": [0.1], "sigma2_y_grid": [1.0],
+        "variant": "bogus",
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = run_cli("sweep", "--config", str(cfg_path), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "unknown variant 'bogus'" in proc.stderr
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_sweep_bad_config_key_exits_2(tmp_path):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({"cases": ["uni1"], "methods": ["none"],

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from circe.harness import (
     write_records_csv,
 )
 from circe.scm import gen_scm
+from circe.trainer import TrainConfig
 
 
 def test_vcf_constant_predictor_is_zero():
@@ -86,7 +88,7 @@ def test_pareto_front_permutation_and_idempotence():
 def make_record(**kw):
     base = dict(case_id="uni1", method="circe", variant="centered", gamma=1.0,
                 seed=0, lam=0.1, sigma2_y=1.0, sigma2_z=1.0, mse_in=0.5,
-                mse_ood=float("nan"), vcf=0.01, statistic_final=1e-4,
+                vcf=0.01, statistic_final=1e-4,
                 unstable=False, wall_seconds=2.5)
     base.update(kw)
     return RunRecord(**base)
@@ -103,8 +105,26 @@ def test_csv_roundtrip(tmp_path):
     loaded = read_records_csv(path)
     assert len(loaded) == 4
     for a, b in zip(records, loaded):
-        assert a == b or (np.isnan(a.mse_ood) and np.isnan(b.mse_ood)
-                          and a.as_row() == b.as_row())
+        assert a == b
+
+
+def test_schema_1_csv_reads_as_schema_2(tmp_path):
+    # schema 1 carried an always-NaN mse_ood column; reading ignores it, so
+    # a file from before the schema change diffs clean against one from after
+    records = [make_record(seed=s, mse_in=0.5 + s) for s in range(3)]
+    records.append(make_record(method="none", gamma=0.0, unstable=True,
+                               mse_in=float("nan"), vcf=float("nan")))
+    old = tmp_path / "schema1.csv"
+    with open(old, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS[:10] + ("mse_ood",) + CSV_COLUMNS[10:])
+        for r in records:
+            row = r.as_row()
+            writer.writerow(["1"] + row[1:10] + ["nan"] + row[10:])
+    new = tmp_path / "schema2.csv"
+    write_records_csv(records, new)
+    assert [r.as_row() for r in read_records_csv(old)] == [r.as_row() for r in records]
+    assert _load_diff_tool().diff_results(old, new) == []
 
 
 def test_read_csv_rejects_wrong_schema(tmp_path):
@@ -126,10 +146,42 @@ def test_sweep_config_validation():
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({"cases": ["uni1"], "methods": ["none"],
                                "bogus_key": 1})
+    # each of these used to give a sweep of NaN rows marked unstable, or
+    # (lam) to be accepted and ignored, or (use_rff) to pick a deleted path
+    bad = [{"variant": "bogus"}, {"batch_size": 1}, {"epochs": 0},
+           {"optimizer": "sgd"}, {"weight_decay": -0.1},
+           {"hidden_widths": [8, 0]}, {"sigma2_x": 0.0},
+           {"sigma2_z": float("nan")}, {"n_interventions": 1},
+           {"lam": 0.1}, {"use_rff": True}, {"rff_dim": 64}]
+    for entry in bad:
+        with pytest.raises(ConfigError):
+            SweepConfig.from_dict({"cases": ["uni1"], "methods": ["none"], **entry})
+    # the template itself is not a JSON key
+    with pytest.raises(ConfigError):
+        SweepConfig.from_dict({"cases": ["uni1"], "methods": ["none"],
+                               "train": {"epochs": 1}})
+    # the fields each run sets itself are not keys
+    for key in ("method", "gamma", "seed", "sigma2_y"):
+        with pytest.raises(ConfigError, match="unknown sweep config keys"):
+            SweepConfig(cases=("uni1",), methods=("none",), **{key: 1.0})
     cfg = SweepConfig(cases=("uni1",), methods=("none", "circe"),
                       gammas={"circe": [1.0, 10.0]})
     assert cfg.gammas["circe"] == (1.0, 10.0)
     assert len(cfg.gammas["hscic"]) == 10
+    # flat TrainConfig keywords fill the template; lr and weight_decay stay
+    # per-case overrides
+    cfg = SweepConfig(cases=("uni1",), methods=("none",), epochs=3,
+                      hidden_widths=[8], weight_decay=0.0)
+    assert cfg.train == TrainConfig(epochs=3, hidden_widths=(8,), weight_decay=0.0)
+    assert cfg.lr is None and cfg.weight_decay == 0.0
+
+
+def test_fixed_sweep_config_builds():
+    # the byte-identity gate's committed config must pass validation
+    path = Path(__file__).resolve().parent.parent / "tools" / "fixed_sweep.json"
+    config = SweepConfig.from_json(path)
+    assert config.cases == ("uni1", "multi1")
+    assert config.train.epochs == 1
 
 
 def tiny_sweep_config(**kw):

@@ -19,7 +19,6 @@ from circe.trainer import (
     TrainConfig,
     TrainData,
     _CirceContext,
-    _RffContext,
     loss_and_grad,
     train,
     train_data_from_dataset,
@@ -107,7 +106,7 @@ def _context_problem(n, seed):
 def _assert_context_matches_direct(batch, cme, idx):
     ctx = _CirceContext(batch.y, batch.z, cme)
     mini = batch.take(idx)
-    fast = ctx.batch_centered(mini, idx, 0)
+    fast = ctx.batch_centered(mini, idx)
     direct = centered_gram(mini.y, mini.z, cme, cme.y_params, cme.z_params)
     assert np.array_equal(fast.matrix, direct.matrix)
 
@@ -124,38 +123,6 @@ def test_context_gathers_rows_from_partial_last_block():
     tail = np.arange(FACTOR_BLOCK_ROWS, n)
     idx = np.concatenate([tail, rng.permutation(FACTOR_BLOCK_ROWS)[:27]])
     _assert_context_matches_direct(batch, cme, rng.permutation(idx))
-
-
-def test_rff_context_statistic_approaches_exact_context():
-    # loss_and_grad on one uni1 batch: the full-bank RFF statistic converges to
-    # the exact one as the bank grows (Rahimi & Recht 2007)
-    ds = make_dataset("uni1", 1500, 2, seed=0, m_holdout=200)
-    std, hold = ds.standardizer, ds.holdout
-    params = KernelParams(1.0)
-    cme = fit_cme(std.transform("y", hold.y), std.transform("z", hold.z), 0.1,
-                  params, params)
-    data = train_data_from_dataset(ds).train
-    idx = np.arange(256)
-    mini = data.take(idx)
-    base = TrainConfig(method="circe", gamma=1.0, hidden_widths=(8,),
-                       regularize="features")
-    model = MlpModel(data.inputs.shape[1], base.hidden_widths, seed=0)
-
-    def statistic(config, ctx):
-        _, _, diag = loss_and_grad(model, mini, cme, config, context=(ctx, idx))
-        return diag["statistic"]
-
-    exact = statistic(base, _CirceContext(data.y, data.z, cme))
-    errors = {}
-    for bank in (256, 2048):
-        errors[bank] = []
-        for seed in range(5):
-            config = base.replace(use_rff=True, rff_dim=bank, seed=seed)
-            approx = statistic(config, _RffContext(cme, config, 1, 1))
-            errors[bank].append(abs(approx - exact))
-    # perfbench's rff_tolerance at bank 2048
-    assert max(errors[2048]) <= 2.0 * (0.05 * abs(exact) + 1e-3)
-    assert np.median(errors[2048]) < np.median(errors[256])
 
 
 def test_training_is_deterministic_bitwise():
@@ -236,10 +203,9 @@ def test_skip_and_unstable_flags(monkeypatch):
     real = trainer_mod.loss_and_grad
     calls = {"k": 0}
 
-    def flaky(model, batch, cme, config, context=None, batch_index=0):
+    def flaky(model, batch, cme, config, context=None):
         calls["k"] += 1
-        loss, grads, diag = real(model, batch, cme, config, context=context,
-                                 batch_index=batch_index)
+        loss, grads, diag = real(model, batch, cme, config, context=context)
         if calls["k"] % 3 == 0:
             diag = dict(diag, finite=False)
             return float("nan"), grads, diag
@@ -316,6 +282,18 @@ def test_config_validation():
         TrainConfig(variant="bogus")
     with pytest.raises(ConfigError):
         TrainConfig(regularize="nowhere")
+    # each of these used to fail only inside train()
+    with pytest.raises(ConfigError):
+        TrainConfig(optimizer="sgd")
+    with pytest.raises(ConfigError):
+        TrainConfig(weight_decay=-0.1)
+    for widths in ((64, 0), (-8,)):
+        with pytest.raises(ConfigError):
+            TrainConfig(hidden_widths=widths)
+    for name in ("sigma2_x", "sigma2_y", "sigma2_z"):
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                TrainConfig(**{name: bad})
     toy = gen_toy(64, 1.0, 1.0, 1.0, shifted=False, seed=0)
     data = train_data_from_toy(toy)
     with pytest.raises(ConfigError):
@@ -333,19 +311,3 @@ def test_train_data_builders():
     assert td.train.inputs.shape[1] == 3
     td_all = train_data_from_dataset(ds, reuse_holdout=True)
     assert td_all.train.n == 1600
-
-
-def test_rff_training_run_finishes():
-    from circe.harness import SweepConfig, run_single_with_model
-
-    config = SweepConfig(
-        cases=("uni1",), methods=("circe",), seeds=(0,), gammas={"circe": [1.0]},
-        n=600, d=2, m_holdout=100, epochs=1, batch_size=64, lr=1e-3,
-        weight_decay=0.0, hidden_widths=(8,), n_interventions=5,
-        lambda_grid=(0.1,), sigma2_y_grid=(1.0,),
-        use_rff=True, rff_dim=64, rff_bank_dim=128, rff_refresh=2,
-    )
-    record, _ = run_single_with_model(config, "uni1", "circe", 1.0, 0, strict=True)
-    assert not record.unstable
-    assert np.isfinite(record.mse_in)
-    assert np.isfinite(record.vcf)
