@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cme import DEFAULT_LAMBDA_GRID, DEFAULT_SIGMA2_Y_GRID, save_cme, select_hyperparams
+from .cme import save_cme, select_hyperparams
 from .exceptions import ConfigError, NumericalError
 from .harness import (
     SweepConfig,
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
+FIT_CME_KEYS = ("case", "n", "d", "m_holdout", "lambda_grid", "sigma2_y_grid", "sigma2_z")
 
 
 def _load_config(path) -> dict:
@@ -70,23 +71,25 @@ def _cmd_gen(args) -> int:
 
 def _cmd_fit_cme(args) -> int:
     cfg = _load_config(args.config)
+    unknown = set(cfg) - set(FIT_CME_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown fit-cme config keys: {sorted(unknown)}")
     case = args.case or cfg.get("case")
     if case is None:
         raise ConfigError("fit-cme needs --case or a 'case' config entry")
-    n = args.n if args.n is not None else int(cfg.get("n", 10_000))
-    d = args.d if args.d is not None else int(cfg.get("d", 2))
-    m_holdout = (args.m_holdout if args.m_holdout is not None
-                 else int(cfg.get("m_holdout", 1000)))
-    lam_grid = tuple(cfg.get("lambda_grid", DEFAULT_LAMBDA_GRID))
-    s2_grid = tuple(cfg.get("sigma2_y_grid", DEFAULT_SIGMA2_Y_GRID))
-    sigma2_z = float(cfg.get("sigma2_z", 1.0))
-
-    ds = make_dataset(case, n, d, args.seed, m_holdout=m_holdout)
+    cfg.pop("case", None)
+    for key in ("n", "d", "m_holdout"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    # the sweep config's own checks: types, the grids and the holdout size
+    config = SweepConfig(cases=[case], methods=["none"], **cfg)
+    ds = make_dataset(case, config.n, config.d, args.seed, m_holdout=config.m_holdout)
     hold_y = ds.standardizer.transform("y", ds.holdout.y)
     hold_z = ds.standardizer.transform("z", ds.holdout.z)
-    model, report = select_hyperparams(hold_y, hold_z, lambda_grid=lam_grid,
-                                       sigma2_y_grid=s2_grid,
-                                       z_params=KernelParams(sigma2=sigma2_z))
+    model, report = select_hyperparams(
+        hold_y, hold_z, lambda_grid=config.lambda_grid,
+        sigma2_y_grid=config.sigma2_y_grid,
+        z_params=KernelParams(sigma2=config.train.sigma2_z))
     print("lambda sigma2_y loo_error")
     for lam, s2, err in report.as_rows():
         print(f"{lam:g} {s2:g} {err:.6g}")
@@ -110,7 +113,7 @@ def _cmd_train(args) -> int:
     if case is None:
         raise ConfigError("train config needs a 'case' entry")
     method = cfg.pop("method", "none")
-    gamma = float(cfg.pop("gamma", 0.0))
+    gamma = cfg.pop("gamma", 0.0)
     seeds = [args.seed] if args.seed is not None else cfg.pop("seeds", [0])
     sweep_config = SweepConfig.from_dict({
         **cfg,
@@ -120,6 +123,7 @@ def _cmd_train(args) -> int:
         "seeds": seeds,
     })
     seed = sweep_config.seeds[0]
+    gamma = sweep_config.gammas[method][0]
     record, model = run_single_with_model(sweep_config, case, method, gamma,
                                           seed, strict=True)
     print(f"case={record.case_id} method={record.method} gamma={record.gamma:g} "

@@ -97,10 +97,10 @@ def _check_holdout(holdout_y, holdout_z):
     return holdout_y, holdout_z
 
 
-def _check_lams(lams) -> np.ndarray:
+def _check_lams(lams, name: str = "lambda") -> np.ndarray:
     lams = np.asarray(lams, dtype=np.float64)
     if np.any(~np.isfinite(lams) | (lams <= 0)):
-        raise ConfigError(f"lambda values must be positive and finite, got {lams.tolist()}")
+        raise ConfigError(f"{name} values must be positive and finite, got {lams.tolist()}")
     return lams
 
 

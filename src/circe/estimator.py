@@ -76,12 +76,17 @@ def centered_from_factors(batch_y, batch_z, y_params: KernelParams,
 
     The factors come from cross_factors (exact holdout regression) or from
     random feature products (circe.rff); each has one row per batch point.
+    The sum is assembled into K_zz in the same order, ((K_zz - P) - P^T) + Q,
+    and Q reuses P's buffer once P^T has been taken.
     """
     k_yy = gram(batch_y, batch_y, y_params)
-    k_zz = gram(batch_z, batch_z, z_params)
-    P = left @ right_p.T
-    Q = left @ right_q.T
-    return CenteredGram(matrix=k_yy * (k_zz - P - P.T + Q), batch_size=k_yy.shape[0])
+    matrix = gram(batch_z, batch_z, z_params)
+    cross = left @ right_p.T
+    matrix -= cross
+    matrix -= cross.T
+    matrix += np.matmul(left, right_q.T, out=cross)
+    matrix *= k_yy
+    return CenteredGram(matrix=matrix, batch_size=k_yy.shape[0])
 
 
 def centered_gram(batch_y, batch_z, model: CmeModel,
@@ -113,9 +118,13 @@ def centered_gram(batch_y, batch_z, model: CmeModel,
 
 
 def _centering_projection(k: np.ndarray) -> np.ndarray:
-    """H K H with H = I - (1/B) 1 1^T."""
+    """H K H with H = I - (1/B) 1 1^T, as ((K - r) - r^T) + mean(r) with r
+    the column means, in one buffer."""
     row = k.mean(axis=0)
-    return k - row[None, :] - row[:, None] + row.mean()
+    out = k - row[None, :]
+    out -= row[:, None]
+    out += row.mean()
+    return out
 
 
 def statistic_gradient_coeff(centered: CenteredGram, variant: str) -> np.ndarray:
@@ -130,7 +139,9 @@ def statistic_gradient_coeff(centered: CenteredGram, variant: str) -> np.ndarray
         out = m * scale
         np.fill_diagonal(out, 0.0)
         return out
-    return _centering_projection(m) * scale
+    out = _centering_projection(m)
+    out *= scale
+    return out
 
 
 def circe_statistic(k_xx: np.ndarray, centered: CenteredGram, variant: str) -> CirceEstimate:

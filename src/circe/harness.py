@@ -10,17 +10,25 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cme import DEFAULT_LAMBDA_GRID, DEFAULT_SIGMA2_Y_GRID, select_hyperparams
+from .cme import DEFAULT_LAMBDA_GRID, DEFAULT_SIGMA2_Y_GRID, _check_lams, select_hyperparams
 from .exceptions import CirceError, ConfigError
 from .kernels import KernelParams
-from .scm import SCM_CASES, ScmBatch, make_dataset, regenerate
-from .trainer import METHODS, TrainConfig, train, train_data_from_dataset
+from .scm import SCM_CASES, ScmBatch, check_split, make_dataset, regenerate
+from .trainer import (
+    METHODS,
+    TrainConfig,
+    check_items,
+    check_type,
+    train,
+    train_data_from_dataset,
+)
 
 # schema 1 had an mse_ood column, always NaN in sweeps; readers ignore it
 SCHEMA_VERSION = 2
@@ -85,9 +93,7 @@ def predictor_from_model(model, standardizer):
     """Callable (a, y, z) -> predictions, wrapping standardization."""
 
     def predict(a, y, z):
-        inputs = standardizer.inputs(a, y, z)
-        _, pred, _ = model.forward(inputs)
-        return pred
+        return model.predict(standardizer.inputs(a, y, z))
 
     return predict
 
@@ -183,9 +189,16 @@ class SweepConfig:
                                    **{k: v for k, v in kw.items() if k in flat})
         self.cases = tuple(cases)
         self.methods = tuple(methods)
-        self.seeds = tuple(int(s) for s in self.seeds)
-        self.lambda_grid = tuple(float(v) for v in self.lambda_grid)
-        self.sigma2_y_grid = tuple(float(v) for v in self.sigma2_y_grid)
+        self.seeds = tuple(int(s) for s in check_items("seeds", self.seeds, numbers.Integral))
+        for key in ("n", "d", "m_holdout", "n_interventions"):
+            check_type(key, getattr(self, key), numbers.Integral)
+        # the checks select_hyperparams and make_dataset would make per run
+        for key in ("lambda_grid", "sigma2_y_grid"):
+            grid = check_items(key, getattr(self, key), numbers.Real)
+            if not grid:
+                raise ConfigError(f"{key} must be non-empty")
+            setattr(self, key, tuple(float(v) for v in _check_lams(grid, key)))
+        check_split(self.n, self.m_holdout)
         _check_n_interventions(self.n_interventions)
         if not self.cases:
             raise ConfigError("sweep needs at least one case")
@@ -201,10 +214,12 @@ class SweepConfig:
             raise ConfigError("sweep needs at least one seed")
         grids = dict(DEFAULT_GAMMA_GRIDS)
         if self.gammas:
+            check_type("gammas", self.gammas, dict)
             for method, grid in self.gammas.items():
                 if method not in METHODS:
                     raise ConfigError(f"gamma grid for unknown method {method!r}")
-                grids[method] = tuple(float(g) for g in grid)
+                grids[method] = tuple(float(g) for g in
+                                      check_items("gammas", grid, numbers.Real))
         self.gammas = grids
 
     @classmethod

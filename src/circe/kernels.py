@@ -51,7 +51,11 @@ def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         )
     r2 = np.sum(rows * rows, axis=1)[:, None]
     c2 = np.sum(cols * cols, axis=1)[None, :]
-    d2 = r2 + c2 - 2.0 * (rows @ cols.T)
+    # (r2 + c2) - 2 (rows cols^T), in that order, in two buffers
+    d2 = r2 + c2
+    cross = rows @ cols.T
+    cross *= 2.0
+    d2 -= cross
     # roundoff can leave tiny negatives on near-duplicate points
     np.maximum(d2, 0.0, out=d2)
     return d2
@@ -68,9 +72,14 @@ def kernel_eval(x, xp, params: KernelParams) -> float:
 
 
 def gram(rows, cols, params: KernelParams) -> np.ndarray:
-    """Gram matrix K[i, j] = k(rows[i], cols[j])."""
+    """Gram matrix K[i, j] = k(rows[i], cols[j]), built in the distance buffer.
+
+    d2 / (-2 sigma2) is bitwise -d2 / (2 sigma2): IEEE division is exact in
+    the sign.
+    """
     d2 = squared_distances(rows, cols)
-    return np.exp(-d2 / (2.0 * params.sigma2))
+    np.divide(d2, -2.0 * params.sigma2, out=d2)
+    return np.exp(d2, out=d2)
 
 
 def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
@@ -137,5 +146,9 @@ def gram_backprop(coeff: np.ndarray, points: np.ndarray, K: np.ndarray, sigma2: 
     bandwidth sigma2. Uses dk(p_i, p_j)/dp_i = ((p_j - p_i) / sigma2) * k.
     """
     points = as_points(points)
-    S = (coeff + coeff.T) * K
-    return (S @ points - np.sum(S, axis=1)[:, None] * points) / sigma2
+    S = coeff + coeff.T
+    S *= K
+    grad = S @ points
+    grad -= np.sum(S, axis=1)[:, None] * points
+    grad /= sigma2
+    return grad

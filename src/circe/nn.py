@@ -36,6 +36,8 @@ class MlpModel:
                  seed: int = 0, slope: float = LEAKY_SLOPE):
         if in_dim < 1 or out_dim < 1:
             raise ConfigError(f"bad dims in={in_dim} out={out_dim}")
+        if not 0.0 < slope <= 1.0:
+            raise ConfigError(f"leaky slope must be in (0, 1], got {slope}")
         hidden_widths = hidden_widths_tuple(hidden_widths)
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
@@ -58,26 +60,53 @@ class MlpModel:
     def param_count(self) -> int:
         return sum(p.size for p in self.params)
 
-    def forward(self, x: np.ndarray):
-        """Return (features, prediction, cache) for a batch."""
+    def _inputs(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x.reshape(1, -1)
         if x.shape[1] != self.in_dim:
             raise ConfigError(f"input has {x.shape[1]} columns, expected {self.in_dim}")
-        acts = [x]
-        preacts = []
+        return x
+
+    def _layers(self, x: np.ndarray, cache: dict | None) -> np.ndarray:
+        """Run every layer on x; return the output layer's pre-activation.
+
+        With a cache, each pre-activation and hidden activation is a fresh
+        array appended to its lists for backward. Without one, hidden layers
+        write into two buffers per width, reused from layer to layer, and
+        only the returned output is a fresh array.
+        """
+        scratch = {} if cache is not None else {
+            width: (np.empty((x.shape[0], width)), np.empty((x.shape[0], width)))
+            for width in set(self.hidden_widths)}
         h = x
         for layer in range(self.n_layers):
             w, b = self.params[2 * layer], self.params[2 * layer + 1]
-            u = h @ w + b
-            preacts.append(u)
-            if layer < self.n_layers - 1:
-                h = np.where(u > 0.0, u, self.slope * u)
-                acts.append(h)
-        pred = preacts[-1]
-        features = acts[-1]
-        return features, pred, {"acts": acts, "preacts": preacts}
+            hidden = layer < self.n_layers - 1
+            u_out, h_out = scratch.get(w.shape[1], (None, None)) if hidden else (None, None)
+            u = np.matmul(h, w, out=u_out)
+            u += b
+            if cache is not None:
+                cache["preacts"].append(u)
+            if not hidden:
+                return u
+            # max(u, slope u) is where(u > 0, u, slope u) for 0 < slope <= 1,
+            # at +-0, NaN and +-inf too
+            h = np.multiply(u, self.slope, out=h_out)
+            np.maximum(u, h, out=h)
+            if cache is not None:
+                cache["acts"].append(h)
+
+    def forward(self, x: np.ndarray):
+        """Return (features, prediction, cache) for a batch."""
+        x = self._inputs(x)
+        cache = {"acts": [x], "preacts": []}
+        pred = self._layers(x, cache)
+        return cache["acts"][-1], pred, cache
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The prediction alone, bitwise forward's; keeps no backward cache."""
+        return self._layers(self._inputs(x), None)
 
     def backward(self, cache: dict, d_pred: np.ndarray,
                  d_features: np.ndarray | None = None) -> list:
@@ -91,13 +120,15 @@ class MlpModel:
         grads[2 * last + 1] = delta.sum(axis=0)
         d_h = delta @ self.params[2 * last].T
         if d_features is not None:
-            d_h = d_h + d_features
+            d_h += d_features
         for layer in range(last - 1, -1, -1):
-            u = preacts[layer]
-            d_u = d_h * np.where(u > 0.0, 1.0, self.slope)
+            # d_h * where(u > 0, 1, slope), in the derivative's own buffer
+            d_u = np.where(preacts[layer] > 0.0, 1.0, self.slope)
+            d_u *= d_h
             grads[2 * layer] = acts[layer].T @ d_u
             grads[2 * layer + 1] = d_u.sum(axis=0)
-            d_h = d_u @ self.params[2 * layer].T
+            if layer:
+                d_h = d_u @ self.params[2 * layer].T
         return grads
 
     def copy(self) -> "MlpModel":
@@ -162,6 +193,7 @@ class Adam:
         self.t = 0
         self.m: list | None = None
         self.v: list | None = None
+        self.scratch: list | None = None
 
     def step(self, params: list, grads: list) -> None:
         if len(params) != len(grads):
@@ -169,21 +201,35 @@ class Adam:
         if self.m is None:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
+            self.scratch = [np.empty((2,) + p.shape) for p in params]
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        decay = self.weight_decay > 0.0
+        # the textbook expressions in their order, each into a scratch slot:
+        # g += wd p (coupled); m = b1 m + (1 - b1) g; v = b2 v + ((1 - b2) g) g;
+        # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p (decoupled))
+        for p, g, m, v, (s, t) in zip(params, grads, self.m, self.v, self.scratch):
             g = np.asarray(g, dtype=np.float64)
-            if not self.decoupled and self.weight_decay > 0.0:
-                g = g + self.weight_decay * p
+            if decay and not self.decoupled:
+                np.multiply(p, self.weight_decay, out=t)
+                t += g
+                g = t
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.decoupled and self.weight_decay > 0.0:
-                update = update + self.weight_decay * p
-            p -= self.lr * update
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            s *= g
+            v += s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, bc1, out=t)
+            np.divide(t, s, out=s)
+            if decay and self.decoupled:
+                s += np.multiply(p, self.weight_decay, out=t)
+            s *= self.lr
+            p -= s
 
 
 class AdamW(Adam):

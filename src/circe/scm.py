@@ -292,18 +292,24 @@ class Dataset:
         return slice_batch(self.train, np.arange(self.m_holdout, self.train.n))
 
 
-def make_dataset(case: str, n: int, d: int, seed: int, m_holdout: int = 1000,
-                 eval_frac: float = 0.2) -> Dataset:
-    """Generate a case and split it 80/20 with train-split standardization."""
+def check_split(n: int, m_holdout: int, eval_frac: float = 0.2) -> int:
+    """Size of make_dataset's train split; ConfigError unless the holdout
+    fits in it with 2 <= m_holdout < n_train."""
     if not 0.0 < eval_frac < 1.0:
         raise ConfigError(f"eval_frac must be in (0, 1), got {eval_frac}")
-    batch = gen_scm(case, n, d, seed)
-    n_eval = int(round(n * eval_frac))
-    n_train = n - n_eval
+    n_train = n - int(round(n * eval_frac))
     if not 2 <= m_holdout < n_train:
         raise ConfigError(
             f"m_holdout={m_holdout} must fit inside the train split of {n_train}"
         )
+    return n_train
+
+
+def make_dataset(case: str, n: int, d: int, seed: int, m_holdout: int = 1000,
+                 eval_frac: float = 0.2) -> Dataset:
+    """Generate a case and split it 80/20 with train-split standardization."""
+    n_train = check_split(n, m_holdout, eval_frac)
+    batch = gen_scm(case, n, d, seed)
     train = slice_batch(batch, np.arange(n_train))
     eval_b = slice_batch(batch, np.arange(n_train, n))
     return Dataset(case, train, eval_b, m_holdout, Standardizer.fit(train))

@@ -11,6 +11,7 @@ bitwise-identical parameters.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,23 @@ from .nn import MlpModel, hidden_widths_tuple, make_optimizer
 METHODS = ("none", "circe", "hscic", "gcm")
 REGULARIZE_LEVELS = ("prediction", "features")
 UNSTABLE_SKIP_FRACTION = 0.01
+# the type a TrainConfig field takes, keyed by the type of its default
+_FIELD_KINDS = {str: str, int: numbers.Integral, float: numbers.Real, tuple: (tuple, list)}
+
+
+def check_type(key: str, value, kind) -> None:
+    """ConfigError naming key unless value is an instance of kind; a bool
+    is never a number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"config value {key}={value!r} has the wrong type")
+
+
+def check_items(key: str, value, kind) -> tuple:
+    """value as a tuple, after checking it is a list or tuple of kind."""
+    check_type(key, value, (tuple, list))
+    for item in value:
+        check_type(key, item, kind)
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -57,6 +75,8 @@ class TrainConfig:
     sigma2_z: float = 1.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            check_type(f.name, getattr(self, f.name), _FIELD_KINDS[type(f.default)])
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.variant not in VARIANTS:
@@ -74,8 +94,8 @@ class TrainConfig:
         make_optimizer(self.optimizer, self.lr, self.weight_decay)
         for sigma2 in (self.sigma2_x, self.sigma2_y, self.sigma2_z):
             KernelParams(sigma2=sigma2)
-        object.__setattr__(self, "hidden_widths",
-                           hidden_widths_tuple(self.hidden_widths))
+        object.__setattr__(self, "hidden_widths", hidden_widths_tuple(
+            check_items("hidden_widths", self.hidden_widths, numbers.Integral)))
 
     def replace(self, **kw) -> "TrainConfig":
         return dataclasses.replace(self, **kw)
@@ -213,8 +233,7 @@ def loss_and_grad(model: MlpModel, batch: TrainBatch, cme_model: CmeModel | None
 def _split_mse(model: MlpModel, split: TrainBatch | None):
     if split is None:
         return None
-    _, pred, _ = model.forward(split.inputs)
-    return float(np.mean((pred - split.targets) ** 2))
+    return float(np.mean((model.predict(split.inputs) - split.targets) ** 2))
 
 
 def train(config: TrainConfig, data: TrainData,

@@ -167,3 +167,51 @@ def test_numerical_error_maps_to_exit_3(monkeypatch, tmp_path, capsys):
 def test_console_entry_point_configured():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert 'circe = "circe.cli:main"' in text
+
+
+def test_fit_cme_rejects_unknown_config_key(tmp_path, capsys):
+    # a misspelt key used to be ignored, and the default grid ran
+    cfg_path = tmp_path / "cme.json"
+    cfg_path.write_text(json.dumps({"lamda_grid": [5.0]}))
+    rc = main(["fit-cme", "--case", "uni1", "--n", "400", "--m-holdout", "60",
+               "--out", str(tmp_path), "--config", str(cfg_path)])
+    assert rc == 2
+    assert "lamda_grid" in capsys.readouterr().err
+    assert not (tmp_path / "cme_uni1_seed0.npz").exists()
+
+
+@pytest.mark.parametrize("entry", [{"lambda_grid": [-0.1]}, {"sigma2_y_grid": []},
+                                   {"m_holdout": 700, "n": 600}, {"n": "400"}])
+def test_fit_cme_checks_values_before_fitting(tmp_path, capsys, entry):
+    cfg_path = tmp_path / "cme.json"
+    cfg_path.write_text(json.dumps({"n": 400, "m_holdout": 60, **entry}))
+    rc = main(["fit-cme", "--case", "uni1", "--out", str(tmp_path),
+               "--config", str(cfg_path)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_wrong_value_type_names_key_and_exits_2(tmp_path):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"cases": ["uni1"], "methods": ["none"],
+                                    "epochs": "3"}))
+    proc = run_cli("sweep", "--config", str(cfg_path), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert "epochs" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "results.csv").exists()
+    cfg_path.write_text(json.dumps({"case": "uni1", "gamma": "5", "n": 600,
+                                    "m_holdout": 100}))
+    proc = run_cli("train", "--config", str(cfg_path))
+    assert proc.returncode == 2
+    assert "gamma" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("entry", [{"lambda_grid": [-0.1]}, {"lambda_grid": []},
+                                   {"m_holdout": 700, "n": 600}, {"n": 0}])
+def test_sweep_level_value_no_run_accepts_exits_2(tmp_path, capsys, entry):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"cases": ["uni1"], "methods": ["none"], **entry}))
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()

@@ -4,6 +4,7 @@ import pytest
 from circe.cme import fit_cme, select_hyperparams
 from circe.estimator import (
     CenteredGram,
+    centered_from_factors,
     centered_gram,
     circe_oracle,
     circe_statistic,
@@ -223,3 +224,19 @@ def test_bad_variant_and_shapes_rejected():
         circe_statistic(np.eye(5), cg, "plain")
     with pytest.raises(ConfigError):
         circe_statistic(np.eye(1), CenteredGram(matrix=np.eye(1), batch_size=1), "plain")
+
+
+def test_centered_from_factors_bitwise_equals_reference():
+    rng = np.random.default_rng(21)
+    b, r = 256, 48
+    y, z = rng.standard_normal((b, 1)), rng.standard_normal((b, 2))
+    left, right_p, right_q = (rng.standard_normal((b, r)) for _ in range(3))
+    cg = centered_from_factors(y, z, YP, ZP, left, right_p, right_q)
+    P, Q = left @ right_p.T, left @ right_q.T
+    expected = gram(y, y, YP) * (gram(z, z, ZP) - P - P.T + Q)
+    assert np.array_equal(cg.matrix, expected)
+    # the centered variant's gradient coefficient, as first written
+    row = expected.mean(axis=0)
+    projected = expected - row[None, :] - row[:, None] + row.mean()
+    assert np.array_equal(statistic_gradient_coeff(cg, "centered"),
+                          projected * (1.0 / (b * (b - 1))))

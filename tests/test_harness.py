@@ -176,6 +176,42 @@ def test_sweep_config_validation():
     assert cfg.lr is None and cfg.weight_decay == 0.0
 
 
+def test_sweep_level_values_rejected_when_built():
+    # each used to build, then fail per run as a case of NaN rows marked unstable
+    bad = [{"lambda_grid": (-0.1,)}, {"lambda_grid": ()}, {"sigma2_y_grid": ()},
+           {"sigma2_y_grid": (float("inf"),)}, {"m_holdout": 700, "n": 600},
+           {"n": 0}, {"m_holdout": 1}]
+    for entry in bad:
+        with pytest.raises(ConfigError):
+            SweepConfig(cases=("uni1",), methods=("none",), **entry)
+    with pytest.raises(ConfigError, match="sigma2_y_grid values"):
+        SweepConfig(cases=("uni1",), methods=("none",), sigma2_y_grid=(0.0,))
+    # the largest holdout the 80% train split of n = 600 takes is 479
+    SweepConfig(cases=("uni1",), methods=("none",), n=600, m_holdout=479)
+    with pytest.raises(ConfigError):
+        SweepConfig(cases=("uni1",), methods=("none",), n=600, m_holdout=480)
+
+
+def test_wrong_value_types_rejected_with_their_key():
+    bad = [("epochs", "3"), ("gamma", "1"), ("lr", None), ("batch_size", 64.0),
+           ("epochs", True), ("hidden_widths", 8), ("hidden_widths", ["8"]),
+           ("variant", 3)]
+    for key, value in bad:
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value})
+    bad = [("n", "600"), ("m_holdout", 100.0), ("seeds", 3), ("seeds", ["0"]),
+           ("lambda_grid", ["0.1"]), ("gammas", [1.0]), ("gammas", {"circe": "1"}),
+           ("epochs", "3")]
+    for key, value in bad:
+        with pytest.raises(ConfigError, match=key):
+            SweepConfig(cases=("uni1",), methods=("none",), **{key: value})
+    # numpy scalars are numbers
+    cfg = SweepConfig(cases=("uni1",), methods=("none",), seeds=(np.int64(3),),
+                      n=np.int64(600), m_holdout=100, lambda_grid=(np.float64(0.5),),
+                      epochs=np.int64(2))
+    assert cfg.seeds == (3,) and cfg.lambda_grid == (0.5,) and cfg.train.epochs == 2
+
+
 def test_fixed_sweep_config_builds():
     # the byte-identity gate's committed config must pass validation
     path = Path(__file__).resolve().parent.parent / "tools" / "fixed_sweep.json"

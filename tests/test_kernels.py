@@ -177,3 +177,44 @@ def test_gram_backprop_matches_finite_differences():
             xm[i, j] -= h
             fd = (objective(xp) - objective(xm)) / (2 * h)
             assert grad[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+def _gram_reference(rows, cols, sigma2):
+    """gram and squared_distances as first written, one temporary per step."""
+    r2 = np.sum(rows * rows, axis=1)[:, None]
+    c2 = np.sum(cols * cols, axis=1)[None, :]
+    d2 = r2 + c2 - 2.0 * (rows @ cols.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(-d2 / (2.0 * sigma2))
+
+
+@pytest.mark.parametrize("n_rows,n_cols,dim", [(256, 256, 1), (256, 256, 2),
+                                               (256, 256, 64), (1024, 1000, 1)])
+def test_gram_bitwise_equals_reference(n_rows, n_cols, dim):
+    rng = np.random.default_rng(n_rows + dim)
+    rows = rng.standard_normal((n_rows, dim))
+    cols = rng.standard_normal((n_cols, dim))
+    for sigma2 in (0.001, 0.7, 1.0):
+        p = KernelParams(sigma2=sigma2)
+        assert np.array_equal(gram(rows, cols, p), _gram_reference(rows, cols, sigma2))
+    # a duplicated point gives exact zeros (and clamped negatives) on the diagonal
+    assert np.array_equal(gram(rows, rows, p), _gram_reference(rows, rows, 1.0))
+
+
+def test_gram_bitwise_on_non_contiguous_input():
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((512, 6))
+    rows, cols = base[::2, 1:4], base[1::2, ::2].T.copy().T
+    assert not rows.flags.c_contiguous and not cols.flags.c_contiguous
+    p = KernelParams(sigma2=0.5)
+    assert np.array_equal(gram(rows, cols, p), _gram_reference(rows, cols, 0.5))
+
+
+def test_gram_backprop_bitwise_equals_reference():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((256, 3))
+    coeff = rng.standard_normal((256, 256))
+    K = gram(x, x, KernelParams(sigma2=0.8))
+    S = (coeff + coeff.T) * K
+    expected = (S @ x - np.sum(S, axis=1)[:, None] * x) / 0.8
+    assert np.array_equal(gram_backprop(coeff, x, K, 0.8), expected)

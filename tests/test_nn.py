@@ -189,3 +189,128 @@ def test_invalid_arguments():
     model = MlpModel(3, (4,))
     with pytest.raises(ConfigError):
         model.forward(np.zeros((2, 5)))
+
+
+def _forward_reference(model, x):
+    """forward as first written: np.where leaky ReLU, a fresh array per step."""
+    acts, preacts, h = [x], [], x
+    for layer in range(model.n_layers):
+        u = h @ model.params[2 * layer] + model.params[2 * layer + 1]
+        preacts.append(u)
+        if layer < model.n_layers - 1:
+            h = np.where(u > 0.0, u, model.slope * u)
+            acts.append(h)
+    return acts, preacts
+
+
+def _backward_reference(model, acts, preacts, delta):
+    grads = [None] * len(model.params)
+    last = model.n_layers - 1
+    grads[2 * last] = acts[-1].T @ delta
+    grads[2 * last + 1] = delta.sum(axis=0)
+    d_h = delta @ model.params[2 * last].T
+    for layer in range(last - 1, -1, -1):
+        d_u = d_h * np.where(preacts[layer] > 0.0, 1.0, model.slope)
+        grads[2 * layer] = acts[layer].T @ d_u
+        grads[2 * layer + 1] = d_u.sum(axis=0)
+        d_h = d_u @ model.params[2 * layer].T
+    return grads
+
+
+@pytest.mark.parametrize("widths", [(), (64,) * 9, (32, 64, 8)])
+@pytest.mark.parametrize("n_rows", [1, 256, 2000])
+def test_predict_and_forward_bitwise_equal_reference(widths, n_rows):
+    rng = np.random.default_rng(n_rows)
+    model = MlpModel(7, widths, seed=3)
+    x = rng.standard_normal((n_rows, 7))
+    acts, preacts = _forward_reference(model, x)
+    feats, pred, cache = model.forward(x)
+    assert np.array_equal(pred, preacts[-1])
+    assert np.array_equal(feats, acts[-1])
+    first, second = model.predict(x), model.predict(x)
+    assert np.array_equal(first, pred) and np.array_equal(second, pred)
+    assert first is not second and not np.shares_memory(first, second)
+    delta = rng.standard_normal(pred.shape)
+    for g, e in zip(model.backward(cache, delta),
+                    _backward_reference(model, acts, preacts, delta)):
+        assert np.array_equal(g, e)
+
+
+def _same_floats(a, b):
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_leaky_relu_matches_where_form_on_special_values():
+    u = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320, -2.5, 3.0]]).T
+    for slope in (0.01, 0.5, 1.0, 1e-300):
+        assert _same_floats(np.maximum(u, u * slope), np.where(u > 0.0, u, slope * u))
+        # through the model: u = x * 1 + (-0); BLAS turns -0 into +0 on the way
+        model = MlpModel(1, (1,), seed=0, slope=slope)
+        model.params[0] = np.ones((1, 1))
+        model.params[1] = np.array([-0.0])
+        feats, _, cache = model.forward(u)
+        pre = cache["preacts"][0]
+        assert _same_floats(feats, np.where(pre > 0.0, pre, slope * pre))
+        assert _same_floats(model.predict(u), model.forward(u)[1])
+
+
+def test_slope_outside_unit_interval_rejected(tmp_path):
+    # max(u, slope u) equals the where form only for 0 < slope <= 1; at
+    # slope 0, u = +inf gives 0 * inf = NaN where the where form gives inf
+    for slope in (-0.1, 0.0, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="slope"):
+            MlpModel(3, (4,), slope=slope)
+    model = MlpModel(3, (4,), slope=0.2)
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["slope"] = np.array(1.5)
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigError, match="slope"):
+        load_model(path)
+
+
+def _adam_reference(opt, params, grads, state):
+    """Adam.step as first written, one temporary per operation."""
+    if state["m"] is None:
+        state["m"] = [np.zeros_like(p) for p in params]
+        state["v"] = [np.zeros_like(p) for p in params]
+    state["t"] += 1
+    bc1 = 1.0 - opt.beta1**state["t"]
+    bc2 = 1.0 - opt.beta2**state["t"]
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        if not opt.decoupled and opt.weight_decay > 0.0:
+            g = g + opt.weight_decay * p
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        if opt.decoupled and opt.weight_decay > 0.0:
+            update = update + opt.weight_decay * p
+        p -= opt.lr * update
+
+
+@pytest.mark.parametrize("cls", [Adam, AdamW])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+def test_adam_step_bitwise_equals_reference(cls, weight_decay):
+    rng = np.random.default_rng(8)
+    shapes = [(7, 64), (64,), (64, 1), (1,)]
+    params = [rng.standard_normal(s) for s in shapes]
+    ref_params = [p.copy() for p in params]
+    opt = cls(lr=1e-3, weight_decay=weight_decay)
+    ref = cls(lr=1e-3, weight_decay=weight_decay)
+    state = {"m": None, "v": None, "t": 0}
+    for _ in range(5):
+        grads = [rng.standard_normal(s) for s in shapes]
+        kept = [g.copy() for g in grads]
+        opt.step(params, grads)
+        _adam_reference(ref, ref_params, grads, state)
+        # the step never writes into the caller's gradients
+        assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
+        for p, e in zip(params, ref_params):
+            assert np.array_equal(p, e)
+    for got, want in zip(opt.m + opt.v, state["m"] + state["v"]):
+        assert np.array_equal(got, want)
