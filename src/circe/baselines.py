@@ -120,6 +120,8 @@ def gcm_with_grad(x_feats, z, y, y_params: KernelParams, lam: float):
 
 
 def _hscic_core(x_feats, z, y, x_params, z_params, y_params, lam):
+    """HscicEstimate, the X features, K_xx and the coefficient C of the value
+    <K_xx, C>, with C = ((w w^T) o K_zz + (w o (q - 2u)) w^T) / n."""
     x_feats, z, y = _check_batch(x_feats, z, y, lam)
     n = x_feats.shape[0]
     k_yy = gram(y, y, y_params)
@@ -127,30 +129,19 @@ def _hscic_core(x_feats, z, y, x_params, z_params, y_params, lam):
     k_xx = gram(x_feats, x_feats, x_params)
     k_zz = gram(z, z, z_params)
     u = k_zz @ w
-    v = k_xx @ w
-    term1 = np.einsum("ji,ji->i", w, (k_xx * k_zz) @ w)
-    term2 = np.einsum("li,li,li->i", w, v, u)
-    p = np.einsum("li,li->i", w, v)
     q = np.einsum("li,li->i", w, u)
-    value = float(np.mean(term1 - 2.0 * term2 + p * q))
-    extras = {"w": w, "k_xx": k_xx, "k_zz": k_zz, "u": u, "q": q,
-              "x_feats": x_feats}
-    return HscicEstimate(value), extras
+    coeff = ((w @ w.T) * k_zz + (w * (q - 2.0 * u)) @ w.T) / n
+    return HscicEstimate(float(np.vdot(k_xx, coeff))), x_feats, k_xx, coeff
 
 
 def hscic_statistic(x_feats, z, y, x_params: KernelParams, z_params: KernelParams,
                     y_params: KernelParams, lam: float) -> HscicEstimate:
-    estimate, _ = _hscic_core(x_feats, z, y, x_params, z_params, y_params, lam)
-    return estimate
+    return _hscic_core(x_feats, z, y, x_params, z_params, y_params, lam)[0]
 
 
 def hscic_with_grad(x_feats, z, y, x_params: KernelParams, z_params: KernelParams,
                     y_params: KernelParams, lam: float):
     """HscicEstimate plus d(value)/d(x_feats) through the X Gram."""
-    estimate, ex = _hscic_core(x_feats, z, y, x_params, z_params, y_params, lam)
-    w, u, q = ex["w"], ex["u"], ex["q"]
-    n = w.shape[0]
-    coeff = ((w @ w.T) * ex["k_zz"] + (w * (q - 2.0 * u)) @ w.T) / n
-    grad = gram_backprop(coeff, ex["x_feats"], ex["k_xx"], x_params.sigma2)
-    return estimate, grad
-
+    estimate, x_feats, k_xx, coeff = _hscic_core(x_feats, z, y, x_params, z_params,
+                                                 y_params, lam)
+    return estimate, gram_backprop(coeff, x_feats, k_xx, x_params.sigma2)

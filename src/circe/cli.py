@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -27,15 +28,18 @@ from .harness import (
 from .kernels import KernelParams
 from .nn import save_model
 from .scm import export_csv, gen_scm, make_dataset
+from .trainer import check_type
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
-FIT_CME_KEYS = ("case", "n", "d", "m_holdout", "lambda_grid", "sigma2_y_grid", "sigma2_z")
+GEN_KEYS = ("case", "n", "d")
+FIT_CME_KEYS = GEN_KEYS + ("m_holdout", "lambda_grid", "sigma2_y_grid", "sigma2_z")
 
 
-def _load_config(path) -> dict:
+def _load_config(path, keys=None) -> dict:
+    """The JSON object at path ({} for None); ConfigError on a key outside keys."""
     if path is None:
         return {}
     try:
@@ -45,6 +49,8 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    if keys is not None and not set(raw) <= set(keys):
+        raise ConfigError(f"unknown config keys: {sorted(set(raw) - set(keys))}")
     return raw
 
 
@@ -55,12 +61,14 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_gen(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, GEN_KEYS)
     case = args.case or cfg.get("case")
     if case is None:
         raise ConfigError("gen needs --case or a 'case' config entry")
-    n = args.n if args.n is not None else int(cfg.get("n", 10_000))
-    d = args.d if args.d is not None else int(cfg.get("d", 2))
+    n = args.n if args.n is not None else cfg.get("n", 10_000)
+    d = args.d if args.d is not None else cfg.get("d", 2)
+    check_type("n", n, numbers.Integral)
+    check_type("d", d, numbers.Integral)
     batch = gen_scm(case, n, d, args.seed)
     out = _out_dir(args)
     path = out / f"{case}_n{n}_seed{args.seed}.csv"
@@ -70,10 +78,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fit_cme(args) -> int:
-    cfg = _load_config(args.config)
-    unknown = set(cfg) - set(FIT_CME_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown fit-cme config keys: {sorted(unknown)}")
+    cfg = _load_config(args.config, FIT_CME_KEYS)
     case = args.case or cfg.get("case")
     if case is None:
         raise ConfigError("fit-cme needs --case or a 'case' config entry")
@@ -113,6 +118,8 @@ def _cmd_train(args) -> int:
     if case is None:
         raise ConfigError("train config needs a 'case' entry")
     method = cfg.pop("method", "none")
+    # checked here: the method keys the gamma grid below
+    check_type("method", method, str)
     gamma = cfg.pop("gamma", 0.0)
     seeds = [args.seed] if args.seed is not None else cfg.pop("seeds", [0])
     sweep_config = SweepConfig.from_dict({

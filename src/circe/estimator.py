@@ -3,18 +3,20 @@
 The statistic is the squared Hilbert-Schmidt norm of the covariance between
 encoder features of X and conditionally centered joint features of (Z, Y).
 On a batch it reduces to a trace of the encoder Gram against a centered Gram
-built from the holdout embedding regression.
+built from the holdout embedding regression. Every variant is linear in the
+encoder Gram, <K_xx, C>, so one coefficient C gives the value and, through
+kernels.gram_backprop, the gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cme import CmeModel
 from .exceptions import ConfigError
-from .kernels import KernelParams, as_points, gram, trace_product
+from .kernels import KernelParams, as_points, gram
 
 VARIANTS = ("plain", "debiased", "centered")
 # rows per block when building the holdout cross-term factors
@@ -32,9 +34,12 @@ class CenteredGram:
 
 @dataclass(frozen=True)
 class CirceEstimate:
+    """The statistic and its coefficient C, the statistic's gradient in K_xx."""
+
     value: float
     variant: str
     batch_size: int
+    coeff: np.ndarray = field(repr=False, compare=False)
 
 
 def _check_variant(variant: str) -> None:
@@ -128,7 +133,8 @@ def _centering_projection(k: np.ndarray) -> np.ndarray:
 
 
 def statistic_gradient_coeff(centered: CenteredGram, variant: str) -> np.ndarray:
-    """d(statistic)/d(k_xx) as a dense matrix; the centered Gram is constant."""
+    """C in the statistic <K_xx, C>, so also d(statistic)/d(K_xx): Khat (plain),
+    Khat with a zero diagonal (debiased) or H Khat H (centered), / (B(B-1))."""
     _check_variant(variant)
     b = centered.batch_size
     scale = 1.0 / (b * (b - 1))
@@ -145,12 +151,8 @@ def statistic_gradient_coeff(centered: CenteredGram, variant: str) -> np.ndarray
 
 
 def circe_statistic(k_xx: np.ndarray, centered: CenteredGram, variant: str) -> CirceEstimate:
-    """Trace-form statistic on a batch.
-
-    plain:    tr(K_xx Khat) / (B(B-1))
-    debiased: the same with the diagonals of both factors zeroed
-    centered: tr(H K_xx H Khat) / (B(B-1))
-    """
+    """Statistic <K_xx, C> on a batch, C from statistic_gradient_coeff; the
+    estimate carries C for gram_backprop."""
     _check_variant(variant)
     k_xx = np.asarray(k_xx, dtype=np.float64)
     b = centered.batch_size
@@ -158,20 +160,9 @@ def circe_statistic(k_xx: np.ndarray, centered: CenteredGram, variant: str) -> C
         raise ConfigError(f"batch size must be at least 2, got {b}")
     if k_xx.shape != (b, b):
         raise ConfigError(f"k_xx shape {k_xx.shape} does not match batch size {b}")
-
-    scale = 1.0 / (b * (b - 1))
-    m = centered.matrix
-    if variant == "plain":
-        value = trace_product(k_xx, m) * scale
-    elif variant == "debiased":
-        kx = k_xx.copy()
-        np.fill_diagonal(kx, 0.0)
-        mt = m.copy()
-        np.fill_diagonal(mt, 0.0)
-        value = trace_product(kx, mt) * scale
-    else:
-        value = trace_product(_centering_projection(k_xx), m) * scale
-    return CirceEstimate(value=float(value), variant=variant, batch_size=b)
+    coeff = statistic_gradient_coeff(centered, variant)
+    return CirceEstimate(value=float(np.vdot(k_xx, coeff)), variant=variant,
+                         batch_size=b, coeff=coeff)
 
 
 def circe_oracle(batch_x_feats, batch_y, batch_z, analytic_mu,

@@ -20,7 +20,7 @@ import numpy as np
 from .cme import DEFAULT_LAMBDA_GRID, DEFAULT_SIGMA2_Y_GRID, _check_lams, select_hyperparams
 from .exceptions import CirceError, ConfigError
 from .kernels import KernelParams
-from .scm import SCM_CASES, ScmBatch, check_split, make_dataset, regenerate
+from .scm import SCM_CASES, ScmBatch, check_d, check_split, make_dataset, regenerate
 from .trainer import (
     METHODS,
     TrainConfig,
@@ -205,6 +205,7 @@ class SweepConfig:
         for case in self.cases:
             if case not in SCM_CASES:
                 raise ConfigError(f"unknown case {case!r}, expected {SCM_CASES}")
+            check_d(case, self.d)
         if not self.methods:
             raise ConfigError("sweep needs at least one method")
         for method in self.methods:

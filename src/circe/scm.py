@@ -70,6 +70,12 @@ def _multi2_equations(y, z, eps_a, eps_b):
     return a, b
 
 
+def check_d(case: str, d: int) -> None:
+    """ConfigError unless d >= 2 for a multivariate case; uni cases ignore d."""
+    if case not in ("uni1", "uni2") and d < 2:
+        raise ConfigError(f"d must be at least 2 for {case}, got {d}")
+
+
 def gen_scm(case: str, n: int, d: int, seed: int) -> ScmBatch:
     """Draw n samples from one of the four synthetic cases.
 
@@ -80,6 +86,7 @@ def gen_scm(case: str, n: int, d: int, seed: int) -> ScmBatch:
         raise ConfigError(f"unknown case {case!r}, expected one of {SCM_CASES}")
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
+    check_d(case, d)
     rng = np.random.default_rng(seed)
     s_small = _noise_std(0.1)
 
@@ -94,8 +101,6 @@ def gen_scm(case: str, n: int, d: int, seed: int) -> ScmBatch:
         noises = {"eps_z": eps_z, "eps_a": eps_a, "eps_b": eps_b}
         return ScmBatch(case, a, b, y, z, noises, {})
 
-    if d < 2:
-        raise ConfigError(f"d must be at least 2 for {case}, got {d}")
     if case == "multi1":
         y = _col(rng.standard_normal(n))
         eps_z = rng.standard_normal((n, d))

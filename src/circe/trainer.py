@@ -25,7 +25,6 @@ from .estimator import (
     centered_gram,
     circe_statistic,
     cross_factors,
-    statistic_gradient_coeff,
 )
 from .exceptions import ConfigError, NumericalError
 from .kernels import KernelParams, as_points, gram, gram_backprop
@@ -207,8 +206,7 @@ def loss_and_grad(model: MlpModel, batch: TrainBatch, cme_model: CmeModel | None
             centered = ctx.batch_centered(batch, idx)
         k_xx = gram(x, x, x_params)
         stat = circe_statistic(k_xx, centered, config.variant)
-        coeff = statistic_gradient_coeff(centered, config.variant)
-        d_x = gram_backprop(coeff, x, k_xx, x_params.sigma2)
+        d_x = gram_backprop(stat.coeff, x, k_xx, x_params.sigma2)
         value = trainable = stat.value
     elif config.method == "hscic":
         est, d_x = hscic_with_grad(x, batch.z, batch.y, x_params, z_params,

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,11 @@ def test_sweep_config_validation():
     for key in ("method", "gamma", "seed", "sigma2_y"):
         with pytest.raises(ConfigError, match="unknown sweep config keys"):
             SweepConfig(cases=("uni1",), methods=("none",), **{key: 1.0})
+    # d below 2 used to build, then fail every multi1 run as a NaN row
+    for case in ("multi1", "multi2"):
+        with pytest.raises(ConfigError, match=f"d must be at least 2 for {case}"):
+            SweepConfig.from_dict({"cases": ["uni1", case], "methods": ["none"], "d": 1})
+    assert SweepConfig(cases=("uni1", "uni2"), methods=("none",), d=1).d == 1
     cfg = SweepConfig(cases=("uni1",), methods=("none", "circe"),
                       gammas={"circe": [1.0, 10.0]})
     assert cfg.gammas["circe"] == (1.0, 10.0)
@@ -303,8 +309,23 @@ def test_diff_results_tool_reports_changed_cells(tmp_path, capsys):
     assert tool.main([str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
     assert tool.main([str(tmp_path / "a.csv"), str(tmp_path / "c.csv")]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[-1] == "uni1 circe 1.0 1 mse_in: 1.5 -> 0.25"
+    # |0.25 - 1.5| / 1.5
+    assert lines[-1] == "uni1 circe 1.0 1 mse_in: 1.5 -> 0.25 (rel 0.83)"
     assert lines[:-1] == ["no differences except wall_seconds"]
+
+    # a one-ulp move reads as such; NaN, flags and missing rows carry no size
+    records[0] = make_record(seed=0, mse_in=0.5,
+                             statistic_final=math.nextafter(1e-4, 1.0))
+    records[1] = make_record(seed=1, mse_in=1.5, vcf=float("nan"), unstable=True)
+    write_records_csv(records[:2], tmp_path / "d.csv")
+    assert tool.main([str(tmp_path / "a.csv"), str(tmp_path / "d.csv")]) == 1
+    assert capsys.readouterr().out.strip().splitlines() == [
+        "uni1 circe 1.0 0 statistic_final: 0.0001 -> 0.00010000000000000002 (rel 1.4e-16)",
+        "uni1 circe 1.0 1 vcf: 0.01 -> nan",
+        "uni1 circe 1.0 1 unstable: False -> True",
+        f"uni1 circe 1.0 2: row only in {tmp_path / 'a.csv'}",
+    ]
+    assert tool.main([str(tmp_path / "a.csv")]) == 2
 
 
 def test_summarize_records_medians_and_front():

@@ -4,12 +4,14 @@ Usage: python tools/diff_results.py A.csv B.csv
 
 Rows are matched on (case, method, gamma, seed) and cells are compared as
 the harness writes them (RunRecord.as_row), so NaN equals NaN. Prints one
-line per differing (case, method, gamma, seed, column), then exits 1 if
-anything differs and 0 otherwise.
+line per differing (case, method, gamma, seed, column), with the relative
+size |b - a| / max(|a|, |b|) of a difference between two finite numbers,
+then exits 1 if anything differs and 0 otherwise (2 on a usage error).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +30,18 @@ def _rows(path):
     return rows
 
 
+def _relative(a: str, b: str) -> str:
+    """' (rel X)' for two finite numeric cells, '' otherwise."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return ""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return ""
+    scale = max(abs(x), abs(y))
+    return f" (rel {abs(y - x) / scale if scale else 0.0:.2g})"
+
+
 def diff_results(path_a, path_b) -> list:
     """One line per differing cell, or per row present in only one file."""
     a, b = _rows(path_a), _rows(path_b)
@@ -39,7 +53,8 @@ def diff_results(path_a, path_b) -> list:
             continue
         for column in CSV_COLUMNS:
             if column not in IGNORED_COLUMNS and a[key][column] != b[key][column]:
-                lines.append(f"{label} {column}: {a[key][column]} -> {b[key][column]}")
+                old, new = a[key][column], b[key][column]
+                lines.append(f"{label} {column}: {old} -> {new}{_relative(old, new)}")
     return lines
 
 
