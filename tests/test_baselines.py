@@ -246,3 +246,15 @@ def test_gcm_and_hscic_match_dense_smoother_forms():
     value, grad_ref = _hscic_dense(x, z, y, XP, ZP, YP, LAM)
     assert est.value == pytest.approx(value, rel=1e-10)
     assert _rel(grad, grad_ref) <= 1e-10
+
+
+@pytest.mark.parametrize("n,d_x", [(16, 1), (256, 1), (64, 3)])
+def test_hscic_value_matches_three_term_form(n, d_x):
+    rng = np.random.default_rng(41 + n)
+    y = rng.standard_normal((n, 1))
+    z = y**2 + rng.standard_normal((n, 1))
+    x = z + 0.5 * rng.standard_normal((n, d_x))
+    est = hscic_statistic(x, z, y, XP, ZP, YP, LAM)
+    # the three-term value, term1 - 2 term2 + p q, as first written
+    assert est.value == pytest.approx(_hscic_dense(x, z, y, XP, ZP, YP, LAM)[0], rel=1e-12)
+    assert hscic_with_grad(x, z, y, XP, ZP, YP, LAM)[0].value == est.value

@@ -215,3 +215,25 @@ def test_sweep_level_value_no_run_accepts_exits_2(tmp_path, capsys, entry):
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("entry", [{"nn": 50}, {"n": "abc"}, {"d": 2.0}])
+def test_gen_checks_config_before_writing(tmp_path, capsys, entry):
+    # {"nn": 50} used to be ignored (10,000 rows written); {"n": "abc"}
+    # exited 1 with a traceback
+    cfg_path = tmp_path / "gen.json"
+    cfg_path.write_text(json.dumps(entry))
+    rc = main(["gen", "--case", "uni1", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert str(next(iter(entry))) in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_train_rejects_non_string_method(tmp_path, capsys):
+    # a list used to end in "TypeError: unhashable type"
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({"case": "uni1", "method": ["circe"], "n": 600,
+                                    "m_holdout": 100}))
+    rc = main(["train", "--config", str(cfg_path)])
+    assert rc == 2
+    assert "method" in capsys.readouterr().err

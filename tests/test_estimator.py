@@ -240,3 +240,33 @@ def test_centered_from_factors_bitwise_equals_reference():
     projected = expected - row[None, :] - row[:, None] + row.mean()
     assert np.array_equal(statistic_gradient_coeff(cg, "centered"),
                           projected * (1.0 / (b * (b - 1))))
+
+
+def _trace_forms(k_xx, m):
+    """The statistic's three trace forms over B(B-1), as first written."""
+    b = m.shape[0]
+    scale = 1.0 / (b * (b - 1))
+    kx, mt = k_xx.copy(), m.copy()
+    np.fill_diagonal(kx, 0.0)
+    np.fill_diagonal(mt, 0.0)
+    row = k_xx.mean(axis=0)
+    projected = k_xx - row[None, :] - row[:, None] + row.mean()
+    return {"plain": np.sum(k_xx * m.T) * scale,
+            "debiased": np.sum(kx * mt.T) * scale,
+            "centered": np.sum(projected * m.T) * scale}
+
+
+@pytest.mark.parametrize("b", [12, 256])
+def test_statistic_is_inner_product_with_gradient_coeff(b):
+    rng = np.random.default_rng(22)
+    model = _model(rng, m=80)
+    x, y, z = _batch(rng, b=b)
+    cg = centered_gram(y, z, model, YP, ZP)
+    k_xx = gram(x, x, XP)
+    forms = _trace_forms(k_xx, cg.matrix)
+    for variant in ("plain", "debiased", "centered"):
+        est = circe_statistic(k_xx, cg, variant)
+        coeff = statistic_gradient_coeff(cg, variant)
+        assert np.array_equal(est.coeff, coeff)
+        assert est.value == float(np.vdot(k_xx, coeff))
+        assert est.value == pytest.approx(forms[variant], rel=1e-12)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import circe.baselines as baselines_mod
 import circe.trainer as trainer_mod
 from circe.cme import fit_cme
 from circe.estimator import FACTOR_BLOCK_ROWS, centered_gram
 from circe.exceptions import ConfigError
-from circe.kernels import KernelParams
+from circe.kernels import KernelParams, gram, gram_backprop, regularized_solve
 from circe.nn import MlpModel
 from circe.scm import gen_toy, make_dataset
 from circe.trainer import (
@@ -311,3 +312,64 @@ def test_train_data_builders():
     assert td.train.inputs.shape[1] == 3
     td_all = train_data_from_dataset(ds, reuse_holdout=True)
     assert td_all.train.n == 1600
+
+
+def _circe_coeff_as_first_written(centered, variant):
+    """The circe gradient coefficient as first written."""
+    b = centered.batch_size
+    scale = 1.0 / (b * (b - 1))
+    m = centered.matrix
+    if variant == "plain":
+        return m * scale
+    if variant == "debiased":
+        out = m * scale
+        np.fill_diagonal(out, 0.0)
+        return out
+    row = m.mean(axis=0)
+    return (m - row[None, :] - row[:, None] + row.mean()) * scale
+
+
+def _hscic_coeff_as_first_written(x, z, y, z_params, y_params, lam):
+    """The HSCIC gradient coefficient as first written."""
+    n = x.shape[0]
+    k_yy = gram(y, y, y_params)
+    w = regularized_solve(k_yy, lam, k_yy)
+    k_zz = gram(z, z, z_params)
+    u = k_zz @ w
+    q = np.einsum("li,li->i", w, u)
+    return ((w @ w.T) * k_zz + (w * (q - 2.0 * u)) @ w.T) / n
+
+
+@pytest.mark.parametrize("method,variant,regularize", [
+    ("circe", variant, regularize)
+    for variant in ("plain", "debiased", "centered")
+    for regularize in ("prediction", "features")
+] + [("hscic", "centered", "prediction"), ("hscic", "centered", "features")])
+def test_penalty_gradient_bitwise_as_first_written(monkeypatch, method, variant,
+                                                   regularize):
+    batch, cme = small_problem(seed=4, n=64)
+    config = TrainConfig(method=method, gamma=0.7, batch_size=64, epochs=1,
+                         variant=variant, hidden_widths=(8, 4),
+                         regularize=regularize, lam=0.05)
+    model = MlpModel(3, config.hidden_widths, seed=6)
+    seen = []
+
+    def recording_backprop(*args):
+        seen.append(gram_backprop(*args))
+        return seen[-1]
+
+    module = trainer_mod if method == "circe" else baselines_mod
+    monkeypatch.setattr(module, "gram_backprop", recording_backprop)
+    loss_and_grad(model, batch, cme, config)
+
+    feats, pred, _ = model.forward(batch.inputs)
+    x = pred if regularize == "prediction" else feats
+    xp, yp, zp = (KernelParams(config.sigma2_x), KernelParams(config.sigma2_y),
+                  KernelParams(config.sigma2_z))
+    if method == "circe":
+        centered = centered_gram(batch.y, batch.z, cme, cme.y_params, cme.z_params)
+        coeff = _circe_coeff_as_first_written(centered, variant)
+    else:
+        coeff = _hscic_coeff_as_first_written(x, batch.z, batch.y, zp, yp, config.lam)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], gram_backprop(coeff, x, gram(x, x, xp), xp.sigma2))
