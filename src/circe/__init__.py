@@ -5,7 +5,7 @@ from .cme import CmeModel, fit_cme, load_cme, loo_error, save_cme, select_hyperp
 from .estimator import centered_gram, circe_oracle, circe_statistic
 from .exceptions import CirceError, ConfigError, NumericalError
 from .harness import eval_vcf, pareto_front, run_single, run_sweep
-from .kernels import KernelParams, gram, kernel_eval, regularized_solve, trace_product
+from .kernels import KernelParams, gram, regularized_solve
 from .nn import Adam, AdamW, MlpModel
 from .rff import precompute_rff_weights, sample_rff
 from .scm import gen_nonlinear_gcm_case, gen_scm, gen_toy, intervene_z, make_dataset
@@ -35,7 +35,6 @@ __all__ = [
     "gram",
     "hscic_statistic",
     "intervene_z",
-    "kernel_eval",
     "load_cme",
     "loo_error",
     "loss_and_grad",
@@ -48,7 +47,6 @@ __all__ = [
     "sample_rff",
     "save_cme",
     "select_hyperparams",
-    "trace_product",
     "train",
     "__version__",
 ]

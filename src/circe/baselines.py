@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .exceptions import ConfigError, NumericalError
 from .kernels import KernelParams, as_points, gram, gram_backprop, regularized_solve
@@ -85,7 +84,10 @@ def _gcm_core(x_feats, z, y, y_params, lam):
         raise NumericalError("every residual pair failed the variance guard")
     abs_t = np.abs(t[included])
     value = float(abs_t.max())
-    regularizer = float(logsumexp(GCM_SMOOTHMAX_TAU * abs_t) / GCM_SMOOTHMAX_TAU)
+    # log-sum-exp of tau |t|, shifted by its max so no term overflows
+    scaled = GCM_SMOOTHMAX_TAU * abs_t
+    top = scaled.max()
+    regularizer = float((top + np.log(np.sum(np.exp(scaled - top)))) / GCM_SMOOTHMAX_TAU)
     estimate = GcmEstimate(value, t, regularizer, included)
     extras = {"k_yy": k_yy, "rx": rx, "rz": rz, "prods": prods,
               "means": means, "stds": stds}

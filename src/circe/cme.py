@@ -27,7 +27,7 @@ DEFAULT_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0)
 DEFAULT_SIGMA2_Y_GRID = (0.001, 0.01, 0.1, 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CmeModel:
     """Fitted embedding regression, kept as the truncated spectrum of K_YY.
 
@@ -35,7 +35,8 @@ class CmeModel:
     largest eigenvalue, and c = u^T K_ZZ u. With D = diag(1 / (s + lam)) the
     regression weights on the kept subspace are W1 = u D u^T, and
     W2 = W1 K_ZZ W1 = u D c D u^T; the discarded eigenpairs are roundoff of a
-    numerically low-rank Gram.
+    numerically low-rank Gram. Frozen, so one object is one fit: the trainer
+    reuses the cross factors it built for a model object.
     """
 
     holdout_y: np.ndarray

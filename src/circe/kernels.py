@@ -61,16 +61,6 @@ def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return d2
 
 
-def kernel_eval(x, xp, params: KernelParams) -> float:
-    """Kernel value for a single pair of points."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel()
-    xp = np.atleast_1d(np.asarray(xp, dtype=np.float64)).ravel()
-    if x.shape != xp.shape:
-        raise ConfigError(f"point shapes differ: {x.shape} vs {xp.shape}")
-    d2 = float(np.sum((x - xp) ** 2))
-    return float(np.exp(-d2 / (2.0 * params.sigma2)))
-
-
 def gram(rows, cols, params: KernelParams) -> np.ndarray:
     """Gram matrix K[i, j] = k(rows[i], cols[j]), built in the distance buffer.
 
@@ -128,15 +118,6 @@ def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
     if not np.isfinite(residual) or residual > RESIDUAL_TOL:
         raise NumericalError(f"solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
     return S
-
-
-def trace_product(A: np.ndarray, B: np.ndarray) -> float:
-    """tr(A @ B) = sum_ij A[i, j] * B[j, i], without forming the product."""
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.shape != B.T.shape:
-        raise ConfigError(f"incompatible shapes for trace: {A.shape} vs {B.shape}")
-    return float(np.sum(A * B.T))
 
 
 def gram_backprop(coeff: np.ndarray, points: np.ndarray, K: np.ndarray, sigma2: float) -> np.ndarray:

@@ -149,7 +149,8 @@ class TrainLog:
 
 
 class _CirceContext:
-    """Holdout cross-term factors of every training row, built once per run.
+    """Holdout cross-term factors of every training row, with copies of the
+    rows and the model they were built from.
 
     A batch drawn by row index gathers its rows of the factors; the centered
     Gram equals the direct per-batch computation bitwise.
@@ -157,12 +158,32 @@ class _CirceContext:
 
     def __init__(self, train_y, train_z, model: CmeModel):
         self.model = model
+        self.y, self.z = train_y.copy(), train_z.copy()
         self.factors = cross_factors(train_y, train_z, model)
+
+    def serves(self, train_y, train_z, model: CmeModel) -> bool:
+        return (model is self.model and np.array_equal(train_y, self.y)
+                and np.array_equal(train_z, self.z))
 
     def batch_centered(self, batch: TrainBatch, idx: np.ndarray) -> CenteredGram:
         return centered_from_factors(batch.y, batch.z, self.model.y_params,
                                      self.model.z_params,
                                      *(f[idx] for f in self.factors))
+
+
+# The factors are a pure function of the frozen model and the training rows,
+# so train() keeps the last context: every gamma of a sweep cell, and every
+# circe row trained on one prepared cell, reuses it. It holds 3 n r floats
+# until a circe run on other rows or another model replaces it.
+_LAST_CONTEXT = None
+
+
+def _circe_context(batch: TrainBatch, model: CmeModel) -> _CirceContext:
+    global _LAST_CONTEXT
+    if _LAST_CONTEXT is None or not _LAST_CONTEXT.serves(batch.y, batch.z, model):
+        _LAST_CONTEXT = None  # never hold two contexts at once
+        _LAST_CONTEXT = _CirceContext(batch.y, batch.z, model)
+    return _LAST_CONTEXT
 
 
 def _penalty_features(config: TrainConfig, feats, pred):
@@ -251,7 +272,7 @@ def train(config: TrainConfig, data: TrainData,
 
     context = None
     if config.method == "circe" and config.gamma > 0.0:
-        context = _CirceContext(batch.y, batch.z, cme_model)
+        context = _circe_context(batch, cme_model)
 
     rng = np.random.default_rng(config.seed)
     log = TrainLog()

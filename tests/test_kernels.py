@@ -2,14 +2,22 @@ import numpy as np
 import pytest
 
 from circe.exceptions import ConfigError, NumericalError
-from circe.kernels import (
-    KernelParams,
-    gram,
-    gram_backprop,
-    kernel_eval,
-    regularized_solve,
-    trace_product,
-)
+from circe.kernels import KernelParams, gram, gram_backprop, regularized_solve
+
+
+def kernel_eval(x, xp, params: KernelParams) -> float:
+    """Reference kernel value for a single pair of points."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel()
+    xp = np.atleast_1d(np.asarray(xp, dtype=np.float64)).ravel()
+    assert x.shape == xp.shape
+    d2 = float(np.sum((x - xp) ** 2))
+    return float(np.exp(-d2 / (2.0 * params.sigma2)))
+
+
+def trace_product(A: np.ndarray, B: np.ndarray) -> float:
+    """Reference tr(A @ B) = sum_ij A[i, j] * B[j, i]."""
+    assert A.shape == B.T.shape
+    return float(np.sum(A * B.T))
 
 
 def test_kernel_eval_matches_closed_form():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import scipy.linalg
 import circe.baselines as baselines_mod
 import circe.trainer as trainer_mod
 from circe.cme import fit_cme
-from circe.estimator import FACTOR_BLOCK_ROWS, centered_gram
+from circe.estimator import FACTOR_BLOCK_ROWS, centered_gram, cross_factors
 from circe.exceptions import ConfigError
 from circe.kernels import KernelParams, gram, gram_backprop, regularized_solve
 from circe.nn import MlpModel
@@ -270,6 +271,113 @@ def test_training_never_imports_scipy_linalg():
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_TRAIN_WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy import refused: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+import circe
+for info in pkgutil.iter_modules(circe.__path__):
+    if info.name != "__main__":  # running it would start the cli
+        importlib.import_module(f"circe.{info.name}")
+from circe.cme import fit_cme
+from circe.kernels import KernelParams
+from circe.scm import make_dataset
+from circe.trainer import TrainConfig, train, train_data_from_dataset
+ds = make_dataset("uni1", 600, 1, seed=0, m_holdout=100)
+std = ds.standardizer
+cme = fit_cme(std.transform("y", ds.holdout.y), std.transform("z", ds.holdout.z),
+              0.1, KernelParams(1.0), KernelParams(1.0))
+for method in ("none", "circe", "hscic", "gcm"):
+    config = TrainConfig(method=method, gamma=1.0, batch_size=64, epochs=1,
+                         lr=1e-3, weight_decay=0.0, hidden_widths=(8,), seed=0)
+    _, log = train(config, train_data_from_dataset(ds), cme_model=cme)
+    assert log.skipped_steps == 0, method
+print("scipy" in sys.modules)
+"""
+
+
+def test_package_runs_without_scipy():
+    # the runtime depends on numpy alone; scipy is a test dependency
+    src = str(Path(trainer_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _TRAIN_WITHOUT_SCIPY],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _reuse_problem():
+    ds = make_dataset("uni1", 600, 1, seed=0, m_holdout=100)
+    std = ds.standardizer
+    hold_y, hold_z = std.transform("y", ds.holdout.y), std.transform("z", ds.holdout.z)
+    cme = fit_cme(hold_y, hold_z, 0.1, KernelParams(1.0), KernelParams(1.0))
+    return ds, cme, (hold_y, hold_z)
+
+
+def _counting_cross_factors(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return cross_factors(*args)
+
+    monkeypatch.setattr(trainer_mod, "_LAST_CONTEXT", None)
+    monkeypatch.setattr(trainer_mod, "cross_factors", counting)
+    return calls
+
+
+def _reuse_config(gamma):
+    return TrainConfig(method="circe", gamma=gamma, batch_size=64, epochs=1,
+                       lr=1e-3, weight_decay=0.0, hidden_widths=(8,), seed=0)
+
+
+def test_train_reuses_cross_factors_across_calls(monkeypatch):
+    ds, cme, _ = _reuse_problem()
+    calls = _counting_cross_factors(monkeypatch)
+    # separately built, equal training rows: one build serves both gammas
+    reused = [train(_reuse_config(g), train_data_from_dataset(ds), cme_model=cme)[0]
+              for g in (1.0, 100.0)]
+    assert len(calls) == 1
+    for g, model in zip((1.0, 100.0), reused):
+        monkeypatch.setattr(trainer_mod, "_LAST_CONTEXT", None)
+        fresh, _ = train(_reuse_config(g), train_data_from_dataset(ds), cme_model=cme)
+        for a, b in zip(model.params, fresh.params):
+            assert np.array_equal(a, b)
+    assert len(calls) == 3
+
+
+def test_changed_rows_or_refitted_model_rebuild_the_context(monkeypatch):
+    ds, cme, holdout = _reuse_problem()
+    calls = _counting_cross_factors(monkeypatch)
+    data = train_data_from_dataset(ds)
+    train(_reuse_config(1.0), data, cme_model=cme)
+    for column in ("y", "z"):
+        changed = train_data_from_dataset(ds)
+        getattr(changed.train, column)[5, 0] += 1e-3
+        train(_reuse_config(1.0), changed, cme_model=cme)
+    assert len(calls) == 3
+    train(_reuse_config(1.0), data, cme_model=cme)
+    assert len(calls) == 4
+    refitted = fit_cme(*holdout, 0.1, KernelParams(1.0), KernelParams(1.0))
+    train(_reuse_config(1.0), data, cme_model=refitted)
+    assert len(calls) == 5
+
+
+def test_cme_model_is_frozen():
+    _, cme, _ = _reuse_problem()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cme.lam = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cme.u = cme.u.copy()
 
 
 def test_config_validation():
