@@ -261,19 +261,24 @@ print("scipy.linalg" in sys.modules)
 """
 
 
-def test_training_never_imports_scipy_linalg():
-    # a `from scipy.linalg import ...` binds the function at import time and
-    # escapes the monkeypatch above; a fresh interpreter catches that too
+def _run_fresh(script):
+    """stdout of script run in a fresh interpreter on this checkout's src."""
     src = str(Path(trainer_mod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _TRAIN_WITHOUT_SCIPY_LINALG],
+    proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.split()
 
 
-_TRAIN_WITHOUT_SCIPY = """
+def test_training_never_imports_scipy_linalg():
+    # a `from scipy.linalg import ...` binds the function at import time and
+    # escapes the monkeypatch above; a fresh interpreter catches that too
+    assert _run_fresh(_TRAIN_WITHOUT_SCIPY_LINALG) == ["False"]
+
+
+_REFUSE_SCIPY = """
 import importlib, pkgutil, sys
 
 class RefuseScipy:
@@ -287,32 +292,13 @@ import circe
 for info in pkgutil.iter_modules(circe.__path__):
     if info.name != "__main__":  # running it would start the cli
         importlib.import_module(f"circe.{info.name}")
-from circe.cme import fit_cme
-from circe.kernels import KernelParams
-from circe.scm import make_dataset
-from circe.trainer import TrainConfig, train, train_data_from_dataset
-ds = make_dataset("uni1", 600, 1, seed=0, m_holdout=100)
-std = ds.standardizer
-cme = fit_cme(std.transform("y", ds.holdout.y), std.transform("z", ds.holdout.z),
-              0.1, KernelParams(1.0), KernelParams(1.0))
-for method in ("none", "circe", "hscic", "gcm"):
-    config = TrainConfig(method=method, gamma=1.0, batch_size=64, epochs=1,
-                         lr=1e-3, weight_decay=0.0, hidden_widths=(8,), seed=0)
-    _, log = train(config, train_data_from_dataset(ds), cme_model=cme)
-    assert log.skipped_steps == 0, method
-print("scipy" in sys.modules)
 """
 
 
 def test_package_runs_without_scipy():
     # the runtime depends on numpy alone; scipy is a test dependency
-    src = str(Path(trainer_mod.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _TRAIN_WITHOUT_SCIPY],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    script = _REFUSE_SCIPY + _TRAIN_WITHOUT_SCIPY_LINALG + 'print("scipy" in sys.modules)\n'
+    assert _run_fresh(script) == ["False", "False"]
 
 
 def _reuse_problem():
