@@ -4,7 +4,7 @@ from .baselines import gcm_statistic, hscic_statistic
 from .cme import CmeModel, fit_cme, load_cme, loo_error, save_cme, select_hyperparams
 from .estimator import centered_gram, circe_oracle, circe_statistic
 from .exceptions import CirceError, ConfigError, NumericalError
-from .harness import eval_vcf, pareto_front, run_single, run_sweep
+from .harness import eval_vcf, pareto_front, run_sweep
 from .kernels import KernelParams, gram, regularized_solve
 from .nn import Adam, AdamW, MlpModel
 from .rff import precompute_rff_weights, sample_rff
@@ -42,7 +42,6 @@ __all__ = [
     "pareto_front",
     "precompute_rff_weights",
     "regularized_solve",
-    "run_single",
     "run_sweep",
     "sample_rff",
     "save_cme",

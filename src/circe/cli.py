@@ -15,19 +15,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .cme import save_cme, select_hyperparams
+from .cme import save_cme
 from .exceptions import ConfigError, NumericalError
 from .harness import (
     SweepConfig,
+    _prepare_case,
     read_records_csv,
     run_single_with_model,
     run_sweep,
     summarize_records,
     write_records_csv,
 )
-from .kernels import KernelParams
 from .nn import save_model
-from .scm import export_csv, gen_scm, make_dataset
+from .scm import export_csv, gen_scm
 from .trainer import check_type
 
 EXIT_OK = 0
@@ -88,13 +88,7 @@ def _cmd_fit_cme(args) -> int:
             cfg[key] = getattr(args, key)
     # the sweep config's own checks: types, the grids and the holdout size
     config = SweepConfig(cases=[case], methods=["none"], **cfg)
-    ds = make_dataset(case, config.n, config.d, args.seed, m_holdout=config.m_holdout)
-    hold_y = ds.standardizer.transform("y", ds.holdout.y)
-    hold_z = ds.standardizer.transform("z", ds.holdout.z)
-    model, report = select_hyperparams(
-        hold_y, hold_z, lambda_grid=config.lambda_grid,
-        sigma2_y_grid=config.sigma2_y_grid,
-        z_params=KernelParams(sigma2=config.train.sigma2_z))
+    _, model, report, _ = _prepare_case(config, case, args.seed)
     print("lambda sigma2_y loo_error")
     for lam, s2, err in report.as_rows():
         print(f"{lam:g} {s2:g} {err:.6g}")
@@ -150,7 +144,7 @@ def _cmd_train(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.config is None:
         raise ConfigError("sweep needs --config")
-    config = SweepConfig.from_json(args.config)
+    config = SweepConfig.from_dict(_load_config(args.config))
     out = _out_dir(args)
     path = out / "results.csv"
     records, any_unstable = run_sweep(config, out_csv=path, workers=args.workers)

@@ -1,15 +1,15 @@
 """Experiment orchestration: VCF and MSE evaluation, sweeps, reports.
 
-A sweep executes the cross product cases x methods x gamma grid x seeds.
-Dataset generation and embedding fitting are cached per (case, seed) so
-every method and gamma reuses the same draws; runs are seed-scoped and
-deterministic, so worker concurrency never changes results.
+A sweep executes the cross product cases x methods x gamma grid x seeds as
+one job per (case, seed) cell. The job generates the cell's dataset and fits
+its embedding once, trains every method and gamma on them, and drops the
+cell when it returns. Runs are seed-scoped and deterministic, so worker
+concurrency never changes results.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -229,27 +229,13 @@ class SweepConfig:
             raise ConfigError("sweep config requires 'cases' and 'methods'")
         return cls(**raw)
 
-    @classmethod
-    def from_json(cls, path) -> "SweepConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read sweep config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("sweep config must be a JSON object")
-        return cls.from_dict(raw)
-
-
-# per-process cache of (dataset, cme 5-tuple) keyed by case/seed/geometry
-_CASE_CACHE: dict = {}
-
 
 def _prepare_case(config: SweepConfig, case: str, seed: int):
-    key = (case, seed, config.n, config.d, config.m_holdout,
-           config.lambda_grid, config.sigma2_y_grid, config.train.sigma2_z)
-    if key in _CASE_CACHE:
-        return _CASE_CACHE[key]
+    """One (case, seed) cell: (dataset, CME, LOO report, standardized TrainData).
+
+    The CME is the LOO grid's winner on the standardized holdout; every run of
+    the cell trains on the same TrainData.
+    """
     ds = make_dataset(case, config.n, config.d, seed, m_holdout=config.m_holdout)
     std = ds.standardizer
     hold_y = std.transform("y", ds.holdout.y)
@@ -260,59 +246,80 @@ def _prepare_case(config: SweepConfig, case: str, seed: int):
         sigma2_y_grid=config.sigma2_y_grid,
         z_params=KernelParams(sigma2=config.train.sigma2_z),
     )
-    prepared = (ds, cme, report)
-    _CASE_CACHE[key] = prepared
-    return prepared
+    return ds, cme, report, train_data_from_dataset(ds)
+
+
+def _run_one(config: SweepConfig, cell, case: str, method: str, gamma: float,
+             seed: int):
+    """Train and evaluate one (method, gamma) on a prepared cell; returns
+    (RunRecord fields, model)."""
+    ds, cme, _, data = cell
+    lr, wd = CASE_OPTIM_DEFAULTS[case]
+    train_config = config.train.replace(
+        method=method, gamma=float(gamma), seed=seed, lam=cme.lam,
+        sigma2_y=cme.y_params.sigma2,
+        lr=lr if config.lr is None else config.lr,
+        weight_decay=wd if config.weight_decay is None else config.weight_decay,
+    )
+    model, log = train(train_config, data, cme_model=cme if method == "circe" else None)
+    predict = predictor_from_model(model, ds.standardizer)
+    vcf = eval_vcf(predict, ds.eval, config.n_interventions, seed=seed)
+    metrics = dict(lam=cme.lam, sigma2_y=cme.y_params.sigma2,
+                   mse_in=log.epochs[-1]["eval_mse"], vcf=vcf.value,
+                   statistic_final=log.final_statistic, unstable=log.unstable)
+    return metrics, model
+
+
+def _run_cell(config: SweepConfig, case: str, seed: int, runs, strict: bool):
+    """Prepare the (case, seed) cell once, then run each (method, gamma) of
+    runs on it; yields (RunRecord, model) per run.
+
+    With strict=False a CirceError or FloatingPointError becomes an unstable
+    row with NaN metrics and a None model, so one failed run does not end the
+    sweep; a failed preparation makes every row of the cell such a row. Any
+    other exception is a bug and propagates. The first row's wall_seconds
+    includes the preparation.
+    """
+    nan = float("nan")
+    failed = dict(lam=nan, sigma2_y=nan, mse_in=nan, vcf=nan,
+                  statistic_final=nan, unstable=True)
+    start = time.perf_counter()
+    try:
+        cell = _prepare_case(config, case, seed)
+    except (CirceError, FloatingPointError):
+        if strict:
+            raise
+        cell = None
+    for method, gamma in runs:
+        metrics, model = failed, None
+        if cell is not None:
+            try:
+                metrics, model = _run_one(config, cell, case, method, gamma, seed)
+            except (CirceError, FloatingPointError):
+                if strict:
+                    raise
+        record = RunRecord(case_id=case, method=method, variant=config.train.variant,
+                           gamma=float(gamma), seed=seed, sigma2_z=config.train.sigma2_z,
+                           wall_seconds=time.perf_counter() - start, **metrics)
+        yield record, model
+        start = time.perf_counter()
 
 
 def run_single_with_model(config: SweepConfig, case: str, method: str,
                           gamma: float, seed: int, strict: bool = False):
-    """One training run; returns (RunRecord, model).
-
-    With strict=False a CirceError or FloatingPointError becomes an unstable
-    row with NaN metrics and a None model, so one failed run does not end the
-    sweep; any other exception is a bug and propagates.
-    """
-    start = time.perf_counter()
-    nan = float("nan")
-    try:
-        ds, cme, _ = _prepare_case(config, case, seed)
-        lr, wd = CASE_OPTIM_DEFAULTS[case]
-        train_config = config.train.replace(
-            method=method, gamma=float(gamma), seed=seed, lam=cme.lam,
-            sigma2_y=cme.y_params.sigma2,
-            lr=lr if config.lr is None else config.lr,
-            weight_decay=wd if config.weight_decay is None else config.weight_decay,
-        )
-        model, log = train(train_config, train_data_from_dataset(ds),
-                           cme_model=cme if method == "circe" else None)
-        predict = predictor_from_model(model, ds.standardizer)
-        vcf = eval_vcf(predict, ds.eval, config.n_interventions, seed=seed)
-        metrics = dict(lam=cme.lam, sigma2_y=cme.y_params.sigma2,
-                       mse_in=log.epochs[-1]["eval_mse"], vcf=vcf.value,
-                       statistic_final=log.final_statistic, unstable=log.unstable)
-    except (CirceError, FloatingPointError):
-        if strict:
-            raise
-        model = None
-        metrics = dict(lam=nan, sigma2_y=nan, mse_in=nan, vcf=nan,
-                       statistic_final=nan, unstable=True)
-    record = RunRecord(case_id=case, method=method, variant=config.train.variant,
-                       gamma=float(gamma), seed=seed, sigma2_z=config.train.sigma2_z,
-                       wall_seconds=time.perf_counter() - start, **metrics)
-    return record, model
-
-
-def run_single(config: SweepConfig, case: str, method: str, gamma: float,
-               seed: int) -> RunRecord:
-    record, _ = run_single_with_model(config, case, method, gamma, seed)
-    return record
+    """Prepare the (case, seed) cell and run one (method, gamma) on it;
+    returns (RunRecord, model), failures handled as in a sweep."""
+    [row] = _run_cell(config, case, seed, [(method, gamma)], strict)
+    return row
 
 
 def _run_case_seed(payload):
+    """One sweep job: every (method, gamma) row of a (case, seed) cell, which
+    is prepared here and dropped when the job returns."""
     config, case, seed = payload
-    return [run_single(config, case, method, gamma, seed)
-            for method in config.methods for gamma in config.gammas[method]]
+    runs = [(method, gamma) for method in config.methods
+            for gamma in config.gammas[method]]
+    return [record for record, _ in _run_cell(config, case, seed, runs, strict=False)]
 
 
 def run_sweep(config: SweepConfig, out_csv=None, workers: int = 1):
@@ -344,7 +351,23 @@ def write_records_csv(records, path) -> None:
             writer.writerow(record.as_row())
 
 
+def _parse_cell(column: str, text):
+    if text is None:
+        raise ValueError("the row ends before this column")
+    if column in ("case_id", "method", "variant"):
+        return text
+    if column == "seed":
+        return int(text)
+    if column == "unstable":
+        if text not in ("True", "False"):
+            raise ValueError(f"expected True or False, got {text!r}")
+        return text == "True"
+    return float(text)
+
+
 def read_records_csv(path) -> list:
+    """RunRecords of a results CSV; ConfigError naming the line and column of
+    a cell that is missing or does not parse."""
     records = []
     try:
         with open(path, newline="") as fh:
@@ -353,17 +376,18 @@ def read_records_csv(path) -> list:
             if missing:
                 raise ConfigError(f"results CSV missing columns {sorted(missing)}")
             for row in reader:
-                records.append(RunRecord(
-                    case_id=row["case_id"], method=row["method"],
-                    variant=row["variant"], gamma=float(row["gamma"]),
-                    seed=int(row["seed"]), lam=float(row["lambda"]),
-                    sigma2_y=float(row["sigma2_y"]),
-                    sigma2_z=float(row["sigma2_z"]),
-                    mse_in=float(row["mse_in"]), vcf=float(row["vcf"]),
-                    statistic_final=float(row["statistic_final"]),
-                    unstable=row["unstable"] == "True",
-                    wall_seconds=float(row["wall_seconds"]),
-                ))
+                if None in row:
+                    raise ConfigError(f"results CSV {path} line {reader.line_num} "
+                                      f"has more cells than columns")
+                values = []
+                # RunRecord's fields follow the CSV columns after schema_version
+                for column in CSV_COLUMNS[1:]:
+                    try:
+                        values.append(_parse_cell(column, row[column]))
+                    except ValueError as exc:
+                        raise ConfigError(f"results CSV {path} line {reader.line_num}, "
+                                          f"column {column}: {exc}") from exc
+                records.append(RunRecord(*values))
     except OSError as exc:
         raise ConfigError(f"cannot read results CSV {path}: {exc}") from exc
     return records

@@ -131,16 +131,6 @@ class MlpModel:
                 d_h = d_u @ self.params[2 * layer].T
         return grads
 
-    def copy(self) -> "MlpModel":
-        dup = MlpModel.__new__(MlpModel)
-        dup.in_dim = self.in_dim
-        dup.out_dim = self.out_dim
-        dup.hidden_widths = self.hidden_widths
-        dup.slope = self.slope
-        dup.seed = self.seed
-        dup.params = [p.copy() for p in self.params]
-        return dup
-
 
 def save_model(model: MlpModel, path) -> None:
     arrays = {f"param_{i}": p for i, p in enumerate(model.params)}

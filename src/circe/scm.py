@@ -16,6 +16,7 @@ import numpy as np
 from .exceptions import ConfigError
 
 SCM_CASES = ("uni1", "uni2", "multi1", "multi2")
+EVAL_FRAC = 0.2  # share of make_dataset's rows held out for evaluation
 
 
 @dataclass
@@ -276,9 +277,9 @@ class Standardizer:
 class Dataset:
     """Train/eval split of one case with the holdout carved from the train end.
 
-    The first m_holdout train rows feed the embedding regression; by default
-    the remaining train rows form mini-batches. Standardization always comes
-    from the full train split.
+    The first m_holdout train rows feed the embedding regression; the
+    remaining train rows form mini-batches. Standardization comes from the
+    full train split.
     """
 
     case_id: str
@@ -291,18 +292,14 @@ class Dataset:
     def holdout(self) -> ScmBatch:
         return slice_batch(self.train, np.arange(self.m_holdout))
 
-    def fit_pool(self, reuse_holdout: bool = False) -> ScmBatch:
-        if reuse_holdout:
-            return self.train
+    def fit_pool(self) -> ScmBatch:
         return slice_batch(self.train, np.arange(self.m_holdout, self.train.n))
 
 
-def check_split(n: int, m_holdout: int, eval_frac: float = 0.2) -> int:
+def check_split(n: int, m_holdout: int) -> int:
     """Size of make_dataset's train split; ConfigError unless the holdout
     fits in it with 2 <= m_holdout < n_train."""
-    if not 0.0 < eval_frac < 1.0:
-        raise ConfigError(f"eval_frac must be in (0, 1), got {eval_frac}")
-    n_train = n - int(round(n * eval_frac))
+    n_train = n - int(round(n * EVAL_FRAC))
     if not 2 <= m_holdout < n_train:
         raise ConfigError(
             f"m_holdout={m_holdout} must fit inside the train split of {n_train}"
@@ -310,10 +307,9 @@ def check_split(n: int, m_holdout: int, eval_frac: float = 0.2) -> int:
     return n_train
 
 
-def make_dataset(case: str, n: int, d: int, seed: int, m_holdout: int = 1000,
-                 eval_frac: float = 0.2) -> Dataset:
+def make_dataset(case: str, n: int, d: int, seed: int, m_holdout: int = 1000) -> Dataset:
     """Generate a case and split it 80/20 with train-split standardization."""
-    n_train = check_split(n, m_holdout, eval_frac)
+    n_train = check_split(n, m_holdout)
     batch = gen_scm(case, n, d, seed)
     train = slice_batch(batch, np.arange(n_train))
     eval_b = slice_batch(batch, np.arange(n_train, n))

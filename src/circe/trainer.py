@@ -317,9 +317,9 @@ def train(config: TrainConfig, data: TrainData,
     return model, log
 
 
-def train_data_from_dataset(ds, reuse_holdout: bool = False) -> TrainData:
+def train_data_from_dataset(ds) -> TrainData:
     """Standardized TrainData from an ScmBatch dataset split."""
-    pool = ds.fit_pool(reuse_holdout=reuse_holdout)
+    pool = ds.fit_pool()
     std = ds.standardizer
 
     def as_train_batch(scm_batch):

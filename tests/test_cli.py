@@ -8,7 +8,7 @@ import pytest
 import circe.cli as cli_mod
 from circe.cli import main
 from circe.exceptions import NumericalError
-from circe.harness import read_records_csv
+from circe.harness import RunRecord, read_records_csv, write_records_csv
 
 
 def run_cli(*argv, cwd=None):
@@ -146,6 +146,38 @@ def test_sweep_bad_config_key_exits_2(tmp_path):
 def test_report_missing_file_exits_2(tmp_path):
     proc = run_cli("report", str(tmp_path / "nope.csv"))
     assert proc.returncode == 2
+
+
+def _results_csv_with_line_2(tmp_path, edit):
+    """A two-row results CSV whose first data row went through edit."""
+    path = tmp_path / "results.csv"
+    rows = [RunRecord("uni1", "none", "centered", 0.0, seed, 0.1, 1.0, 1.0, 0.5, 0.01,
+                      0.0, False, 1.0) for seed in (0, 1)]
+    write_records_csv(rows, path)
+    lines = path.read_text().splitlines()
+    lines[1] = edit(lines[1])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("edit, column", [
+    (lambda line: line.replace(",0.0,0,", ",abc,0,", 1), "gamma"),
+    (lambda line: ",".join(line.split(",")[:9]), "mse_in"),
+    (lambda line: line.replace(",False,", ",yes,"), "unstable"),
+], ids=["non_numeric_gamma", "truncated_row", "unstable_not_a_bool"])
+def test_report_malformed_row_names_line_and_column(tmp_path, capsys, edit, column):
+    # a non-numeric gamma used to exit 1 with a ValueError traceback, a
+    # truncated row with a TypeError one, and "yes" read as not unstable
+    path = _results_csv_with_line_2(tmp_path, edit)
+    assert main(["report", str(path)]) == 2
+    assert f"line 2, column {column}" in capsys.readouterr().err
+
+
+def test_report_row_with_extra_cells_exits_2(tmp_path, capsys):
+    # the extra cells used to be dropped without a word
+    path = _results_csv_with_line_2(tmp_path, lambda line: line + ",9")
+    assert main(["report", str(path)]) == 2
+    assert "line 2 has more cells than columns" in capsys.readouterr().err
 
 
 def test_numerical_error_maps_to_exit_3(monkeypatch, tmp_path, capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import circe.harness as harness_mod
-from circe.exceptions import ConfigError
+from circe.cli import _load_config
+from circe.exceptions import ConfigError, NumericalError
 from circe.harness import (
     CSV_COLUMNS,
     RunRecord,
@@ -15,7 +16,7 @@ from circe.harness import (
     eval_vcf,
     pareto_front,
     read_records_csv,
-    run_single,
+    run_single_with_model,
     run_sweep,
     summarize_records,
     write_records_csv,
@@ -221,7 +222,7 @@ def test_wrong_value_types_rejected_with_their_key():
 def test_fixed_sweep_config_builds():
     # the byte-identity gate's committed config must pass validation
     path = Path(__file__).resolve().parent.parent / "tools" / "fixed_sweep.json"
-    config = SweepConfig.from_json(path)
+    config = SweepConfig.from_dict(_load_config(path))
     assert config.cases == ("uni1", "multi1")
     assert config.train.epochs == 1
 
@@ -238,9 +239,26 @@ def tiny_sweep_config(**kw):
     return SweepConfig(**base)
 
 
-def test_sweep_counts_order_and_determinism(tmp_path):
+def _count_calls(monkeypatch, name):
+    """Wrap harness.<name> so that each call appends its positional args."""
+    calls, inner = [], getattr(harness_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, name, counted)
+    return calls
+
+
+def test_sweep_counts_order_and_determinism(tmp_path, monkeypatch):
+    datasets = _count_calls(monkeypatch, "make_dataset")
+    fits = _count_calls(monkeypatch, "select_hyperparams")
     config = tiny_sweep_config()
     records, any_unstable = run_sweep(config, out_csv=tmp_path / "a.csv")
+    # each (case, seed) cell is prepared once for all its methods and gammas
+    assert [(args[0], args[3]) for args in datasets] == [("uni1", 0), ("uni1", 1)]
+    assert len(fits) == 2
     # (none: 1 gamma + circe: 2 gammas) x 2 seeds
     assert len(records) == 6
     assert not any_unstable
@@ -248,7 +266,9 @@ def test_sweep_counts_order_and_determinism(tmp_path):
     assert keys == [("none", 0.0, 0), ("none", 0.0, 1),
                     ("circe", 1.0, 0), ("circe", 1.0, 1),
                     ("circe", 10.0, 0), ("circe", 10.0, 1)]
+    # and again by the next sweep: no cell outlives its job
     records2, _ = run_sweep(config, out_csv=tmp_path / "b.csv")
+    assert len(datasets) == len(fits) == 4
     for a, b in zip(records, records2):
         row_a = a.as_row()[:-1]
         row_b = b.as_row()[:-1]
@@ -262,7 +282,7 @@ def test_sweep_counts_order_and_determinism(tmp_path):
 def test_sweep_singleton_matches_direct_run():
     config = tiny_sweep_config(methods=("none",), seeds=(0,))
     records, _ = run_sweep(config)
-    direct = run_single(config, "uni1", "none", 0.0, 0)
+    direct, _ = run_single_with_model(config, "uni1", "none", 0.0, 0)
     assert len(records) == 1
     assert records[0].as_row()[:-1] == direct.as_row()[:-1]
 
@@ -277,6 +297,26 @@ def test_sweep_records_failures_as_unstable_rows():
     assert np.isnan(records[0].mse_in)
 
 
+def test_failed_preparation_makes_every_row_of_its_cell_unstable(monkeypatch):
+    attempts = []
+
+    def failing(*args, **kwargs):
+        attempts.append(args)
+        raise NumericalError("synthetic LOO failure")
+
+    monkeypatch.setattr(harness_mod, "select_hyperparams", failing)
+    records, any_unstable = run_sweep(tiny_sweep_config(seeds=(0,)))
+    # tried once for the cell, not once per row
+    assert len(attempts) == 1
+    assert len(records) == 3 and any_unstable
+    for record in records:
+        assert record.unstable
+        assert all(math.isnan(v) for v in (record.lam, record.sigma2_y, record.mse_in,
+                                          record.vcf, record.statistic_final))
+    with pytest.raises(NumericalError, match="synthetic LOO failure"):
+        run_single_with_model(tiny_sweep_config(), "uni1", "circe", 1.0, 0, strict=True)
+
+
 def test_sweep_lets_unexpected_errors_through(monkeypatch):
     # only package errors and floating-point errors become unstable rows
     def broken(*args, **kwargs):
@@ -285,7 +325,7 @@ def test_sweep_lets_unexpected_errors_through(monkeypatch):
     monkeypatch.setattr(harness_mod, "train", broken)
     config = tiny_sweep_config(methods=("none",), seeds=(0,))
     with pytest.raises(RuntimeError, match="bug in the training loop"):
-        run_single(config, "uni1", "none", 0.0, 0)
+        run_single_with_model(config, "uni1", "none", 0.0, 0)
 
 
 def _load_diff_tool():

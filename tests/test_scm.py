@@ -162,7 +162,6 @@ def test_dataset_split_sizes_and_holdout():
     assert ds.eval.n == 2000
     assert ds.holdout.n == 1000
     assert ds.fit_pool().n == 7000
-    assert ds.fit_pool(reuse_holdout=True).n == 8000
     assert np.array_equal(ds.holdout.y, ds.train.y[:1000])
     # slices keep noises aligned for later interventions
     a, b = regenerate(ds.holdout, ds.holdout.z)
