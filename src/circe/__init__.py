@@ -1,6 +1,6 @@
 """Kernel-based conditional independence regularization for regression."""
 
-from .baselines import gcm_statistic, hscic_statistic
+from .baselines import gcm_with_grad, hscic_with_grad
 from .cme import CmeModel, fit_cme, load_cme, loo_error, save_cme, select_hyperparams
 from .estimator import centered_gram, circe_oracle, circe_statistic
 from .exceptions import CirceError, ConfigError, NumericalError
@@ -28,12 +28,12 @@ __all__ = [
     "circe_statistic",
     "eval_vcf",
     "fit_cme",
-    "gcm_statistic",
+    "gcm_with_grad",
     "gen_nonlinear_gcm_case",
     "gen_scm",
     "gen_toy",
     "gram",
-    "hscic_statistic",
+    "hscic_with_grad",
     "intervene_z",
     "load_cme",
     "loo_error",

@@ -2,11 +2,14 @@
 
 Both regress onto Y with kernel ridge inside the batch, so nothing is
 cached across batches. Gradients with respect to the X features treat the
-ridge weights as functions of Y alone, which they are.
+ridge weights as functions of Y alone, which they are. Each measure is one
+function that returns its value and that gradient: gcm_with_grad and
+hscic_with_grad.
 
 GCM never forms the ridge smoother A = K_yy (K_yy + lam I)^-1: since
 I - A = lam (K_yy + lam I)^-1, its residuals take one solve with d_x + d_z
-right-hand sides and its gradient one with d_x. Every solve runs in
+right-hand sides and its gradient one with d_x; every (feature, z) pair is
+computed at once, on one array of residual products. Every solve runs in
 kernels.regularized_solve on numpy's LAPACK (Cholesky test, LU solve), not
 scipy's, whose own OpenBLAS thread pool contends with numpy's for the
 cores: a 256-row GCM step on two cores took 43-71 ms with it, 15-19 without.
@@ -36,11 +39,6 @@ class GcmEstimate:
     included: np.ndarray
 
 
-@dataclass
-class HscicEstimate:
-    value: float
-
-
 def _check_batch(x_feats, z, y, lam):
     x_feats = as_points(x_feats)
     z = as_points(z)
@@ -55,75 +53,57 @@ def _check_batch(x_feats, z, y, lam):
     return x_feats, z, y
 
 
-def _gcm_core(x_feats, z, y, y_params, lam):
+def gcm_with_grad(x_feats, z, y, y_params: KernelParams, lam: float):
+    """GcmEstimate plus d(regularizer_value)/d(x_feats).
+
+    Every (feature, z) pair is one row of the (d_x, d_z, n) residual
+    products R, contiguous in n, so each mean over the batch is the same
+    pairwise sum a single pair's 1-d mean takes.
+    """
     x_feats, z, y = _check_batch(x_feats, z, y, lam)
     n, d_x = x_feats.shape
-    d_z = z.shape[1]
     k_yy = gram(y, y, y_params)
     resid = lam * regularized_solve(k_yy, lam, np.hstack([x_feats, z]))
-    rx, rz = resid[:, :d_x], resid[:, d_x:]
-    t = np.full((d_x, d_z), np.nan)
-    included = np.zeros((d_x, d_z), dtype=bool)
-    stds = np.zeros((d_x, d_z))
-    means = np.zeros((d_x, d_z))
-    prods = np.empty((n, d_x, d_z))
-    for j in range(d_x):
-        for k in range(d_z):
-            r = rx[:, j] * rz[:, k]
-            prods[:, j, k] = r
-            m = r.mean()
-            var = max(np.mean(r * r) - m * m, 0.0)
-            s = np.sqrt(var)
-            if s < GCM_VARIANCE_GUARD:
-                continue
-            included[j, k] = True
-            means[j, k] = m
-            stds[j, k] = s
-            t[j, k] = np.sqrt(n) * m / s
+    rx = np.ascontiguousarray(resid[:, :d_x].T)
+    rz = np.ascontiguousarray(resid[:, d_x:].T)
+    prods = rx[:, None, :] * rz[None, :, :]
+    means = prods.mean(axis=2)
+    stds = np.sqrt(np.maximum(np.mean(prods * prods, axis=2) - means * means, 0.0))
+    # a NaN std stays included, so a non-finite batch surfaces in the value
+    included = ~(stds < GCM_VARIANCE_GUARD)
     if not included.any():
         raise NumericalError("every residual pair failed the variance guard")
-    abs_t = np.abs(t[included])
+    m, s = means[included], stds[included]
+    t_in = np.sqrt(n) * m / s
+    t = np.full(included.shape, np.nan)
+    t[included] = t_in
+    abs_t = np.abs(t_in)
     value = float(abs_t.max())
     # log-sum-exp of tau |t|, shifted by its max so no term overflows
     scaled = GCM_SMOOTHMAX_TAU * abs_t
     top = scaled.max()
     regularizer = float((top + np.log(np.sum(np.exp(scaled - top)))) / GCM_SMOOTHMAX_TAU)
-    estimate = GcmEstimate(value, t, regularizer, included)
-    extras = {"k_yy": k_yy, "rx": rx, "rz": rz, "prods": prods,
-              "means": means, "stds": stds}
-    return estimate, extras
-
-
-def gcm_statistic(x_feats, z, y, y_params: KernelParams, lam: float) -> GcmEstimate:
-    estimate, _ = _gcm_core(x_feats, z, y, y_params, lam)
-    return estimate
-
-
-def gcm_with_grad(x_feats, z, y, y_params: KernelParams, lam: float):
-    """GcmEstimate plus d(regularizer_value)/d(x_feats)."""
-    estimate, ex = _gcm_core(x_feats, z, y, y_params, lam)
-    t, included = estimate.raw_covs, estimate.included
-    n = ex["rx"].shape[0]
-    abs_t = np.abs(t[included])
     # softmax weights of the smooth max; they sum to 1
-    shifted = GCM_SMOOTHMAX_TAU * (abs_t - abs_t.max())
-    soft = np.exp(shifted)
+    soft = np.exp(GCM_SMOOTHMAX_TAU * (abs_t - abs_t.max()))
     soft /= soft.sum()
-    coeffs = np.zeros_like(ex["rx"])
-    for (j, k), weight in zip(np.argwhere(included), soft):
-        m, s = ex["means"][j, k], ex["stds"][j, k]
-        r = ex["prods"][:, j, k]
-        # dT/dR_l for T = sqrt(n) mean(R) / popstd(R)
-        dt_dr = (np.sqrt(n) / (n * s)) * (1.0 - m * (r - m) / (s * s))
-        coeffs[:, j] += weight * np.sign(t[j, k]) * dt_dr * ex["rz"][:, k]
+    # dT/dR_l for T = sqrt(n) mean(R) / popstd(R), one row per included pair
+    m, s = m[:, None], s[:, None]
+    r = prods[included]
+    dt_dr = (np.sqrt(n) / (n * s)) * (1.0 - m * (r - m) / (s * s))
+    j, k = np.nonzero(included)
+    coeffs = np.zeros((n, d_x))
+    # pairs of one feature add into its column in z order
+    np.add.at(coeffs.T, j, (soft * np.sign(t_in))[:, None] * dt_dr * rz[k])
     # the residual maker I - A is lam (K_yy + lam I)^-1, symmetric
-    grad = lam * regularized_solve(ex["k_yy"], lam, coeffs)
-    return estimate, grad
+    grad = lam * regularized_solve(k_yy, lam, coeffs)
+    return GcmEstimate(value, t, regularizer, included), grad
 
 
-def _hscic_core(x_feats, z, y, x_params, z_params, y_params, lam):
-    """HscicEstimate, the X features, K_xx and the coefficient C of the value
-    <K_xx, C>, with C = ((w w^T) o K_zz + (w o (q - 2u)) w^T) / n."""
+def hscic_with_grad(x_feats, z, y, x_params: KernelParams, z_params: KernelParams,
+                    y_params: KernelParams, lam: float):
+    """(value, d(value)/d(x_feats)). The value is <K_xx, C> with
+    C = ((w w^T) o K_zz + (w o (q - 2u)) w^T) / n, the gradient
+    gram_backprop(C) through the X Gram."""
     x_feats, z, y = _check_batch(x_feats, z, y, lam)
     n = x_feats.shape[0]
     k_yy = gram(y, y, y_params)
@@ -133,17 +113,4 @@ def _hscic_core(x_feats, z, y, x_params, z_params, y_params, lam):
     u = k_zz @ w
     q = np.einsum("li,li->i", w, u)
     coeff = ((w @ w.T) * k_zz + (w * (q - 2.0 * u)) @ w.T) / n
-    return HscicEstimate(float(np.vdot(k_xx, coeff))), x_feats, k_xx, coeff
-
-
-def hscic_statistic(x_feats, z, y, x_params: KernelParams, z_params: KernelParams,
-                    y_params: KernelParams, lam: float) -> HscicEstimate:
-    return _hscic_core(x_feats, z, y, x_params, z_params, y_params, lam)[0]
-
-
-def hscic_with_grad(x_feats, z, y, x_params: KernelParams, z_params: KernelParams,
-                    y_params: KernelParams, lam: float):
-    """HscicEstimate plus d(value)/d(x_feats) through the X Gram."""
-    estimate, x_feats, k_xx, coeff = _hscic_core(x_feats, z, y, x_params, z_params,
-                                                 y_params, lam)
-    return estimate, gram_backprop(coeff, x_feats, k_xx, x_params.sigma2)
+    return float(np.vdot(k_xx, coeff)), gram_backprop(coeff, x_feats, k_xx, x_params.sigma2)

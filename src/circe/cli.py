@@ -123,6 +123,9 @@ def _cmd_train(args) -> int:
         "gammas": {method: [gamma]},
         "seeds": seeds,
     })
+    if len(sweep_config.seeds) > 1:
+        raise ConfigError(f"train runs one seed, got seeds {list(sweep_config.seeds)}; "
+                          "use sweep for several")
     seed = sweep_config.seeds[0]
     gamma = sweep_config.gammas[method][0]
     record, model = run_single_with_model(sweep_config, case, method, gamma,

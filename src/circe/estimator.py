@@ -3,8 +3,9 @@
 The statistic is the squared Hilbert-Schmidt norm of the covariance between
 encoder features of X and conditionally centered joint features of (Z, Y).
 On a batch it reduces to a trace of the encoder Gram against a centered Gram
-built from the holdout embedding regression. Every variant is linear in the
-encoder Gram, <K_xx, C>, so one coefficient C gives the value and, through
+built from the holdout embedding regression; that Gram is a plain (B, B)
+array, and B is its row count. Every variant is linear in the encoder Gram,
+<K_xx, C>, so one coefficient C gives the value and, through
 kernels.gram_backprop, the gradient.
 """
 
@@ -24,27 +25,11 @@ FACTOR_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
-class CenteredGram:
-    """K_yy o (K_zz - P - P^T + Q) for a batch, with P and Q the embedding
-    cross terms; see centered_from_factors."""
-
-    matrix: np.ndarray
-    batch_size: int
-
-
-@dataclass(frozen=True)
 class CirceEstimate:
     """The statistic and its coefficient C, the statistic's gradient in K_xx."""
 
     value: float
-    variant: str
-    batch_size: int
     coeff: np.ndarray = field(repr=False, compare=False)
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
 
 
 def cross_factors(y, z, model: CmeModel):
@@ -76,8 +61,9 @@ def cross_factors(y, z, model: CmeModel):
 
 def centered_from_factors(batch_y, batch_z, y_params: KernelParams,
                           z_params: KernelParams, left: np.ndarray,
-                          right_p: np.ndarray, right_q: np.ndarray) -> CenteredGram:
-    """K_yy o (K_zz - P - P^T + Q) with P = left right_p^T, Q = left right_q^T.
+                          right_p: np.ndarray, right_q: np.ndarray) -> np.ndarray:
+    """K_yy o (K_zz - P - P^T + Q), (B, B), with P = left right_p^T and
+    Q = left right_q^T.
 
     The factors come from cross_factors (exact holdout regression) or from
     random feature products (circe.rff); each has one row per batch point.
@@ -91,11 +77,11 @@ def centered_from_factors(batch_y, batch_z, y_params: KernelParams,
     matrix -= cross.T
     matrix += np.matmul(left, right_q.T, out=cross)
     matrix *= k_yy
-    return CenteredGram(matrix=matrix, batch_size=k_yy.shape[0])
+    return matrix
 
 
 def centered_gram(batch_y, batch_z, model: CmeModel,
-                  y_params: KernelParams, z_params: KernelParams) -> CenteredGram:
+                  y_params: KernelParams, z_params: KernelParams) -> np.ndarray:
     """Centered joint Gram of a batch against a fitted embedding model.
 
     With W1 = (K_YY + lam I)^{-1} and W2 = W1 K_ZZ W1 over the holdout,
@@ -132,37 +118,36 @@ def _centering_projection(k: np.ndarray) -> np.ndarray:
     return out
 
 
-def statistic_gradient_coeff(centered: CenteredGram, variant: str) -> np.ndarray:
-    """C in the statistic <K_xx, C>, so also d(statistic)/d(K_xx): Khat (plain),
-    Khat with a zero diagonal (debiased) or H Khat H (centered), / (B(B-1))."""
-    _check_variant(variant)
-    b = centered.batch_size
+def statistic_gradient_coeff(centered: np.ndarray, variant: str) -> np.ndarray:
+    """C in the statistic <K_xx, C>, so also d(statistic)/d(K_xx), from the
+    (B, B) centered Gram Khat: Khat (plain), Khat with a zero diagonal
+    (debiased) or H Khat H (centered), / (B(B-1))."""
+    b = centered.shape[0]
     scale = 1.0 / (b * (b - 1))
-    m = centered.matrix
-    if variant == "plain":
-        return m * scale
-    if variant == "debiased":
-        out = m * scale
-        np.fill_diagonal(out, 0.0)
+    if variant == "centered":
+        out = _centering_projection(centered)
+        out *= scale
         return out
-    out = _centering_projection(m)
-    out *= scale
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    out = centered * scale
+    if variant == "debiased":
+        np.fill_diagonal(out, 0.0)
     return out
 
 
-def circe_statistic(k_xx: np.ndarray, centered: CenteredGram, variant: str) -> CirceEstimate:
+def circe_statistic(k_xx: np.ndarray, centered: np.ndarray, variant: str) -> CirceEstimate:
     """Statistic <K_xx, C> on a batch, C from statistic_gradient_coeff; the
     estimate carries C for gram_backprop."""
-    _check_variant(variant)
     k_xx = np.asarray(k_xx, dtype=np.float64)
-    b = centered.batch_size
+    b = centered.shape[0]
     if b < 2:
         raise ConfigError(f"batch size must be at least 2, got {b}")
-    if k_xx.shape != (b, b):
-        raise ConfigError(f"k_xx shape {k_xx.shape} does not match batch size {b}")
+    if k_xx.shape != centered.shape:
+        raise ConfigError(f"k_xx shape {k_xx.shape} does not match the centered "
+                          f"Gram's {centered.shape}")
     coeff = statistic_gradient_coeff(centered, variant)
-    return CirceEstimate(value=float(np.vdot(k_xx, coeff)), variant=variant,
-                         batch_size=b, coeff=coeff)
+    return CirceEstimate(value=float(np.vdot(k_xx, coeff)), coeff=coeff)
 
 
 def circe_oracle(batch_x_feats, batch_y, batch_z, analytic_mu,
@@ -174,7 +159,6 @@ def circe_oracle(batch_x_feats, batch_y, batch_z, analytic_mu,
     and weights (B, P) such that mu(y_i) = sum_p weights[i, p] psi(anchors[p]).
     Used as the reference the regression-based estimator is tested against.
     """
-    _check_variant(variant)
     batch_x_feats = as_points(batch_x_feats)
     batch_y = as_points(batch_y)
     batch_z = as_points(batch_z)
@@ -198,6 +182,5 @@ def circe_oracle(batch_x_feats, batch_y, batch_z, analytic_mu,
 
     cross = k_zA @ weights.T
     inner = k_zz - cross - cross.T + weights @ k_AA @ weights.T
-    centered = CenteredGram(matrix=k_yy * inner, batch_size=b)
     k_xx = gram(batch_x_feats, batch_x_feats, x_params)
-    return circe_statistic(k_xx, centered, variant)
+    return circe_statistic(k_xx, k_yy * inner, variant)

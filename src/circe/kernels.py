@@ -23,11 +23,8 @@ class KernelParams:
     """Parameters of a Gaussian kernel. sigma2 is the squared bandwidth."""
 
     sigma2: float
-    family: str = "gaussian"
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise ConfigError(f"unsupported kernel family: {self.family!r}")
         if not np.isfinite(self.sigma2) or self.sigma2 <= 0:
             raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
 

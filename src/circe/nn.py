@@ -168,17 +168,16 @@ class Adam:
     """Bias-corrected Adam; weight decay enters as a coupled L2 term."""
 
     decoupled = False
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         if lr <= 0:
             raise ConfigError(f"lr must be positive, got {lr}")
         if weight_decay < 0:
             raise ConfigError(f"weight_decay must be nonnegative, got {weight_decay}")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.m: list | None = None

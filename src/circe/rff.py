@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cme import CmeModel
-from .estimator import CenteredGram, centered_from_factors
+from .estimator import centered_from_factors
 from .exceptions import ConfigError
 from .kernels import KernelParams, as_points, gram
 
@@ -129,7 +129,7 @@ def _active_indices(d_total: int, d_active: int, seed: int, slot: int,
 
 def rff_centered_gram(batch_y, batch_z, weights: RffCmeWeights,
                       y_map: RffMap, z_map: RffMap, d_active: int,
-                      batch_index: int = 0) -> CenteredGram:
+                      batch_index: int = 0) -> np.ndarray:
     """Conditionally centered batch Gram with holdout cross terms replaced
     by RFF products.
 

@@ -18,14 +18,7 @@ import numpy as np
 
 from .baselines import gcm_with_grad, hscic_with_grad
 from .cme import CmeModel
-from .estimator import (
-    VARIANTS,
-    CenteredGram,
-    centered_from_factors,
-    centered_gram,
-    circe_statistic,
-    cross_factors,
-)
+from .estimator import VARIANTS, centered_from_factors, circe_statistic, cross_factors
 from .exceptions import ConfigError, NumericalError
 from .kernels import KernelParams, as_points, gram, gram_backprop
 from .nn import MlpModel, hidden_widths_tuple, make_optimizer
@@ -165,7 +158,7 @@ class _CirceContext:
         return (model is self.model and np.array_equal(train_y, self.y)
                 and np.array_equal(train_z, self.z))
 
-    def batch_centered(self, batch: TrainBatch, idx: np.ndarray) -> CenteredGram:
+    def batch_centered(self, batch: TrainBatch, idx: np.ndarray) -> np.ndarray:
         return centered_from_factors(batch.y, batch.z, self.model.y_params,
                                      self.model.z_params,
                                      *(f[idx] for f in self.factors))
@@ -190,15 +183,15 @@ def _penalty_features(config: TrainConfig, feats, pred):
     return pred if config.regularize == "prediction" else feats
 
 
-def loss_and_grad(model: MlpModel, batch: TrainBatch, cme_model: CmeModel | None,
-                  config: TrainConfig, context=None):
+def loss_and_grad(model: MlpModel, batch: TrainBatch, config: TrainConfig,
+                  centered: np.ndarray | None = None):
     """Scalar loss, parameter gradients, diagnostics for one batch.
 
-    context is None (the centered Gram is built from the holdout directly) or
-    a (run context, training row indices of the batch) pair from train().
+    centered is the batch's (B, B) centered Gram, which a circe penalty
+    needs: train() gathers it from its run context, and a direct caller
+    builds it with estimator.centered_gram.
     """
     feats, pred, cache = model.forward(batch.inputs)
-    b = batch.n
     err = pred - batch.targets
     mse = float(np.mean(err * err))
     d_pred = 2.0 * err / err.size
@@ -217,22 +210,16 @@ def loss_and_grad(model: MlpModel, batch: TrainBatch, cme_model: CmeModel | None
     z_params = KernelParams(sigma2=config.sigma2_z)
 
     if config.method == "circe":
-        if cme_model is None:
-            raise ConfigError("method 'circe' needs a fitted embedding model")
-        if context is None:
-            centered = centered_gram(batch.y, batch.z, cme_model,
-                                     cme_model.y_params, cme_model.z_params)
-        else:
-            ctx, idx = context
-            centered = ctx.batch_centered(batch, idx)
+        if centered is None:
+            raise ConfigError("method 'circe' needs the batch's centered Gram")
         k_xx = gram(x, x, x_params)
         stat = circe_statistic(k_xx, centered, config.variant)
         d_x = gram_backprop(stat.coeff, x, k_xx, x_params.sigma2)
         value = trainable = stat.value
     elif config.method == "hscic":
-        est, d_x = hscic_with_grad(x, batch.z, batch.y, x_params, z_params,
-                                   y_params, config.lam)
-        value = trainable = est.value
+        value, d_x = hscic_with_grad(x, batch.z, batch.y, x_params, z_params,
+                                     y_params, config.lam)
+        trainable = value
     else:
         est, d_x = gcm_with_grad(x, batch.z, batch.y, y_params, config.lam)
         value = est.value
@@ -287,11 +274,9 @@ def train(config: TrainConfig, data: TrainData,
             idx = perm[step * config.batch_size:(step + 1) * config.batch_size]
             mini = batch.take(idx)
             log.total_steps += 1
+            centered = None if context is None else context.batch_centered(mini, idx)
             try:
-                loss, grads, diag = loss_and_grad(
-                    model, mini, cme_model, config,
-                    context=None if context is None else (context, idx),
-                )
+                loss, grads, diag = loss_and_grad(model, mini, config, centered)
             except NumericalError:
                 log.skipped_steps += 1
                 continue

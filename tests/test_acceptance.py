@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from circe.baselines import gcm_statistic
+from circe.baselines import gcm_with_grad
 from circe.cme import fit_cme, loo_error
-from circe.estimator import CenteredGram, centered_gram, circe_statistic
+from circe.estimator import centered_gram, circe_statistic
 from circe.kernels import KernelParams, gram, regularized_solve
 from circe.harness import SweepConfig, run_single_with_model
 from circe.nn import MlpModel
@@ -102,15 +102,18 @@ def test_criterion_02_gradient_fidelity():
         config = TrainConfig(method=method, gamma=gamma, hidden_widths=(3, 4),
                              batch_size=b, seed=0)
         model = MlpModel(2, (3, 4), seed=11)
-        _, grads, _ = loss_and_grad(model, batch, cme, config)
+        centered = None
+        if method == "circe":
+            centered = centered_gram(batch.y, batch.z, cme, cme.y_params, cme.z_params)
+        _, grads, _ = loss_and_grad(model, batch, config, centered)
         for pi, p in enumerate(model.params):
             flat = p.ravel()
             for j in range(flat.size):
                 old = flat[j]
                 flat[j] = old + step
-                up, _, _ = loss_and_grad(model, batch, cme, config)
+                up, _, _ = loss_and_grad(model, batch, config, centered)
                 flat[j] = old - step
-                dn, _, _ = loss_and_grad(model, batch, cme, config)
+                dn, _, _ = loss_and_grad(model, batch, config, centered)
                 flat[j] = old
                 fd = (up - dn) / (2 * step)
                 an = grads[pi].ravel()[j]
@@ -141,8 +144,7 @@ def _oracle_centered(y, z, params):
     q = w @ gram(atoms, atoms, params) @ w.T
     k_yy = gram(y, y, params)
     k_zz = gram(z, z, params)
-    return CenteredGram(matrix=k_yy * (k_zz - mu_at_z - mu_at_z.T + q),
-                        batch_size=len(y))
+    return k_yy * (k_zz - mu_at_z - mu_at_z.T + q)
 
 
 def test_criterion_03_zero_and_oracle_behavior():
@@ -327,7 +329,7 @@ def test_criterion_09_gcm_failure_mode():
     below, deps, ctls = 0, [], []
     for s in range(50):
         batch = gen_nonlinear_gcm_case(b, alpha, sz, 1.0, seed=1000 + s)
-        if gcm_statistic(batch.a, batch.z, batch.y, params, 0.01).value < 1.96:
+        if gcm_with_grad(batch.a, batch.z, batch.y, params, 0.01)[0].value < 1.96:
             below += 1
         kxx = gram(batch.a, batch.a, params)
         cg = centered_gram(batch.y, batch.z, cme, params, params)

@@ -4,14 +4,13 @@ from scipy.special import logsumexp
 
 from circe.baselines import (
     GCM_SMOOTHMAX_TAU,
+    GCM_VARIANCE_GUARD,
     GcmEstimate,
-    gcm_statistic,
     gcm_with_grad,
-    hscic_statistic,
     hscic_with_grad,
 )
 from circe.exceptions import ConfigError, NumericalError
-from circe.kernels import KernelParams, gram, gram_backprop
+from circe.kernels import KernelParams, gram, gram_backprop, regularized_solve
 
 YP = KernelParams(sigma2=1.0)
 XP = KernelParams(sigma2=1.0)
@@ -25,7 +24,7 @@ def test_gcm_detects_shortcut_dependence():
         rng = np.random.default_rng(seed)
         y = rng.standard_normal((256, 1))
         z = rng.standard_normal((256, 1))
-        est = gcm_statistic(z.copy(), z, y, YP, LAM)
+        est, _ = gcm_with_grad(z.copy(), z, y, YP, LAM)
         values.append(est.value)
     assert np.median(values) >= 5.0
 
@@ -37,7 +36,7 @@ def test_gcm_small_on_conditionally_independent_data():
         y = rng.standard_normal((256, 1))
         x = y + 0.1 * rng.standard_normal((256, 1))
         z = y**2 + rng.standard_normal((256, 1))
-        est = gcm_statistic(x, z, y, YP, LAM)
+        est, _ = gcm_with_grad(x, z, y, YP, LAM)
         values.append(est.value)
     # normalized statistic is asymptotically N(0,1) under the null
     assert np.median(values) <= 3.0
@@ -48,7 +47,7 @@ def test_gcm_multivariate_max_over_pairs():
     y = rng.standard_normal((128, 1))
     z = rng.standard_normal((128, 2))
     x = np.hstack([rng.standard_normal((128, 1)), z[:, 1:2]])
-    est = gcm_statistic(x, z, y, YP, LAM)
+    est, _ = gcm_with_grad(x, z, y, YP, LAM)
     assert est.raw_covs.shape == (2, 2)
     assert est.value == np.max(np.abs(est.raw_covs[est.included]))
     # the planted (x1, z1) pair dominates
@@ -60,12 +59,12 @@ def test_gcm_variance_guard_excludes_constant_products():
     y = rng.standard_normal((64, 1))
     z = rng.standard_normal((64, 1))
     x = np.hstack([np.zeros((64, 1)), rng.standard_normal((64, 1))])
-    est = gcm_statistic(x, z, y, YP, LAM)
+    est, _ = gcm_with_grad(x, z, y, YP, LAM)
     assert not est.included[0, 0]
     assert est.included[1, 0]
     assert np.isnan(est.raw_covs[0, 0])
     with pytest.raises(NumericalError):
-        gcm_statistic(np.zeros((64, 1)), z, y, YP, LAM)
+        gcm_with_grad(np.zeros((64, 1)), z, y, YP, LAM)
 
 
 def test_gcm_smooth_surrogate_brackets_hard_max():
@@ -73,7 +72,7 @@ def test_gcm_smooth_surrogate_brackets_hard_max():
     y = rng.standard_normal((64, 1))
     z = rng.standard_normal((64, 2))
     x = rng.standard_normal((64, 3))
-    est = gcm_statistic(x, z, y, YP, LAM)
+    est, _ = gcm_with_grad(x, z, y, YP, LAM)
     n_pairs = int(est.included.sum())
     assert est.regularizer_value >= est.value
     assert est.regularizer_value <= est.value + np.log(n_pairs) / 10.0
@@ -90,9 +89,9 @@ def test_gcm_gradient_matches_finite_differences():
     for idx in [(0, 0), (3, 1), (17, 0), (31, 1)]:
         bump = x.copy()
         bump[idx] += step
-        hi = gcm_statistic(bump, z, y, YP, LAM).regularizer_value
+        hi = gcm_with_grad(bump, z, y, YP, LAM)[0].regularizer_value
         bump[idx] -= 2 * step
-        lo = gcm_statistic(bump, z, y, YP, LAM).regularizer_value
+        lo = gcm_with_grad(bump, z, y, YP, LAM)[0].regularizer_value
         fd = (hi - lo) / (2 * step)
         assert abs(grad[idx] - fd) <= 1e-4 * max(1.0, abs(fd))
 
@@ -103,9 +102,9 @@ def test_hscic_zero_at_factorized_fixed_point():
     y = np.linspace(0.0, 4.0, 9).reshape(-1, 1)
     x = np.sin(y)
     z = y**2
-    est, grad = hscic_with_grad(x, z, y, XP, ZP, KernelParams(sigma2=0.25),
-                                lam=1e-8)
-    assert est.value <= 1e-6
+    value, grad = hscic_with_grad(x, z, y, XP, ZP, KernelParams(sigma2=0.25),
+                                  lam=1e-8)
+    assert value <= 1e-6
     assert np.linalg.norm(grad) <= 1e-5
 
 
@@ -115,10 +114,10 @@ def test_hscic_separates_dependence_from_control():
         rng = np.random.default_rng(seed)
         y = rng.standard_normal((256, 1))
         shared = rng.standard_normal((256, 1))
-        dep = hscic_statistic(shared.copy(), shared, y, XP, ZP, YP, LAM).value
+        dep = hscic_with_grad(shared.copy(), shared, y, XP, ZP, YP, LAM)[0]
         x_ci = y + 0.1 * rng.standard_normal((256, 1))
         z_ci = y + 0.1 * rng.standard_normal((256, 1))
-        ci = hscic_statistic(x_ci, z_ci, y, XP, ZP, YP, LAM).value
+        ci = hscic_with_grad(x_ci, z_ci, y, XP, ZP, YP, LAM)[0]
         ratios.append(dep / max(ci, 1e-30))
     assert np.median(ratios) >= 10.0
 
@@ -128,11 +127,11 @@ def test_hscic_nonnegative_and_permutation_invariant():
     y = rng.standard_normal((64, 1))
     x = rng.standard_normal((64, 2))
     z = rng.standard_normal((64, 1))
-    est = hscic_statistic(x, z, y, XP, ZP, YP, LAM)
-    assert est.value >= -1e-10
+    value, _ = hscic_with_grad(x, z, y, XP, ZP, YP, LAM)
+    assert value >= -1e-10
     perm = rng.permutation(64)
-    est_p = hscic_statistic(x[perm], z[perm], y[perm], XP, ZP, YP, LAM)
-    assert est_p.value == pytest.approx(est.value, rel=1e-9)
+    value_p, _ = hscic_with_grad(x[perm], z[perm], y[perm], XP, ZP, YP, LAM)
+    assert value_p == pytest.approx(value, rel=1e-9)
 
 
 def test_hscic_gradient_matches_finite_differences():
@@ -146,9 +145,9 @@ def test_hscic_gradient_matches_finite_differences():
     for idx in [(0, 0), (5, 1), (20, 0), (31, 1)]:
         bump = x.copy()
         bump[idx] += step
-        hi = hscic_statistic(bump, z, y, XP, ZP, YP, LAM).value
+        hi = hscic_with_grad(bump, z, y, XP, ZP, YP, LAM)[0]
         bump[idx] -= 2 * step
-        lo = hscic_statistic(bump, z, y, XP, ZP, YP, LAM).value
+        lo = hscic_with_grad(bump, z, y, XP, ZP, YP, LAM)[0]
         fd = (hi - lo) / (2 * step)
         assert abs(grad[idx] - fd) <= 1e-4 * max(1e-6, abs(fd))
 
@@ -163,11 +162,11 @@ def test_grad_dispatch_and_validation():
     _, g2 = hscic_with_grad(x, z, y, XP, ZP, YP, LAM)
     assert g2.shape == x.shape
     with pytest.raises(ConfigError):
-        gcm_statistic(x[:4], z[:4], y[:4], YP, LAM)
+        gcm_with_grad(x[:4], z[:4], y[:4], YP, LAM)
     with pytest.raises(ConfigError):
-        gcm_statistic(x, z, y, YP, 0.0)
+        gcm_with_grad(x, z, y, YP, 0.0)
     with pytest.raises(ConfigError):
-        hscic_statistic(x, z[:8], y, XP, ZP, YP, LAM)
+        hscic_with_grad(x, z[:8], y, XP, ZP, YP, LAM)
 
 
 def test_gcm_failure_mode_light():
@@ -184,7 +183,7 @@ def test_gcm_failure_mode_light():
         x = big_y + xi_z**2
         y = big_y + 0.0 * xi_y
         z = xi_z
-        est = gcm_statistic(x, z, y, YP, LAM)
+        est, _ = gcm_with_grad(x, z, y, YP, LAM)
         if est.value < 1.96:
             below += 1
     assert below >= int(0.7 * seeds)
@@ -228,12 +227,66 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-def test_gcm_and_hscic_match_dense_smoother_forms():
+def _gcm_per_pair(x, z, y, y_params, lam):
+    """GCM as first written, one (feature, z) pair at a time: (estimate, grad)."""
+    n, d_x = x.shape
+    d_z = z.shape[1]
+    k_yy = gram(y, y, y_params)
+    resid = lam * regularized_solve(k_yy, lam, np.hstack([x, z]))
+    rx, rz = resid[:, :d_x], resid[:, d_x:]
+    t = np.full((d_x, d_z), np.nan)
+    included = np.zeros((d_x, d_z), dtype=bool)
+    stds = np.zeros((d_x, d_z))
+    means = np.zeros((d_x, d_z))
+    prods = np.empty((n, d_x, d_z))
+    for j in range(d_x):
+        for k in range(d_z):
+            r = rx[:, j] * rz[:, k]
+            prods[:, j, k] = r
+            m = r.mean()
+            s = np.sqrt(max(np.mean(r * r) - m * m, 0.0))
+            if s < GCM_VARIANCE_GUARD:
+                continue
+            included[j, k] = True
+            means[j, k] = m
+            stds[j, k] = s
+            t[j, k] = np.sqrt(n) * m / s
+    abs_t = np.abs(t[included])
+    scaled = GCM_SMOOTHMAX_TAU * abs_t
+    top = scaled.max()
+    regularizer = float((top + np.log(np.sum(np.exp(scaled - top)))) / GCM_SMOOTHMAX_TAU)
+    soft = np.exp(GCM_SMOOTHMAX_TAU * (abs_t - abs_t.max()))
+    soft /= soft.sum()
+    coeffs = np.zeros_like(rx)
+    for (j, k), weight in zip(np.argwhere(included), soft):
+        m, s = means[j, k], stds[j, k]
+        r = prods[:, j, k]
+        dt_dr = (np.sqrt(n) / (n * s)) * (1.0 - m * (r - m) / (s * s))
+        coeffs[:, j] += weight * np.sign(t[j, k]) * dt_dr * rz[:, k]
+    grad = lam * regularized_solve(k_yy, lam, coeffs)
+    return GcmEstimate(float(abs_t.max()), t, regularizer, included), grad
+
+
+def _assert_gcm_bitwise_per_pair(x, z, y):
+    est, grad = gcm_with_grad(x, z, y, YP, LAM)
+    ref, grad_ref = _gcm_per_pair(x, z, y, YP, LAM)
+    assert est.value == ref.value
+    assert np.array_equal(est.raw_covs, ref.raw_covs, equal_nan=True)
+    assert est.regularizer_value == ref.regularizer_value
+    assert np.array_equal(est.included, ref.included)
+    assert np.array_equal(grad, grad_ref)
+
+
+@pytest.mark.parametrize("d_x,d_z", [(1, 1), (1, 2), (3, 2), (64, 1)])
+def test_gcm_and_hscic_match_dense_smoother_forms(d_x, d_z):
     rng = np.random.default_rng(31)
     n = 64
     y = rng.standard_normal((n, 1))
-    z = np.hstack([y**2, -y]) + rng.standard_normal((n, 2))
-    x = np.hstack([z[:, :1], np.sin(y), y]) + 0.5 * rng.standard_normal((n, 3))
+    z = np.hstack([y**2, -y])[:, :d_z] + rng.standard_normal((n, d_z))
+    columns = [z[:, :1], np.sin(y), y] + [np.cos(j * y) for j in range(1, d_x - 2)]
+    x = np.hstack(columns)[:, :d_x] + 0.5 * rng.standard_normal((n, d_x))
+    # distances at the three-column scale, or K_xx is the identity to roundoff
+    x *= min(1.0, np.sqrt(3 / d_x))
 
     est, grad = gcm_with_grad(x, z, y, YP, LAM)
     t, smooth, grad_ref = _gcm_dense(x, z, y, YP, LAM)
@@ -241,11 +294,21 @@ def test_gcm_and_hscic_match_dense_smoother_forms():
     assert _rel(est.raw_covs, t) <= 1e-10
     assert est.regularizer_value == pytest.approx(smooth, rel=1e-10)
     assert _rel(grad, grad_ref) <= 1e-10
+    _assert_gcm_bitwise_per_pair(x, z, y)
 
-    est, grad = hscic_with_grad(x, z, y, XP, ZP, YP, LAM)
-    value, grad_ref = _hscic_dense(x, z, y, XP, ZP, YP, LAM)
-    assert est.value == pytest.approx(value, rel=1e-10)
+    value, grad = hscic_with_grad(x, z, y, XP, ZP, YP, LAM)
+    value_ref, grad_ref = _hscic_dense(x, z, y, XP, ZP, YP, LAM)
+    assert value == pytest.approx(value_ref, rel=1e-10)
     assert _rel(grad, grad_ref) <= 1e-10
+
+
+def test_gcm_with_excluded_pairs_matches_per_pair_loop():
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal((64, 1))
+    z = rng.standard_normal((64, 2))
+    x = np.hstack([np.zeros((64, 1)), rng.standard_normal((64, 2))])
+    assert not gcm_with_grad(x, z, y, YP, LAM)[0].included[0].any()
+    _assert_gcm_bitwise_per_pair(x, z, y)
 
 
 @pytest.mark.parametrize("n,d_x", [(16, 1), (256, 1), (64, 3)])
@@ -254,7 +317,6 @@ def test_hscic_value_matches_three_term_form(n, d_x):
     y = rng.standard_normal((n, 1))
     z = y**2 + rng.standard_normal((n, 1))
     x = z + 0.5 * rng.standard_normal((n, d_x))
-    est = hscic_statistic(x, z, y, XP, ZP, YP, LAM)
+    value, _ = hscic_with_grad(x, z, y, XP, ZP, YP, LAM)
     # the three-term value, term1 - 2 term2 + p q, as first written
-    assert est.value == pytest.approx(_hscic_dense(x, z, y, XP, ZP, YP, LAM)[0], rel=1e-12)
-    assert hscic_with_grad(x, z, y, XP, ZP, YP, LAM)[0].value == est.value
+    assert value == pytest.approx(_hscic_dense(x, z, y, XP, ZP, YP, LAM)[0], rel=1e-12)

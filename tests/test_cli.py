@@ -269,3 +269,14 @@ def test_train_rejects_non_string_method(tmp_path, capsys):
     rc = main(["train", "--config", str(cfg_path)])
     assert rc == 2
     assert "method" in capsys.readouterr().err
+
+
+def test_train_rejects_several_seeds(tmp_path, capsys):
+    # used to exit 0 after one run at the first seed
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({"case": "uni1", "n": 600, "m_holdout": 100,
+                                    "seeds": [3, 4]}))
+    rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "[3, 4]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run_*.csv"))

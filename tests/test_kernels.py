@@ -82,8 +82,6 @@ def test_bad_params_rejected():
         KernelParams(sigma2=-1.0)
     with pytest.raises(ConfigError):
         KernelParams(sigma2=np.inf)
-    with pytest.raises(ConfigError):
-        KernelParams(sigma2=1.0, family="laplace")
 
 
 def test_dimension_mismatch_rejected():

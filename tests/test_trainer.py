@@ -41,8 +41,16 @@ def small_problem(seed=0, n=16, d_in=3):
     return batch, cme
 
 
+def run_step(model, batch, cme, config):
+    """loss_and_grad with a circe batch's centered Gram built directly."""
+    centered = None
+    if config.method == "circe":
+        centered = centered_gram(batch.y, batch.z, cme, cme.y_params, cme.z_params)
+    return loss_and_grad(model, batch, config, centered)
+
+
 def loss_only(model, batch, cme, config):
-    value, _, _ = loss_and_grad(model, batch, cme, config)
+    value, _, _ = run_step(model, batch, cme, config)
     return value
 
 
@@ -60,7 +68,7 @@ def test_gradients_match_finite_differences(method, regularize):
                          hidden_widths=(3, 4), regularize=regularize,
                          lam=0.05, seed=1)
     model = MlpModel(3, config.hidden_widths, seed=2)
-    _, grads, _ = loss_and_grad(model, batch, cme, config)
+    _, grads, _ = run_step(model, batch, cme, config)
     step = 1e-6
     worst = 0.0
     for p, g in zip(model.params, grads):
@@ -82,15 +90,23 @@ def test_gamma_zero_reduces_to_mse_oracle():
     model = MlpModel(3, (4,), seed=5)
     base = TrainConfig(method="none", batch_size=16, epochs=1, lr=1e-3,
                        weight_decay=0.0)
-    loss0, grads0, diag0 = loss_and_grad(model, batch, None, base)
+    loss0, grads0, diag0 = loss_and_grad(model, batch, base)
     for method in ("circe", "hscic", "gcm"):
         cfg = base.replace(method=method, gamma=0.0)
-        loss, grads, diag = loss_and_grad(model, batch, cme, cfg)
+        loss, grads, diag = run_step(model, batch, cme, cfg)
         assert loss == loss0
         for a, b in zip(grads, grads0):
             assert np.max(np.abs(a - b)) <= 1e-12
     _, pred, _ = model.forward(batch.inputs)
     assert loss0 == pytest.approx(float(np.mean((pred - batch.targets) ** 2)))
+
+
+def test_circe_step_needs_the_centered_gram():
+    batch, _ = small_problem(seed=3)
+    model = MlpModel(3, (4,), seed=5)
+    config = TrainConfig(method="circe", gamma=1.0, batch_size=16, epochs=1)
+    with pytest.raises(ConfigError, match="centered Gram"):
+        loss_and_grad(model, batch, config)
 
 
 def _context_problem(n, seed):
@@ -110,7 +126,7 @@ def _assert_context_matches_direct(batch, cme, idx):
     mini = batch.take(idx)
     fast = ctx.batch_centered(mini, idx)
     direct = centered_gram(mini.y, mini.z, cme, cme.y_params, cme.z_params)
-    assert np.array_equal(fast.matrix, direct.matrix)
+    assert np.array_equal(fast, direct)
 
 
 def test_precomputed_context_matches_direct_centered_gram():
@@ -205,9 +221,9 @@ def test_skip_and_unstable_flags(monkeypatch):
     real = trainer_mod.loss_and_grad
     calls = {"k": 0}
 
-    def flaky(model, batch, cme, config, context=None):
+    def flaky(model, batch, config, centered=None):
         calls["k"] += 1
-        loss, grads, diag = real(model, batch, cme, config, context=context)
+        loss, grads, diag = real(model, batch, config, centered)
         if calls["k"] % 3 == 0:
             diag = dict(diag, finite=False)
             return float("nan"), grads, diag
@@ -406,11 +422,10 @@ def test_train_data_builders():
     assert td.train.inputs.shape[1] == 3
 
 
-def _circe_coeff_as_first_written(centered, variant):
+def _circe_coeff_as_first_written(m, variant):
     """The circe gradient coefficient as first written."""
-    b = centered.batch_size
+    b = m.shape[0]
     scale = 1.0 / (b * (b - 1))
-    m = centered.matrix
     if variant == "plain":
         return m * scale
     if variant == "debiased":
@@ -452,7 +467,7 @@ def test_penalty_gradient_bitwise_as_first_written(monkeypatch, method, variant,
 
     module = trainer_mod if method == "circe" else baselines_mod
     monkeypatch.setattr(module, "gram_backprop", recording_backprop)
-    loss_and_grad(model, batch, cme, config)
+    run_step(model, batch, cme, config)
 
     feats, pred, _ = model.forward(batch.inputs)
     x = pred if regularize == "prediction" else feats
