@@ -123,6 +123,8 @@ def statistic_gradient_coeff(centered: np.ndarray, variant: str) -> np.ndarray:
     (B, B) centered Gram Khat: Khat (plain), Khat with a zero diagonal
     (debiased) or H Khat H (centered), / (B(B-1))."""
     b = centered.shape[0]
+    if centered.shape != (b, b) or b < 2:
+        raise ConfigError(f"centered Gram must be (B, B) with B >= 2, got {centered.shape}")
     scale = 1.0 / (b * (b - 1))
     if variant == "centered":
         out = _centering_projection(centered)
@@ -140,9 +142,6 @@ def circe_statistic(k_xx: np.ndarray, centered: np.ndarray, variant: str) -> Cir
     """Statistic <K_xx, C> on a batch, C from statistic_gradient_coeff; the
     estimate carries C for gram_backprop."""
     k_xx = np.asarray(k_xx, dtype=np.float64)
-    b = centered.shape[0]
-    if b < 2:
-        raise ConfigError(f"batch size must be at least 2, got {b}")
     if k_xx.shape != centered.shape:
         raise ConfigError(f"k_xx shape {k_xx.shape} does not match the centered "
                           f"Gram's {centered.shape}")

@@ -225,6 +225,10 @@ def test_bad_variant_and_shapes_rejected():
         circe_statistic(np.eye(5), cg, "plain")
     with pytest.raises(ConfigError):
         circe_statistic(np.eye(1), np.eye(1), "plain")
+    with pytest.raises(ConfigError):
+        statistic_gradient_coeff(np.eye(1), "plain")
+    with pytest.raises(ConfigError):
+        circe_statistic(np.ones((3, 4)), np.ones((3, 4)), "centered")
 
 
 def test_centered_from_factors_bitwise_equals_reference():
