@@ -122,8 +122,12 @@ class MlpModel:
         if d_features is not None:
             d_h += d_features
         for layer in range(last - 1, -1, -1):
-            # d_h * where(u > 0, 1, slope), in the derivative's own buffer
-            d_u = np.where(preacts[layer] > 0.0, 1.0, self.slope)
+            # d_h * where(u > 0, 1, slope) without a branch per element:
+            # mask * (1 - slope) + slope is exactly 1 or slope, since
+            # (1 - s) + s == 1.0 for every s in (0, 1]
+            d_u = np.greater(preacts[layer], 0.0).astype(np.float64)
+            d_u *= 1.0 - self.slope
+            d_u += self.slope
             d_u *= d_h
             grads[2 * layer] = acts[layer].T @ d_u
             grads[2 * layer + 1] = d_u.sum(axis=0)

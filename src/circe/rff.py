@@ -2,19 +2,22 @@
 
 Feature maps r_i(x) = sqrt(2/D) cos(w_i . x + b_i) with w_i ~ N(0, I/sigma2)
 and b_i ~ U[0, 2pi) approximate the Gaussian kernel, K ~ R R^T. The holdout
-side of the centered Gram is folded once into small weight matrices, so each
-batch costs O(B D^2 + B^2 D) instead of touching the holdout again.
+side of the centered Gram is folded once into two (D0, D0) weight matrices,
+so each batch costs O(B D^2 + B^2 D) instead of touching the holdout again.
 
 Y and Z live in different spaces and get independent maps. A batch may use a
 subset of D out of the D0 sampled features; the subset is a deterministic
-function of (map seed, batch counter) and is rescaled by D0/D so every kernel
-approximation stays unbiased.
+function of (map seed, refresh slot) and is rescaled by D0/D so every kernel
+approximation stays unbiased. The active indices and the rescaled (D, D)
+sub-weights are gathered once per refresh slot, on its first batch, and
+reused by the slot's later batches; the rest of a batch's cost is its cosine
+features, the feature products and the exact batch Grams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +76,11 @@ class RffCmeWeights:
     w1r = R(Y)^T W1 R(Z) and w2r = R(Y)^T W2 R(Y), both (d_total, d_total),
     computed with full-bank scaling. refresh_period controls how often the
     active subset is redrawn (None means never).
+
+    Each object also keeps the active indices and rescaled sub-weights of the
+    last refresh slot that rff_centered_gram used, keyed on (y map seed,
+    z map seed, d_active, slot). It holds one slot at most, takes no part in
+    comparison, and starts empty, also in a copy made by dataclasses.replace.
     """
 
     w1r: np.ndarray
@@ -80,6 +88,7 @@ class RffCmeWeights:
     d_total_y: int
     d_total_z: int
     refresh_period: int | None = None
+    _slot: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
 
 def _dense_weights(model: CmeModel):
@@ -127,6 +136,32 @@ def _active_indices(d_total: int, d_active: int, seed: int, slot: int,
     return rng.permutation(d_total)[:d_active]
 
 
+def _slot_weights(weights: RffCmeWeights, y_map: RffMap, z_map: RffMap,
+                  d_active: int, slot: int):
+    """(idx_y, idx_z, w1_sub, w2_sub) of one refresh slot, from the cache when
+    the last call used the same slot."""
+    key = (y_map.seed, z_map.seed, d_active, slot)
+    cached = weights._slot.get(key)
+    if cached is not None:
+        return cached
+    idx_y = _active_indices(y_map.d_total, d_active, y_map.seed, slot, stream=0)
+    idx_z = _active_indices(z_map.d_total, d_active, z_map.seed, slot, stream=1)
+    # stored weights carry full-bank sqrt(2/D0) scaling on each side
+    if d_active == y_map.d_total and d_active == z_map.d_total:
+        # full bank active: rescales are exactly 1, skip the copies
+        w1_sub = weights.w1r
+        w2_sub = weights.w2r
+    else:
+        # two takes gather the same values as w[np.ix_(rows, cols)], faster
+        w1_sub = np.take(np.take(weights.w1r, idx_y, axis=0), idx_z, axis=1)
+        w1_sub *= math.sqrt(y_map.d_total / d_active) * math.sqrt(z_map.d_total / d_active)
+        w2_sub = np.take(np.take(weights.w2r, idx_y, axis=0), idx_y, axis=1)
+        w2_sub *= y_map.d_total / d_active
+    weights._slot.clear()
+    weights._slot[key] = cached = (idx_y, idx_z, w1_sub, w2_sub)
+    return cached
+
+
 def rff_centered_gram(batch_y, batch_z, weights: RffCmeWeights,
                       y_map: RffMap, z_map: RffMap, d_active: int,
                       batch_index: int = 0) -> np.ndarray:
@@ -150,22 +185,9 @@ def rff_centered_gram(batch_y, batch_z, weights: RffCmeWeights,
         raise ConfigError(f"batch_y has {b} rows, batch_z {batch_z.shape[0]}")
 
     slot = 0 if weights.refresh_period is None else batch_index // weights.refresh_period
-    idx_y = _active_indices(y_map.d_total, d_active, y_map.seed, slot, stream=0)
-    idx_z = _active_indices(z_map.d_total, d_active, z_map.seed, slot, stream=1)
-
+    idx_y, idx_z, w1_sub, w2_sub = _slot_weights(weights, y_map, z_map, d_active, slot)
     ry = y_map.features(batch_y, idx_y)
     rz = z_map.features(batch_z, idx_z)
-    # stored weights carry full-bank sqrt(2/D0) scaling on each side
-    if d_active == y_map.d_total and d_active == z_map.d_total:
-        # full bank active: rescales are exactly 1, skip the copies
-        w1_sub = weights.w1r
-        w2_sub = weights.w2r
-    else:
-        rescale = math.sqrt(y_map.d_total / d_active) * math.sqrt(z_map.d_total / d_active)
-        w1_sub = weights.w1r[np.ix_(idx_y, idx_z)] * rescale
-        rescale_y = y_map.d_total / d_active
-        w2_sub = weights.w2r[np.ix_(idx_y, idx_y)] * rescale_y
-
     # P = ry w1_sub rz^T and Q = ry w2_sub ry^T as per-row factors
     return centered_from_factors(batch_y, batch_z, KernelParams(sigma2=y_map.sigma2),
                                  KernelParams(sigma2=z_map.sigma2),

@@ -200,12 +200,14 @@ def _forward_reference(model, x):
     return acts, preacts
 
 
-def _backward_reference(model, acts, preacts, delta):
+def _backward_reference(model, acts, preacts, delta, d_features=None):
     grads = [None] * len(model.params)
     last = model.n_layers - 1
     grads[2 * last] = acts[-1].T @ delta
     grads[2 * last + 1] = delta.sum(axis=0)
     d_h = delta @ model.params[2 * last].T
+    if d_features is not None:
+        d_h += d_features
     for layer in range(last - 1, -1, -1):
         d_u = d_h * np.where(preacts[layer] > 0.0, 1.0, model.slope)
         grads[2 * layer] = acts[layer].T @ d_u
@@ -250,6 +252,30 @@ def test_leaky_relu_matches_where_form_on_special_values():
         pre = cache["preacts"][0]
         assert _same_floats(feats, np.where(pre > 0.0, pre, slope * pre))
         assert _same_floats(model.predict(u), model.forward(u)[1])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_leaky_relu_derivative_matches_where_form_on_special_values():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320, -2.5, 3.0])
+    n = special.size
+    # every pre-activation meets every upstream gradient: row i holds u = special[i],
+    # column j injects d_h = special[j] at the feature node
+    u = np.repeat(special[:, None], n, axis=1)
+    d_features = np.repeat(special[None, :], n, axis=0)
+    for slope in (0.01, 0.3, 1.0, 5e-324):
+        model = MlpModel(1, (n,), seed=0, slope=slope)
+        h = np.where(u > 0.0, u, slope * u)
+        cache = {"acts": [np.ones((n, 1)), h], "preacts": [u, np.zeros((n, 1))]}
+        delta = np.zeros((n, 1))
+        got = model.backward(cache, delta, d_features)
+        want = _backward_reference(model, cache["acts"], cache["preacts"], delta, d_features)
+        for g, e in zip(got, want):
+            assert _same_floats(g, e)
+        # the per-element product itself, before any reduction
+        d_u = np.greater(u, 0.0).astype(np.float64)
+        d_u *= 1.0 - slope
+        d_u += slope
+        assert _same_floats(d_u * d_features, d_features * np.where(u > 0.0, 1.0, slope))
 
 
 def test_slope_outside_unit_interval_rejected(tmp_path):

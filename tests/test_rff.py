@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,47 @@ def test_rff_statistic_deterministic_given_seed_and_index():
     other_slot = _rff_value(k_xx, y, z, w, ym, zm, 32, "centered", batch_index=7)
     assert a == same_slot
     assert a != other_slot
+
+
+@pytest.mark.parametrize("refresh_period", [None, 1, 3])
+@pytest.mark.parametrize("d_active", [32, 64])
+def test_slot_cache_bitwise_equals_fresh_weights(refresh_period, d_active):
+    # batch indices that leave a refresh slot and come back to it
+    rng = np.random.default_rng(8)
+    model = _fitted(rng, m=40)
+    ym = sample_rff(1, 64, YP.sigma2, seed=41)
+    zm = sample_rff(1, 64, ZP.sigma2, seed=42)
+    w = precompute_rff_weights(model, ym, zm, refresh_period=refresh_period)
+    for k in (5, 7, 4, 5, 3):
+        _, y, z = _batch(rng, b=16)
+        fresh = precompute_rff_weights(model, ym, zm, refresh_period=refresh_period)
+        assert np.array_equal(rff_centered_gram(y, z, w, ym, zm, d_active, k),
+                              rff_centered_gram(y, z, fresh, ym, zm, d_active, k))
+        assert len(w._slot) == 1
+    if d_active == 64:
+        # the full bank is used as stored, not copied
+        (_, _, w1_sub, w2_sub), = w._slot.values()
+        assert w1_sub is w.w1r and w2_sub is w.w2r
+
+
+def test_slot_cache_keeps_map_pairs_and_sizes_apart():
+    rng = np.random.default_rng(9)
+    model = _fitted(rng, m=40)
+    y_a, z_a = sample_rff(1, 64, YP.sigma2, seed=51), sample_rff(1, 64, ZP.sigma2, seed=52)
+    y_b, z_b = sample_rff(1, 64, YP.sigma2, seed=53), sample_rff(1, 64, ZP.sigma2, seed=54)
+    w = precompute_rff_weights(model, y_a, z_a, refresh_period=2)
+    _, y, z = _batch(rng, b=16)
+    # each neighbour differs from the one before in one part of the key only:
+    # d_active, z seed, y seed, d_active, y and z seeds; and the slot between k=1 and k=2
+    calls = [(y_a, z_a, 16), (y_a, z_a, 32), (y_a, z_b, 32), (y_b, z_b, 32), (y_b, z_b, 16),
+             (y_a, z_a, 16)]
+    for k in (0, 1, 2):
+        for ym, zm, d_active in calls:
+            fresh = dataclasses.replace(w)
+            assert not fresh._slot
+            assert np.array_equal(rff_centered_gram(y, z, w, ym, zm, d_active, k),
+                                  rff_centered_gram(y, z, fresh, ym, zm, d_active, k))
+            assert list(w._slot) == [(ym.seed, zm.seed, d_active, k // 2)]
 
 
 def test_rff_argument_validation():

@@ -7,9 +7,16 @@ Each checkout is a directory holding src/ and perfbench/, such as a
 `git clone` of a commit. Ten pairs run; pair i runs every workload of
 BENCHMARK.json at seed i on both checkouts with its run length; the parent goes first in
 even pairs and the change in odd ones. The output JSON holds, per workload
-and end-to-end metric, {min, q1, median, q3, max, n} for each side and the
-change's wins over the parent (ties count for neither), plus each side's
-commit and BLAS thread counts as perfbench recorded them.
+and end-to-end metric, {min, q1, median, q3, max, n} for each side, the
+change's wins over the parent (ties count for neither) and a verdict, plus
+each side's commit and BLAS thread counts as perfbench recorded them. The
+verdicts are also printed as a table:
+
+- gain: the change wins at least 9 of 10 pairs and its median is better
+  than the parent's by more than the parent's interquartile range;
+- worse: the change's median is worse than the parent's by more than the
+  metric's BENCHMARK.json bound, a share of the parent's median;
+- within_bound: anything else.
 """
 
 from __future__ import annotations
@@ -49,6 +56,33 @@ def summary(values: list) -> dict:
             "max": max(values), "n": len(values)}
 
 
+def compare(parent: list, change: list, better: str, bound: float) -> dict:
+    """Quartiles, wins and verdict of one metric over paired runs."""
+    sign = 1.0 if better == "higher" else -1.0
+    p, c = summary(parent), summary(change)
+    wins = sum(sign * (cv - pv) > 0 for pv, cv in zip(parent, change))
+    gain_by = sign * (c["median"] - p["median"])
+    if wins >= 0.9 * len(parent) and gain_by > p["q3"] - p["q1"]:
+        verdict = "gain"
+    elif -gain_by > bound * abs(p["median"]):
+        verdict = "worse"
+    else:
+        verdict = "within_bound"
+    return {"better": better, "parent": p, "change": c, "change_wins": wins,
+            "verdict": verdict}
+
+
+def verdict_table(workloads: dict) -> str:
+    """One line per workload and metric: both medians, the wins and the verdict."""
+    lines = [f"{'workload':<16} {'metric':<12} {'parent':>10} {'change':>10} {'wins':>5}  verdict"]
+    for workload, entry in workloads.items():
+        for metric, m in entry["metrics"].items():
+            lines.append(f"{workload:<16} {metric:<12} {m['parent']['median']:>10.4g} "
+                         f"{m['change']['median']:>10.4g} {m['change_wins']:>2}/{m['parent']['n']:<2}"
+                         f"  {m['verdict']}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
@@ -56,7 +90,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
-    better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
     for seed in range(PAIRS):
@@ -78,16 +111,13 @@ def main(argv=None) -> int:
         entry = {"failed": {s: sum(r["failed"] for r in rs) for s, rs in by_side.items()},
                  "attempted": {s: sum(r["attempted"] for r in rs) for s, rs in by_side.items()},
                  "metrics": {}}
-        for metric, direction in better.items():
-            pv = [r["metrics"][metric] for r in by_side["parent"]]
-            cv = [r["metrics"][metric] for r in by_side["change"]]
-            sign = 1.0 if direction == "higher" else -1.0
-            entry["metrics"][metric] = {
-                "better": direction, "parent": summary(pv), "change": summary(cv),
-                "change_wins": sum(sign * (c - p) > 0 for p, c in zip(pv, cv)),
-            }
+        for m in SPEC["end_to_end"]:
+            entry["metrics"][m["name"]] = compare(
+                [r["metrics"][m["name"]] for r in by_side["parent"]],
+                [r["metrics"][m["name"]] for r in by_side["change"]], m["better"], m["bound"])
         out["workloads"][workload] = entry
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+    print(verdict_table(out["workloads"]))
     print(f"wrote {args.out}")
     return 0
 
