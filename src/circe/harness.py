@@ -13,7 +13,7 @@ import csv
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -155,9 +155,9 @@ PER_RUN_FIELDS = {"method", "gamma", "seed", "lam", "sigma2_y"}
 @dataclass(init=False)
 class SweepConfig:
     """Sweep axes plus one TrainConfig template for every run, validated when
-    built. Flat keywords naming a TrainConfig field fill the template, except
-    PER_RUN_FIELDS, which are unknown keys; lr and weight_decay override the
-    case's CASE_OPTIM_DEFAULTS unless None."""
+    built. The template is built from flat keywords naming a TrainConfig
+    field, except PER_RUN_FIELDS, which are unknown keys; lr and weight_decay
+    override the case's CASE_OPTIM_DEFAULTS unless None."""
 
     cases: tuple
     methods: tuple
@@ -171,22 +171,20 @@ class SweepConfig:
     n_interventions: int = DEFAULT_N_INTERVENTIONS
     lr: float | None = None
     weight_decay: float | None = None
-    train: TrainConfig = TrainConfig()
+    train: TrainConfig = field(init=False)
 
-    def __init__(self, cases, methods, train: TrainConfig = TrainConfig(), **kw):
-        own = {f.name for f in fields(self)}
+    def __init__(self, cases, methods, **kw):
+        own = {f.name for f in fields(self) if f.init}
         flat = {f.name for f in fields(TrainConfig)} - own - PER_RUN_FIELDS
         unknown = set(kw) - own - flat
         if unknown:
             raise ConfigError(f"unknown sweep config keys: {sorted(unknown)}")
-        if not isinstance(train, TrainConfig):
-            raise ConfigError("the sweep's train template must be a TrainConfig")
         for key in own & set(kw):
             setattr(self, key, kw[key])
         overrides = {k: getattr(self, k) for k in ("lr", "weight_decay")
                      if getattr(self, k) is not None}
-        self.train = train.replace(**overrides,
-                                   **{k: v for k, v in kw.items() if k in flat})
+        self.train = TrainConfig(**overrides,
+                                 **{k: v for k, v in kw.items() if k in flat})
         self.cases = tuple(cases)
         self.methods = tuple(methods)
         self.seeds = tuple(int(s) for s in check_items("seeds", self.seeds, numbers.Integral))

@@ -4,6 +4,10 @@ Each generator keeps the noise draws it used, so interventions on Z can
 regenerate every descendant through the same structural equations. The
 causal layout is Y -> Z -> A -> B with additional edges from Y and Z into
 A and B; the regression task is to predict B from (A, Y, Z).
+
+EQUATIONS maps each case id to its equations (y, z, noises, params) -> (a, b),
+and is the one place that decides them: the generators draw (y, z) and the
+noises and call it, and regenerate calls it again with z replaced.
 """
 
 from __future__ import annotations
@@ -45,30 +49,44 @@ def _noise_std(var: float) -> float:
     return float(np.sqrt(var))
 
 
-def _uni1_equations(y, z, eps_a, eps_b):
-    a = 0.5 * z * eps_a + 2.0 * y
-    b = 0.5 * np.exp(-a * y) * np.sin(2.0 * a * y) + 5.0 * z + 0.2 * eps_b
+def _uni1_equations(y, z, noises, params):
+    a = 0.5 * z * noises["eps_a"] + 2.0 * y
+    b = 0.5 * np.exp(-a * y) * np.sin(2.0 * a * y) + 5.0 * z + 0.2 * noises["eps_b"]
     return a, b
 
 
-def _uni2_equations(y, z, eps_a, eps_b):
-    a = np.exp(-0.5 * z**2) * np.sin(2.0 * z) + 2.0 * y + 0.2 * eps_a
-    b = np.sin(2.0 * a * y) * np.exp(-0.5 * a * y) + 5.0 * z + 0.2 * eps_b
+def _uni2_equations(y, z, noises, params):
+    a = np.exp(-0.5 * z**2) * np.sin(2.0 * z) + 2.0 * y + 0.2 * noises["eps_a"]
+    b = np.sin(2.0 * a * y) * np.exp(-0.5 * a * y) + 5.0 * z + 0.2 * noises["eps_b"]
     return a, b
 
 
-def _multi1_equations(y, z, eps_a, eps_b):
+def _multi1_equations(y, z, noises, params):
     zsum = z.sum(axis=1, keepdims=True)
-    a = np.exp(-0.5 * z[:, 0:1]) + zsum * np.sin(y) + 0.1 * eps_a
-    b = np.exp(-0.5 * z[:, 1:2]) * zsum + a * y + 0.1 * eps_b
+    a = np.exp(-0.5 * z[:, 0:1]) + zsum * np.sin(y) + 0.1 * noises["eps_a"]
+    b = np.exp(-0.5 * z[:, 1:2]) * zsum + a * y + 0.1 * noises["eps_b"]
     return a, b
 
 
-def _multi2_equations(y, z, eps_a, eps_b):
+def _multi2_equations(y, z, noises, params):
     ysum = y.sum(axis=1, keepdims=True)
-    a = np.exp(-0.5 * z) + np.sin(ysum) * z + 0.1 * eps_a
-    b = np.exp(-0.5 * z) * z + ysum + z + a * y[:, 0:1] + 0.1 * eps_b
+    a = np.exp(-0.5 * z) + np.sin(ysum) * z + 0.1 * noises["eps_a"]
+    b = np.exp(-0.5 * z) * z + ysum + z + a * y[:, 0:1] + 0.1 * noises["eps_b"]
     return a, b
+
+
+def _nonlinear_gcm_equations(y, z, noises, params):
+    a = np.hstack([y + params["alpha"] * z**2, y + noises["xi_y"]])
+    return a, y.copy()
+
+
+EQUATIONS = {
+    "uni1": _uni1_equations,
+    "uni2": _uni2_equations,
+    "multi1": _multi1_equations,
+    "multi2": _multi2_equations,
+    "nonlinear_gcm": _nonlinear_gcm_equations,
+}
 
 
 def check_d(case: str, d: int) -> None:
@@ -81,7 +99,7 @@ def gen_scm(case: str, n: int, d: int, seed: int) -> ScmBatch:
     """Draw n samples from one of the four synthetic cases.
 
     d is the Z dimension for multi1 and the Y dimension for multi2; the
-    univariate cases ignore it.
+    univariate cases ignore it. Z = ||Y||^2 + eps_z in every case.
     """
     if case not in SCM_CASES:
         raise ConfigError(f"unknown case {case!r}, expected one of {SCM_CASES}")
@@ -90,36 +108,14 @@ def gen_scm(case: str, n: int, d: int, seed: int) -> ScmBatch:
     check_d(case, d)
     rng = np.random.default_rng(seed)
     s_small = _noise_std(0.1)
-
-    if case in ("uni1", "uni2"):
-        y = _col(rng.standard_normal(n))
-        eps_z = _col(rng.standard_normal(n))
-        eps_a = _col(rng.normal(0.0, s_small, n))
-        eps_b = _col(rng.normal(0.0, s_small, n))
-        z = y**2 + eps_z
-        eq = _uni1_equations if case == "uni1" else _uni2_equations
-        a, b = eq(y, z, eps_a, eps_b)
-        noises = {"eps_z": eps_z, "eps_a": eps_a, "eps_b": eps_b}
-        return ScmBatch(case, a, b, y, z, noises, {})
-
-    if case == "multi1":
-        y = _col(rng.standard_normal(n))
-        eps_z = rng.standard_normal((n, d))
-        eps_a = _col(rng.normal(0.0, s_small, n))
-        eps_b = _col(rng.normal(0.0, s_small, n))
-        z = y**2 + eps_z
-        a, b = _multi1_equations(y, z, eps_a, eps_b)
-        noises = {"eps_z": eps_z, "eps_a": eps_a, "eps_b": eps_b}
-        return ScmBatch(case, a, b, y, z, noises, {"d": d})
-
-    y = rng.standard_normal((n, d))
-    eps_z = _col(rng.standard_normal(n))
-    eps_a = _col(rng.normal(0.0, s_small, n))
-    eps_b = _col(rng.normal(0.0, s_small, n))
+    y = rng.standard_normal((n, d if case == "multi2" else 1))
+    eps_z = rng.standard_normal((n, d if case == "multi1" else 1))
+    noises = {"eps_z": eps_z,
+              "eps_a": _col(rng.normal(0.0, s_small, n)),
+              "eps_b": _col(rng.normal(0.0, s_small, n))}
     z = np.sum(y * y, axis=1, keepdims=True) + eps_z
-    a, b = _multi2_equations(y, z, eps_a, eps_b)
-    noises = {"eps_z": eps_z, "eps_a": eps_a, "eps_b": eps_b}
-    return ScmBatch(case, a, b, y, z, noises, {"d": d})
+    a, b = EQUATIONS[case](y, z, noises, {})
+    return ScmBatch(case, a, b, y, z, noises, {})
 
 
 def gen_nonlinear_gcm_case(n: int, alpha: float, sigma_z: float, sigma_y: float,
@@ -135,17 +131,10 @@ def gen_nonlinear_gcm_case(n: int, alpha: float, sigma_z: float, sigma_y: float,
     rng = np.random.default_rng(seed)
     y = _col(rng.standard_normal(n))
     xi_z = _col(rng.normal(0.0, sigma_z, n))
-    xi_y = _col(rng.normal(0.0, sigma_y, n))
-    a = np.hstack([y + alpha * xi_z**2, y + xi_y])
-    return ScmBatch(
-        case_id="nonlinear_gcm",
-        a=a,
-        b=y.copy(),
-        y=y,
-        z=xi_z,
-        noises={"xi_y": xi_y},
-        params={"alpha": float(alpha)},
-    )
+    noises = {"xi_y": _col(rng.normal(0.0, sigma_y, n))}
+    params = {"alpha": float(alpha)}
+    a, b = EQUATIONS["nonlinear_gcm"](y, xi_z, noises, params)
+    return ScmBatch("nonlinear_gcm", a, b, y, xi_z, noises, params)
 
 
 def regenerate(batch: ScmBatch, z_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,20 +142,9 @@ def regenerate(batch: ScmBatch, z_new: np.ndarray) -> tuple[np.ndarray, np.ndarr
     z_new = np.asarray(z_new, dtype=np.float64)
     if z_new.shape != batch.z.shape:
         raise ConfigError(f"z_new shape {z_new.shape} does not match {batch.z.shape}")
-    y = batch.y
-    if batch.case_id == "uni1":
-        return _uni1_equations(y, z_new, batch.noises["eps_a"], batch.noises["eps_b"])
-    if batch.case_id == "uni2":
-        return _uni2_equations(y, z_new, batch.noises["eps_a"], batch.noises["eps_b"])
-    if batch.case_id == "multi1":
-        return _multi1_equations(y, z_new, batch.noises["eps_a"], batch.noises["eps_b"])
-    if batch.case_id == "multi2":
-        return _multi2_equations(y, z_new, batch.noises["eps_a"], batch.noises["eps_b"])
-    if batch.case_id == "nonlinear_gcm":
-        alpha = batch.params["alpha"]
-        a = np.hstack([y + alpha * z_new**2, y + batch.noises["xi_y"]])
-        return a, batch.b.copy()
-    raise ConfigError(f"cannot regenerate case {batch.case_id!r}")
+    if batch.case_id not in EQUATIONS:
+        raise ConfigError(f"cannot regenerate case {batch.case_id!r}")
+    return EQUATIONS[batch.case_id](batch.y, z_new, batch.noises, batch.params)
 
 
 def intervene_z(batch: ScmBatch, i: int, z_new) -> dict:

@@ -158,10 +158,14 @@ def test_sweep_config_validation():
     for entry in bad:
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"cases": ["uni1"], "methods": ["none"], **entry})
-    # the template itself is not a JSON key
-    with pytest.raises(ConfigError):
+    # the template is built from flat keys only, neither in JSON nor in
+    # Python, where a passed template used to lose lr and weight_decay
+    with pytest.raises(ConfigError, match="unknown sweep config keys"):
         SweepConfig.from_dict({"cases": ["uni1"], "methods": ["none"],
                                "train": {"epochs": 1}})
+    with pytest.raises(ConfigError, match="unknown sweep config keys"):
+        SweepConfig(cases=["uni1"], methods=["none"],
+                    train=TrainConfig(lr=5e-4, weight_decay=0.0))
     # the fields each run sets itself are not keys
     for key in ("method", "gamma", "seed", "sigma2_y"):
         with pytest.raises(ConfigError, match="unknown sweep config keys"):
