@@ -11,7 +11,7 @@ same eigenpairs and never refits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +35,14 @@ class CmeModel:
     largest eigenvalue, and c = u^T K_ZZ u. With D = diag(1 / (s + lam)) the
     regression weights on the kept subspace are W1 = u D u^T, and
     W2 = W1 K_ZZ W1 = u D c D u^T; the discarded eigenpairs are roundoff of a
-    numerically low-rank Gram. Frozen, so one object is one fit: the trainer
-    reuses the cross factors it built for a model object.
+    numerically low-rank Gram. Frozen, so one object is one fit.
+
+    Each object also keeps the holdout cross factors of the training rows
+    that the trainer last used with it, so every gamma trained on those rows
+    reuses them. It holds one context at most (3 n r floats), takes no part
+    in comparison, and starts empty, also in a copy made by
+    dataclasses.replace and in a loaded model. Whoever owns the model for a
+    sweep cell empties it when the cell ends.
     """
 
     holdout_y: np.ndarray
@@ -47,6 +53,7 @@ class CmeModel:
     u: np.ndarray
     s: np.ndarray
     c: np.ndarray
+    _slot: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     @property
     def n_holdout(self) -> int:
@@ -237,6 +244,8 @@ def select_hyperparams(holdout_y, holdout_z,
             if math.isfinite(err) and _better(err, lam, s2, best):
                 best = (err, lam, s2)
                 best_spectrum = (u, s, c)
+        # the next eigh is the grid's peak: hold only the best spectrum there
+        del s, u, ku, c
     del k_zz
 
     if best is None:

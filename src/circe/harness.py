@@ -276,7 +276,8 @@ def _run_cell(config: SweepConfig, case: str, seed: int, runs, strict: bool):
     row with NaN metrics and a None model, so one failed run does not end the
     sweep; a failed preparation makes every row of the cell such a row. Any
     other exception is a bug and propagates. The first row's wall_seconds
-    includes the preparation.
+    includes the preparation. When the runs end, also by an exception, the
+    cell's embedding drops the cross factors its circe runs shared.
     """
     nan = float("nan")
     failed = dict(lam=nan, sigma2_y=nan, mse_in=nan, vcf=nan,
@@ -288,19 +289,23 @@ def _run_cell(config: SweepConfig, case: str, seed: int, runs, strict: bool):
         if strict:
             raise
         cell = None
-    for method, gamma in runs:
-        metrics, model = failed, None
+    try:
+        for method, gamma in runs:
+            metrics, model = failed, None
+            if cell is not None:
+                try:
+                    metrics, model = _run_one(config, cell, case, method, gamma, seed)
+                except (CirceError, FloatingPointError):
+                    if strict:
+                        raise
+            record = RunRecord(case_id=case, method=method, variant=config.train.variant,
+                               gamma=float(gamma), seed=seed, sigma2_z=config.train.sigma2_z,
+                               wall_seconds=time.perf_counter() - start, **metrics)
+            yield record, model
+            start = time.perf_counter()
+    finally:
         if cell is not None:
-            try:
-                metrics, model = _run_one(config, cell, case, method, gamma, seed)
-            except (CirceError, FloatingPointError):
-                if strict:
-                    raise
-        record = RunRecord(case_id=case, method=method, variant=config.train.variant,
-                           gamma=float(gamma), seed=seed, sigma2_z=config.train.sigma2_z,
-                           wall_seconds=time.perf_counter() - start, **metrics)
-        yield record, model
-        start = time.perf_counter()
+            cell[1]._slot.clear()
 
 
 def run_single_with_model(config: SweepConfig, case: str, method: str,

@@ -12,6 +12,13 @@ approximation stays unbiased. The active indices and the rescaled (D, D)
 sub-weights are gathered once per refresh slot, on its first batch, and
 reused by the slot's later batches; the rest of a batch's cost is its cosine
 features, the feature products and the exact batch Grams.
+
+The approximate Gram is accurate only for the statistic's centered variant.
+The plain and debiased statistics sum every entry of the Gram, where the
+features' Monte-Carlo error does not cancel: on a uni1 batch of 1500 rows
+with a 200-point holdout and a 2048-feature bank, their median error over
+five map seeds is about 1.5e-2, larger than the exact statistic, against
+about 1e-4 for centered.
 """
 
 from __future__ import annotations
@@ -123,6 +130,7 @@ def precompute_rff_weights(model: CmeModel, y_map: RffMap, z_map: RffMap,
     ry = y_map.features(model.holdout_y)
     rz = z_map.features(model.holdout_z)
     w1r = ry.T @ w1 @ rz
+    del w1, rz  # free (M, M) and (M, D0) before the second (D0, D0) product
     w2r = ry.T @ w2 @ ry
     return RffCmeWeights(w1r=w1r, w2r=w2r, d_total_y=y_map.d_total,
                          d_total_z=z_map.d_total, refresh_period=refresh_period)

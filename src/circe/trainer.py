@@ -143,40 +143,35 @@ class TrainLog:
 
 class _CirceContext:
     """Holdout cross-term factors of every training row, with copies of the
-    rows and the model they were built from.
+    rows and the kernel parameters of the model they were built from.
 
     A batch drawn by row index gathers its rows of the factors; the centered
     Gram equals the direct per-batch computation bitwise.
     """
 
     def __init__(self, train_y, train_z, model: CmeModel):
-        self.model = model
+        self.y_params, self.z_params = model.y_params, model.z_params
         self.y, self.z = train_y.copy(), train_z.copy()
         self.factors = cross_factors(train_y, train_z, model)
 
-    def serves(self, train_y, train_z, model: CmeModel) -> bool:
-        return (model is self.model and np.array_equal(train_y, self.y)
-                and np.array_equal(train_z, self.z))
+    def serves(self, train_y, train_z) -> bool:
+        return np.array_equal(train_y, self.y) and np.array_equal(train_z, self.z)
 
     def batch_centered(self, batch: TrainBatch, idx: np.ndarray) -> np.ndarray:
-        return centered_from_factors(batch.y, batch.z, self.model.y_params,
-                                     self.model.z_params,
+        return centered_from_factors(batch.y, batch.z, self.y_params, self.z_params,
                                      *(f[idx] for f in self.factors))
 
 
-# The factors are a pure function of the frozen model and the training rows,
-# so train() keeps the last context: every gamma of a sweep cell, and every
-# circe row trained on one prepared cell, reuses it. It holds 3 n r floats
-# until a circe run on other rows or another model replaces it.
-_LAST_CONTEXT = None
-
-
 def _circe_context(batch: TrainBatch, model: CmeModel) -> _CirceContext:
-    global _LAST_CONTEXT
-    if _LAST_CONTEXT is None or not _LAST_CONTEXT.serves(batch.y, batch.z, model):
-        _LAST_CONTEXT = None  # never hold two contexts at once
-        _LAST_CONTEXT = _CirceContext(batch.y, batch.z, model)
-    return _LAST_CONTEXT
+    """The context of these training rows, kept on the model: the factors are
+    a pure function of the frozen model and the rows, so every gamma of a
+    sweep cell, and every circe row trained on one prepared cell, reuses it
+    until a run on other rows replaces it or the model's owner empties it."""
+    context = model._slot.get("circe")
+    if context is None or not context.serves(batch.y, batch.z):
+        model._slot.clear()  # never hold two contexts at once
+        model._slot["circe"] = context = _CirceContext(batch.y, batch.z, model)
+    return context
 
 
 def _penalty_features(config: TrainConfig, feats, pred):

@@ -42,3 +42,26 @@ def test_verdict_on_synthetic_pairs(better, change, wins, verdict):
     assert result["parent"]["median"] == 10.0
     table = tool.verdict_table({"w": {"metrics": {"m": result}}})
     assert table.splitlines()[-1].split()[-1] == verdict
+
+
+WIDE = [6.0, 14.0, 8.0, 12.0, 7.0, 13.0, 9.0, 11.0, 10.0, 10.0]   # median 10, IQR 3.5
+
+
+@pytest.mark.parametrize("better, parent, change, failed, verdict", [
+    # the parent's IQR is 35% of its median, wider than the 25% bound
+    ("higher", WIDE, list(WIDE), (0, 0), "unresolved"),
+    ("higher", WIDE, [p + 1.0 for p in WIDE], (0, 0), "unresolved"),
+    ("lower", WIDE, [p - 1.0 for p in WIDE], (0, 0), "unresolved"),
+    # a median worse by more than the bound still reads worse
+    ("higher", WIDE, [p * 0.7 for p in WIDE], (0, 0), "worse"),
+    # every change run better than every parent run resolves the spread
+    ("higher", WIDE, [p + 9.0 for p in WIDE], (0, 0), "gain"),
+    ("lower", WIDE, [p - 9.0 for p in WIDE], (0, 0), "gain"),
+    # no gain while the change fails more ops than the parent
+    ("higher", PARENT, [p * 1.2 for p in PARENT], (0, 1), "within_bound"),
+    ("higher", WIDE, [p + 9.0 for p in WIDE], (1, 2), "within_bound"),
+    ("higher", PARENT, [p * 1.2 for p in PARENT], (2, 2), "gain"),
+])
+def test_verdict_on_wide_spread_and_failed_ops(better, parent, change, failed, verdict):
+    tool = _load_tool()
+    assert tool.compare(parent, change, better, 0.25, failed)["verdict"] == verdict

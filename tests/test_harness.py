@@ -321,6 +321,45 @@ def test_failed_preparation_makes_every_row_of_its_cell_unstable(monkeypatch):
         run_single_with_model(tiny_sweep_config(), "uni1", "circe", 1.0, 0, strict=True)
 
 
+def _capture_cell_models(monkeypatch):
+    """Wrap harness.select_hyperparams and harness.train: the embedding of
+    each cell, and for each circe run whether that embedding held the run's
+    cross factors when training returned."""
+    models, held = [], []
+    inner_select, inner_train = harness_mod.select_hyperparams, harness_mod.train
+
+    def select(*args, **kwargs):
+        model, report = inner_select(*args, **kwargs)
+        models.append(model)
+        return model, report
+
+    def train(config, data, cme_model=None):
+        result = inner_train(config, data, cme_model=cme_model)
+        if cme_model is not None:
+            held.append(bool(cme_model._slot))
+        return result
+
+    monkeypatch.setattr(harness_mod, "select_hyperparams", select)
+    monkeypatch.setattr(harness_mod, "train", train)
+    return models, held
+
+
+def test_cell_releases_its_cross_factors(monkeypatch):
+    models, held = _capture_cell_models(monkeypatch)
+    run_sweep(tiny_sweep_config(seeds=(0,)))
+    assert held == [True, True]
+    assert len(models) == 1 and not models[0]._slot
+
+    def failing_eval(*args, **kwargs):
+        raise NumericalError("synthetic eval failure")
+
+    monkeypatch.setattr(harness_mod, "eval_vcf", failing_eval)
+    with pytest.raises(NumericalError, match="synthetic eval failure"):
+        run_single_with_model(tiny_sweep_config(), "uni1", "circe", 1.0, 0, strict=True)
+    assert held == [True, True, True]
+    assert len(models) == 2 and not models[1]._slot
+
+
 def test_sweep_lets_unexpected_errors_through(monkeypatch):
     # only package errors and floating-point errors become unstable rows
     def broken(*args, **kwargs):

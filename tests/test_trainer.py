@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -325,14 +327,14 @@ def _reuse_problem():
     return ds, cme, (hold_y, hold_z)
 
 
-def _counting_cross_factors(monkeypatch):
+def _counting_cross_factors(monkeypatch, cme):
     calls = []
 
     def counting(*args):
         calls.append(args)
         return cross_factors(*args)
 
-    monkeypatch.setattr(trainer_mod, "_LAST_CONTEXT", None)
+    cme._slot.clear()
     monkeypatch.setattr(trainer_mod, "cross_factors", counting)
     return calls
 
@@ -344,13 +346,13 @@ def _reuse_config(gamma):
 
 def test_train_reuses_cross_factors_across_calls(monkeypatch):
     ds, cme, _ = _reuse_problem()
-    calls = _counting_cross_factors(monkeypatch)
+    calls = _counting_cross_factors(monkeypatch, cme)
     # separately built, equal training rows: one build serves both gammas
     reused = [train(_reuse_config(g), train_data_from_dataset(ds), cme_model=cme)[0]
               for g in (1.0, 100.0)]
     assert len(calls) == 1
     for g, model in zip((1.0, 100.0), reused):
-        monkeypatch.setattr(trainer_mod, "_LAST_CONTEXT", None)
+        cme._slot.clear()
         fresh, _ = train(_reuse_config(g), train_data_from_dataset(ds), cme_model=cme)
         for a, b in zip(model.params, fresh.params):
             assert np.array_equal(a, b)
@@ -359,7 +361,7 @@ def test_train_reuses_cross_factors_across_calls(monkeypatch):
 
 def test_changed_rows_or_refitted_model_rebuild_the_context(monkeypatch):
     ds, cme, holdout = _reuse_problem()
-    calls = _counting_cross_factors(monkeypatch)
+    calls = _counting_cross_factors(monkeypatch, cme)
     data = train_data_from_dataset(ds)
     train(_reuse_config(1.0), data, cme_model=cme)
     for column in ("y", "z"):
@@ -372,6 +374,35 @@ def test_changed_rows_or_refitted_model_rebuild_the_context(monkeypatch):
     refitted = fit_cme(*holdout, 0.1, KernelParams(1.0), KernelParams(1.0))
     train(_reuse_config(1.0), data, cme_model=refitted)
     assert len(calls) == 5
+
+
+def test_each_model_keeps_its_own_context(monkeypatch):
+    ds, cme_a, holdout = _reuse_problem()
+    cme_b = fit_cme(*holdout, 0.1, KernelParams(1.0), KernelParams(1.0))
+    calls = _counting_cross_factors(monkeypatch, cme_a)
+    data = train_data_from_dataset(ds)
+    for cme in (cme_a, cme_b, cme_a):
+        train(_reuse_config(1.0), data, cme_model=cme)
+    # equal fits, separate objects: B builds its own, and A keeps its one
+    assert len(calls) == 2
+    assert list(cme_a._slot) == list(cme_b._slot) == ["circe"]
+    assert not dataclasses.replace(cme_a)._slot
+    cme_a._slot.clear()
+    train(_reuse_config(1.0), data, cme_model=cme_a)
+    assert len(calls) == 3
+
+
+def test_used_model_is_freed_without_the_cycle_collector():
+    ds, cme, _ = _reuse_problem()
+    train(_reuse_config(1.0), train_data_from_dataset(ds), cme_model=cme)
+    assert cme._slot
+    ref = weakref.ref(cme)
+    gc.disable()
+    try:
+        del cme
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cme_model_is_frozen():

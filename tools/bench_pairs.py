@@ -12,10 +12,14 @@ change's wins over the parent (ties count for neither) and a verdict, plus
 each side's commit and BLAS thread counts as perfbench recorded them. The
 verdicts are also printed as a table:
 
-- gain: the change wins at least 9 of 10 pairs and its median is better
-  than the parent's by more than the parent's interquartile range;
+- gain: the change wins at least 9 of 10 pairs, its median is better
+  than the parent's by more than the parent's interquartile range, and it
+  failed no more ops than the parent;
 - worse: the change's median is worse than the parent's by more than the
   metric's BENCHMARK.json bound, a share of the parent's median;
+- unresolved: the parent's interquartile range is a larger share of its
+  median than the bound, so its runs spread too widely to tell, and not
+  every change run reads better than every parent run;
 - within_bound: anything else.
 """
 
@@ -56,16 +60,22 @@ def summary(values: list) -> dict:
             "max": max(values), "n": len(values)}
 
 
-def compare(parent: list, change: list, better: str, bound: float) -> dict:
-    """Quartiles, wins and verdict of one metric over paired runs."""
+def compare(parent: list, change: list, better: str, bound: float,
+            failed: tuple = (0, 0)) -> dict:
+    """Quartiles, wins and verdict of one metric over paired runs; failed is
+    the (parent, change) count of failed ops."""
     sign = 1.0 if better == "higher" else -1.0
     p, c = summary(parent), summary(change)
     wins = sum(sign * (cv - pv) > 0 for pv, cv in zip(parent, change))
     gain_by = sign * (c["median"] - p["median"])
-    if wins >= 0.9 * len(parent) and gain_by > p["q3"] - p["q1"]:
+    iqr = p["q3"] - p["q1"]
+    all_better = min(sign * v for v in change) > max(sign * v for v in parent)
+    if wins >= 0.9 * len(parent) and gain_by > iqr and failed[1] <= failed[0]:
         verdict = "gain"
     elif -gain_by > bound * abs(p["median"]):
         verdict = "worse"
+    elif iqr > bound * abs(p["median"]) and not all_better:
+        verdict = "unresolved"
     else:
         verdict = "within_bound"
     return {"better": better, "parent": p, "change": c, "change_wins": wins,
@@ -114,7 +124,8 @@ def main(argv=None) -> int:
         for m in SPEC["end_to_end"]:
             entry["metrics"][m["name"]] = compare(
                 [r["metrics"][m["name"]] for r in by_side["parent"]],
-                [r["metrics"][m["name"]] for r in by_side["change"]], m["better"], m["bound"])
+                [r["metrics"][m["name"]] for r in by_side["change"]], m["better"], m["bound"],
+                (entry["failed"]["parent"], entry["failed"]["change"]))
         out["workloads"][workload] = entry
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(verdict_table(out["workloads"]))
