@@ -9,10 +9,12 @@ hscic_with_grad.
 GCM never forms the ridge smoother A = K_yy (K_yy + lam I)^-1: since
 I - A = lam (K_yy + lam I)^-1, its residuals take one solve with d_x + d_z
 right-hand sides and its gradient one with d_x; every (feature, z) pair is
-computed at once, on one array of residual products. Every solve runs in
-kernels.regularized_solve on numpy's LAPACK (Cholesky test, LU solve), not
-scipy's, whose own OpenBLAS thread pool contends with numpy's for the
-cores: a 256-row GCM step on two cores took 43-71 ms with it, 15-19 without.
+computed at once, on one array of residual products. Both solves share
+one kernels.ridge_system, so the Cholesky test and its jitter search run
+once per step. Every solve runs on numpy's LAPACK (Cholesky test, LU
+solve), not scipy's, whose own OpenBLAS thread pool contends with numpy's
+for the cores: a 256-row GCM step on two cores took 43-71 ms with it,
+15-19 without.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, NumericalError
-from .kernels import KernelParams, as_points, gram, gram_backprop, regularized_solve
+from .kernels import (KernelParams, as_points, gram, gram_backprop, regularized_solve,
+                      ridge_solve, ridge_system)
 
 GCM_MIN_BATCH = 8
 GCM_VARIANCE_GUARD = 1e-12
@@ -62,8 +65,8 @@ def gcm_with_grad(x_feats, z, y, y_params: KernelParams, lam: float):
     """
     x_feats, z, y = _check_batch(x_feats, z, y, lam)
     n, d_x = x_feats.shape
-    k_yy = gram(y, y, y_params)
-    resid = lam * regularized_solve(k_yy, lam, np.hstack([x_feats, z]))
+    system = ridge_system(gram(y, y, y_params), lam)
+    resid = lam * ridge_solve(system, np.hstack([x_feats, z]))
     rx = np.ascontiguousarray(resid[:, :d_x].T)
     rz = np.ascontiguousarray(resid[:, d_x:].T)
     prods = rx[:, None, :] * rz[None, :, :]
@@ -95,7 +98,7 @@ def gcm_with_grad(x_feats, z, y, y_params: KernelParams, lam: float):
     # pairs of one feature add into its column in z order
     np.add.at(coeffs.T, j, (soft * np.sign(t_in))[:, None] * dt_dr * rz[k])
     # the residual maker I - A is lam (K_yy + lam I)^-1, symmetric
-    grad = lam * regularized_solve(k_yy, lam, coeffs)
+    grad = lam * ridge_solve(system, coeffs)
     return GcmEstimate(value, t, regularizer, included), grad
 
 

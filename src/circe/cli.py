@@ -92,7 +92,7 @@ def _cmd_fit_cme(args) -> int:
     print("lambda sigma2_y loo_error")
     for lam, s2, err in report.as_rows():
         print(f"{lam:g} {s2:g} {err:.6g}")
-    print("sigma2_y eigenvalues_floored rank")
+    print("sigma2_y nonpositive_eigenvalues rank")
     for s2, count, rank in report.floor_rows():
         print(f"{s2:g} {count} {rank}")
     print(f"selected lambda={model.lam:g} sigma2_y={model.y_params.sigma2:g} "

@@ -3,9 +3,13 @@ leave-one-out model selection.
 
 The embedding of Z given Y is estimated from a holdout set of (y, z) pairs:
 mu(y) = sum_j beta_j(y) psi(z_j) with beta(y) = (K_YY + lam I)^{-1} k_Y(y).
-The fit is one eigendecomposition of K_YY, truncated to its numerically
-nonzero part; the leave-one-out error of every lam has a closed form in the
-same eigenpairs and never refits.
+The fit keeps the numerically nonzero part of the spectrum of K_YY. A greedy
+pivoted Cholesky factor K_YY ~ G G^T of width k < M/2 finds that part in
+O(M k^2) (Harbrecht, Peters & Schneider 2012), and one small
+eigendecomposition of the triangular factor of G's thin QR gives its
+eigenpairs; a Gram of higher numerical rank takes a dense
+eigendecomposition. The leave-one-out error of every lam has a closed form
+in the same eigenpairs and never refits.
 """
 
 from __future__ import annotations
@@ -68,10 +72,13 @@ class CmeModel:
 class LooReport:
     """Grid search record. Entries follow the (lam outer, sigma2_y inner) order.
 
-    floored_eigs[j] counts the negative eigenvalues of K_YY at sigma2_ys grid
-    value j (roundoff on a numerically low-rank Gram, or an exactly singular
-    one from duplicated y rows); ranks[j] counts the eigenpairs kept by the
-    rank cut, which drops the negative ones with the rest of the roundoff.
+    floored_eigs[j] counts the non-positive eigenvalues of K_YY at sigma2_ys
+    grid value j (roundoff on a numerically low-rank Gram, or an exactly
+    singular one from duplicated y rows); a Cholesky factor of width k counts
+    the M - k directions it never reached as zeros. ranks[j] counts the
+    eigenpairs kept by the rank cut, which drops the non-positive ones with
+    the rest of the roundoff, and factor_widths[j] the factor's width, 0
+    where a dense eigendecomposition ran.
     """
 
     lams: np.ndarray
@@ -82,12 +89,13 @@ class LooReport:
     best_error: float
     floored_eigs: np.ndarray
     ranks: np.ndarray
+    factor_widths: np.ndarray
 
     def as_rows(self):
         return list(zip(self.lams, self.sigma2_ys, self.errors))
 
     def floor_rows(self):
-        """(sigma2_y, negative eigenvalues, kept rank) per grid bandwidth."""
+        """(sigma2_y, non-positive eigenvalues, kept rank) per grid bandwidth."""
         grid = self.sigma2_ys[:len(self.floored_eigs)]
         return list(zip(grid, self.floored_eigs, self.ranks))
 
@@ -112,45 +120,85 @@ def _check_lams(lams, name: str = "lambda") -> np.ndarray:
     return lams
 
 
-def _spectrum(holdout_y, y_params: KernelParams, k_zz):
+def _factor(k_yy):
+    """Greedy pivoted Cholesky K_YY ~ G G^T; returns G^T, shape (k, M).
+
+    Each step takes the largest residual diagonal as its pivot and stops
+    once that diagonal falls to a tenth of RANK_CUT times the largest
+    diagonal of K_YY, below every eigenvalue the cut keeps. Returns None
+    when the factor would need M/2 columns or more: one that wide is no
+    cheaper than the dense eigendecomposition.
+    """
+    m = k_yy.shape[0]
+    d = np.diag(k_yy).copy()
+    tol = 0.1 * RANK_CUT * d.max()
+    limit = (m - 1) // 2
+    g = np.empty((limit, m))
+    for j in range(limit + 1):
+        p = int(np.argmax(d))
+        if d[p] <= tol:
+            return g[:j]
+        if j == limit:
+            return None
+        row = k_yy[p] - g[:j, p] @ g[:j]
+        row /= math.sqrt(d[p])
+        d -= row * row
+        g[j] = row
+
+
+def _spectrum(holdout_y, y_params: KernelParams, k_zz, factor: bool = True):
     """Truncated eigendecomposition of K_YY with K_ZZ projected onto it.
 
-    Returns (s, u, ku, c, n_negative): the r eigenvalues above RANK_CUT times
-    the largest, their eigenvectors u (M, r), ku = K_ZZ u, the symmetric
-    c = u^T K_ZZ u, and the count of negative eigenvalues before the cut.
+    With factor set, the pivoted Cholesky factor G is tried first: with the
+    thin QR G = Q R, K_YY ~ Q (R R^T) Q^T, so the eigenpairs are those of the
+    small R R^T with their vectors rotated by Q. Without it, or when the
+    factor would need M/2 columns or more, K_YY takes a dense
+    eigendecomposition.
+    Returns (s, u, ku, c, n_nonpositive, width): the r eigenvalues above
+    RANK_CUT times the largest, their eigenvectors u (M, r), ku = K_ZZ u,
+    the symmetric c = u^T K_ZZ u, the count of non-positive eigenvalues
+    before the cut, with the M - width directions the factor never reached
+    counted as zeros, and the factor's width, 0 on the dense path.
     """
     k_yy = gram(holdout_y, holdout_y, y_params)
+    g = _factor(k_yy) if factor else None
+    width = 0 if g is None else g.shape[0]
     try:
-        s, u = np.linalg.eigh(k_yy)
+        if width:
+            q, r = np.linalg.qr(g.T)
+            s, v = np.linalg.eigh(r @ r.T)
+        else:
+            s, v = np.linalg.eigh(k_yy)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of K_YY failed: {exc}") from None
-    del k_yy
+    del k_yy, g
     if not np.all(np.isfinite(s)):
         raise NumericalError("K_YY has non-finite eigenvalues")
-    n_negative = int(np.count_nonzero(s < 0.0))
+    # the directions a factor never reached are zeros of K_YY
+    n_nonpositive = int(np.count_nonzero(s <= 0.0)) + holdout_y.shape[0] - s.shape[0]
     # eigh sorts ascending, so the kept eigenpairs are the last r
     cut = int(np.searchsorted(s, RANK_CUT * s[-1], side="right"))
     s = s[cut:].copy()
-    u = np.ascontiguousarray(u[:, cut:])
+    u = q @ v[:, cut:] if width else np.ascontiguousarray(v[:, cut:])
     ku = k_zz @ u
     c = u.T @ ku
     c = 0.5 * (c + c.T)
-    return s, u, ku, c, n_negative
+    return s, u, ku, c, n_nonpositive, width
 
 
 def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
             z_params: KernelParams) -> CmeModel:
-    """Fit the embedding regression on a holdout set: one eigendecomposition
-    of K_YY, truncated at RANK_CUT."""
+    """Fit the embedding regression on a holdout set: the spectrum of K_YY,
+    truncated at RANK_CUT."""
     lam = float(_check_lams([lam])[0])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
     k_zz = gram(holdout_z, holdout_z, z_params)
-    s, u, _, c, _ = _spectrum(holdout_y, y_params, k_zz)
+    s, u, _, c, _, _ = _spectrum(holdout_y, y_params, k_zz)
     return CmeModel(holdout_y, holdout_z, lam, y_params, z_params, u, s, c)
 
 
 def _loo_errors(s, u, ku, c, k_zz_diag, lams):
-    """Leave-one-out errors of every lam in lams from one eigendecomposition.
+    """Leave-one-out errors of every lam in lams from one truncated spectrum.
 
     With K_YY = U diag(s) U^T and d = s / (s + lam), the hat matrix is
     A = U diag(d) U^T = W U^T with W = U diag(d). Then
@@ -190,7 +238,7 @@ def loo_error(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     lams = _check_lams([lam])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
     k_zz = gram(holdout_z, holdout_z, z_params)
-    s, u, ku, c, _ = _spectrum(holdout_y, y_params, k_zz)
+    s, u, ku, c, _, _ = _spectrum(holdout_y, y_params, k_zz)
     return float(_loo_errors(s, u, ku, c, np.diag(k_zz), lams)[0])
 
 
@@ -217,9 +265,14 @@ def select_hyperparams(holdout_y, holdout_z,
     """Grid-search (lam, sigma2_y) by leave-one-out error and fit the winner.
 
     The z-kernel bandwidth is fixed by the caller and not searched. K_ZZ is
-    built once, and one truncated eigendecomposition of K_YY per sigma2_y
-    scores the whole lambda grid. Only the leading bandwidth's spectrum is
-    kept, and the winner is built from it, bitwise equal to fit_cme there.
+    built once, and one truncated spectrum of K_YY per sigma2_y scores the
+    whole lambda grid. Only the leading bandwidth's spectrum is kept, and the
+    winner is built from it, bitwise equal to fit_cme there.
+
+    The bandwidths run from widest to narrowest, and once the Cholesky
+    factor has needed M/2 columns or more, the narrower ones go straight to
+    the dense eigendecomposition: a narrower Gaussian Gram has the higher
+    numerical rank, so its factor would fail as well, after as much work.
     """
     lambda_grid = [float(v) for v in lambda_grid]
     sigma2_y_grid = [float(v) for v in sigma2_y_grid]
@@ -234,9 +287,13 @@ def select_hyperparams(holdout_y, holdout_z,
     errors = np.empty((len(lambda_grid), len(sigma2_y_grid)))
     floored = np.empty(len(sigma2_y_grid), dtype=np.int64)
     ranks = np.empty(len(sigma2_y_grid), dtype=np.int64)
+    widths = np.empty(len(sigma2_y_grid), dtype=np.int64)
     best = best_spectrum = None
-    for j, (s2, params) in enumerate(zip(sigma2_y_grid, y_params)):
-        s, u, ku, c, floored[j] = _spectrum(holdout_y, params, k_zz)
+    factor = True
+    for j in sorted(range(len(sigma2_y_grid)), key=lambda j: -sigma2_y_grid[j]):
+        s2, params = sigma2_y_grid[j], y_params[j]
+        s, u, ku, c, floored[j], widths[j] = _spectrum(holdout_y, params, k_zz, factor)
+        factor = bool(widths[j])
         ranks[j] = s.shape[0]
         errors[:, j] = _loo_errors(s, u, ku, c, k_zz_diag, lams)
         for i, lam in enumerate(lambda_grid):
@@ -244,7 +301,7 @@ def select_hyperparams(holdout_y, holdout_z,
             if math.isfinite(err) and _better(err, lam, s2, best):
                 best = (err, lam, s2)
                 best_spectrum = (u, s, c)
-        # the next eigh is the grid's peak: hold only the best spectrum there
+        # the next spectrum is the grid's peak: hold only the best one there
         del s, u, ku, c
     del k_zz
 
@@ -253,7 +310,7 @@ def select_hyperparams(holdout_y, holdout_z,
     b_err, b_lam, b_s2 = best
     report = LooReport(np.repeat(lambda_grid, len(sigma2_y_grid)),
                        np.tile(sigma2_y_grid, len(lambda_grid)),
-                       errors.ravel(), b_lam, b_s2, b_err, floored, ranks)
+                       errors.ravel(), b_lam, b_s2, b_err, floored, ranks, widths)
     model = CmeModel(holdout_y, holdout_z, b_lam, KernelParams(sigma2=b_s2), z_params,
                      *best_spectrum)
     return model, report

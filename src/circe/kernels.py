@@ -69,23 +69,18 @@ def gram(rows, cols, params: KernelParams) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
-def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
-    """Solve (K + lam * I) S = B for symmetric PSD K on numpy's LAPACK.
+def ridge_system(K: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(K + lam I, the matrix its solves factor) for symmetric PSD K.
 
     A Cholesky factorization tests definiteness, with jitter escalating
     tenfold from JITTER_START * mean(diag) up to JITTER_CAP * mean(diag)
-    while it fails; an LU solve of the same matrix gives S. A relative
-    residual against K + lam * I above RESIDUAL_TOL raises NumericalError.
-    No scipy solver: scipy's bundled OpenBLAS thread pool contends with
-    numpy's for the cores, and a 256-row HSCIC step on two cores took
-    70-104 ms with scipy's Cholesky solve against 26-33 ms on numpy alone.
+    while it fails; past the cap it raises NumericalError. The second matrix
+    is K + lam I plus the jitter that passed, so a caller with several
+    right-hand sides at different times runs this search once.
     """
     K = np.asarray(K, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ConfigError(f"K must be square, got shape {K.shape}")
-    if B.shape[0] != K.shape[0]:
-        raise ConfigError(f"B has {B.shape[0]} rows, K is {K.shape[0]}x{K.shape[0]}")
     if not np.isfinite(lam) or lam <= 0:
         raise ConfigError(f"lam must be positive and finite, got {lam}")
 
@@ -100,7 +95,7 @@ def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
     while True:
         try:
             np.linalg.cholesky(jittered)
-            break
+            return A, jittered
         except np.linalg.LinAlgError:
             jitter = JITTER_START * mean_diag if jitter == 0.0 else jitter * 10.0
             if jitter > JITTER_CAP * mean_diag * (1 + 1e-12):
@@ -109,12 +104,32 @@ def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
                 ) from None
             jittered = A + jitter * np.eye(n)
 
+
+def ridge_solve(system: tuple[np.ndarray, np.ndarray], B: np.ndarray) -> np.ndarray:
+    """Solve (K + lam I) S = B on a ridge_system: an LU solve of its jittered
+    matrix, then a relative residual against K + lam I above RESIDUAL_TOL
+    raises NumericalError."""
+    A, jittered = system
+    B = np.asarray(B, dtype=np.float64)
+    if B.shape[0] != A.shape[0]:
+        raise ConfigError(f"B has {B.shape[0]} rows, K is {A.shape[0]}x{A.shape[0]}")
     S = np.linalg.solve(jittered, B)
     b_norm = float(np.linalg.norm(B))
     residual = float(np.linalg.norm(A @ S - B)) / max(b_norm, np.finfo(np.float64).tiny)
     if not np.isfinite(residual) or residual > RESIDUAL_TOL:
         raise NumericalError(f"solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
     return S
+
+
+def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
+    """Solve (K + lam I) S = B for symmetric PSD K on numpy's LAPACK: the
+    jitter search of ridge_system, then ridge_solve.
+
+    No scipy solver: scipy's bundled OpenBLAS thread pool contends with
+    numpy's for the cores, and a 256-row HSCIC step on two cores took
+    70-104 ms with scipy's Cholesky solve against 26-33 ms on numpy alone.
+    """
+    return ridge_solve(ridge_system(K, lam), B)
 
 
 def gram_backprop(coeff: np.ndarray, points: np.ndarray, K: np.ndarray, sigma2: float) -> np.ndarray:

@@ -320,3 +320,22 @@ def test_hscic_value_matches_three_term_form(n, d_x):
     value, _ = hscic_with_grad(x, z, y, XP, ZP, YP, LAM)
     # the three-term value, term1 - 2 term2 + p q, as first written
     assert value == pytest.approx(_hscic_dense(x, z, y, XP, ZP, YP, LAM)[0], rel=1e-12)
+
+
+def test_gcm_tests_definiteness_once_per_step(monkeypatch):
+    # both thin solves share one ridge system: one Cholesky test per step
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    rng = np.random.default_rng(12)
+    y = rng.standard_normal((64, 1))
+    z = y**2 + rng.standard_normal((64, 2))
+    x = z[:, :1] + 0.1 * rng.standard_normal((64, 2))
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    gcm_with_grad(x, z, y, YP, LAM)
+    assert calls == [(64, 64)]
+    _assert_gcm_bitwise_per_pair(x, z, y)

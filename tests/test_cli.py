@@ -47,9 +47,9 @@ def test_fit_cme_prints_report_and_saves(tmp_path):
                    "--config", str(cfg_path))
     assert proc.returncode == 0, proc.stderr
     assert "selected lambda=" in proc.stdout
-    assert "sigma2_y eigenvalues_floored rank" in proc.stdout
-    # one row per grid bandwidth: sigma2_y, floored count, kept rank
-    s2, floored, rank = proc.stdout.split("eigenvalues_floored rank\n")[1].split("\n")[0].split()
+    assert "sigma2_y nonpositive_eigenvalues rank" in proc.stdout
+    # one row per grid bandwidth: sigma2_y, non-positive count, kept rank
+    s2, floored, rank = proc.stdout.split("nonpositive_eigenvalues rank\n")[1].split("\n")[0].split()
     assert s2 == "1" and 0 <= int(floored) and 1 <= int(rank) <= 60
     assert proc.stdout.count("\n") >= 4
     assert (tmp_path / "cme_uni1_seed1.npz").exists()

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import circe.cme as cme_mod
 from circe.cme import (
     LOO_DIAG_GUARD,
+    RANK_CUT,
     CmeModel,
     fit_cme,
     load_cme,
@@ -12,6 +14,7 @@ from circe.cme import (
     save_cme,
     select_hyperparams,
     _better,
+    _spectrum,
 )
 from circe.exceptions import ConfigError
 from circe.kernels import KernelParams, gram, regularized_solve
@@ -182,6 +185,58 @@ def test_singular_holdout_is_floored_and_finite():
     assert report.floored_eigs.shape == (4,)
     assert report.floored_eigs.sum() > 0
     assert [row[0] for row in report.floor_rows()] == [0.001, 0.01, 0.1, 1.0]
+    # 30 distinct points need a factor of width M/2 at the narrow bandwidths
+    assert report.factor_widths[0] == 0 and report.floored_eigs[0] > 0
+
+    # 300 distinct points twice over: rank <= M/2 at sigma2_y = 1, so the
+    # Cholesky factor runs, and every direction it never reached counts
+    y, z = _sample_pairs(rng, 300)
+    y2 = np.vstack([y, y])
+    z2 = np.vstack([z, y**2 + rng.standard_normal(y.shape)])
+    _, report = select_hyperparams(y2, z2, sigma2_y_grid=[1.0])
+    assert np.all(np.isfinite(report.errors))
+    width = report.factor_widths[0]
+    assert 0 < width <= 300
+    assert report.floored_eigs[0] >= 600 - width
+    assert report.ranks[0] <= width
+
+
+def test_wide_gram_takes_the_dense_path_bitwise():
+    # 400 spread 2-d points at a narrow bandwidth: numerical rank near M
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal((400, 2))
+    z = rng.standard_normal((400, 1))
+    yp = KernelParams(sigma2=0.01)
+    k_zz = gram(z, z, KernelParams(sigma2=1.0))
+    s, u, _, c, floored, width = _spectrum(y, yp, k_zz)
+    assert width == 0
+    s_ref, u_ref = np.linalg.eigh(gram(y, y, yp))
+    cut = int(np.searchsorted(s_ref, RANK_CUT * s_ref[-1], side="right"))
+    assert 400 - cut > 200
+    assert np.array_equal(s, s_ref[cut:]) and np.array_equal(u, u_ref[:, cut:])
+    assert floored == np.count_nonzero(s_ref <= 0.0)
+
+
+def test_grid_stops_trying_the_factor_once_it_fails(monkeypatch):
+    tried = []
+    factor = cme_mod._factor
+
+    def recording(k_yy):
+        g = factor(k_yy)
+        tried.append(None if g is None else g.shape[0])
+        return g
+
+    monkeypatch.setattr(cme_mod, "_factor", recording)
+    ds = make_dataset("uni1", 1500, 2, 0, m_holdout=200)
+    y = ds.standardizer.transform("y", ds.holdout.y)
+    z = ds.standardizer.transform("z", ds.holdout.z)
+    _, report = select_hyperparams(y, z)
+    # widest first: 1.0 and 0.1 factor, 0.01 would need M/2 columns, and
+    # 0.001 goes to the dense path without trying
+    widths = dict(zip([0.001, 0.01, 0.1, 1.0], report.factor_widths))
+    assert widths[1.0] > 0 and widths[0.1] > 0
+    assert widths[0.01] == 0 and widths[0.001] == 0
+    assert tried == [widths[1.0], widths[0.1], None]
 
 
 def test_tie_breaking_prefers_larger_lambda_then_sigma():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from circe.cme import fit_cme, select_hyperparams
+from circe.cme import CmeModel, _spectrum, fit_cme, select_hyperparams
 from circe.estimator import (
     centered_from_factors,
     centered_gram,
@@ -93,6 +93,30 @@ def test_low_rank_centered_gram_matches_dense_at_full_holdout(case):
                 * (gram(batch.z, batch.z, model.z_params) - P - P.T + Q))
     rel = np.max(np.abs(cg - expected)) / np.max(np.abs(expected))
     assert rel <= 1e-7
+
+
+def test_compressed_spectrum_matches_the_dense_path():
+    # every uni1 bandwidth at M = 1000 has rank < M/2: the Cholesky-factor
+    # spectrum keeps the dense rank to within one eigenpair, and at the grid
+    # winner its centered Gram meets the dense path's 1e-7 bound
+    ds = make_dataset("uni1", 2000, 2, 0, m_holdout=1000)
+    std = ds.standardizer
+    y = std.transform("y", ds.holdout.y)
+    z = std.transform("z", ds.holdout.z)
+    k_zz = gram(z, z, ZP)
+    for sigma2_y in (0.001, 0.01, 0.1, 1.0):
+        yp = KernelParams(sigma2=sigma2_y)
+        s, u, _, c, _, width = _spectrum(y, yp, k_zz)
+        s_d, u_d, _, c_d, _, width_d = _spectrum(y, yp, k_zz, factor=False)
+        assert 0 < width < 500 and width_d == 0
+        assert abs(s.shape[0] - s_d.shape[0]) <= 1
+    batch = train_data_from_dataset(ds).train.take(np.arange(256))
+    for model in (CmeModel(y, z, 0.01, yp, ZP, u, s, c),
+                  CmeModel(y, z, 0.01, yp, ZP, u_d, s_d, c_d)):
+        cg = centered_gram(batch.y, batch.z, model, yp, ZP)
+        P, Q = _dense_cross_terms(model, batch.y, batch.z)
+        expected = gram(batch.y, batch.y, yp) * (gram(batch.z, batch.z, ZP) - P - P.T + Q)
+        assert np.max(np.abs(cg - expected)) / np.max(np.abs(expected)) <= 1e-7
 
 
 def test_statistic_variants_match_brute_force_sums():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from circe.exceptions import ConfigError, NumericalError
-from circe.kernels import KernelParams, gram, gram_backprop, regularized_solve
+from circe.kernels import (KernelParams, gram, gram_backprop, regularized_solve,
+                           ridge_solve, ridge_system)
 
 
 def kernel_eval(x, xp, params: KernelParams) -> float:
@@ -160,6 +161,34 @@ def test_regularized_solve_fails_on_indefinite():
     K = -np.eye(10)
     with pytest.raises(NumericalError):
         regularized_solve(K, 0.5, np.ones(10))
+
+
+def test_ridge_system_searches_jitter_once_for_every_solve(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((30, 2))
+    K = gram(x, x, KernelParams(sigma2=1.0))
+    B = rng.standard_normal((30, 3))
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    system = ridge_system(K, 1e-3)
+    first, second = ridge_solve(system, B), ridge_solve(system, B[:, :1])
+    assert len(calls) == 1
+    assert np.array_equal(first, regularized_solve(K, 1e-3, B))
+    assert np.array_equal(second, regularized_solve(K, 1e-3, B[:, :1]))
+
+    # an indefinite K + lam I takes the jitter ladder: the first rung passes
+    calls.clear()
+    K = np.diag([1.0] * 9 + [-0.5 - 1e-11])
+    A, jittered = ridge_system(K, 0.5)
+    assert len(calls) == 2
+    jitter = 1e-10 * np.mean(np.diag(K))
+    assert np.array_equal(jittered, A + jitter * np.eye(10))
 
 
 def test_gram_backprop_matches_finite_differences():
