@@ -26,6 +26,12 @@ LOO_DIAG_GUARD = 1e-10
 # eigenpairs of K_YY at or below this fraction of the largest eigenvalue are
 # dropped from the fit: at M = 1000 they are roundoff of a low-rank Gram
 RANK_CUT = 1e-12
+# the pivoted Cholesky factor of K_YY gives up after M/3 columns while its
+# pivot is still above this fraction of the largest diagonal: on the SCM
+# cases' Gaussian Grams at M = 200 and 1000, every factor that finished
+# within M/2 columns was below 1e-5 there, and at M = 1000 every one that
+# did not was still above 3e-4
+FACTOR_GIVE_UP = 1e-4
 
 DEFAULT_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0)
 DEFAULT_SIGMA2_Y_GRID = (0.001, 0.01, 0.1, 1.0)
@@ -126,34 +132,38 @@ def _factor(k_yy):
     Each step takes the largest residual diagonal as its pivot and stops
     once that diagonal falls to a tenth of RANK_CUT times the largest
     diagonal of K_YY, below every eigenvalue the cut keeps. Returns None
-    when the factor would need M/2 columns or more: one that wide is no
-    cheaper than the dense eigendecomposition.
+    when the factor would need M/2 columns or more, one that wide being no
+    cheaper than the dense eigendecomposition, and also after M/3 columns
+    while the pivot is above FACTOR_GIVE_UP times the largest diagonal.
     """
     m = k_yy.shape[0]
     d = np.diag(k_yy).copy()
     tol = 0.1 * RANK_CUT * d.max()
+    give_up = FACTOR_GIVE_UP * d.max()
     limit = (m - 1) // 2
     g = np.empty((limit, m))
     for j in range(limit + 1):
         p = int(np.argmax(d))
         if d[p] <= tol:
             return g[:j]
-        if j == limit:
+        if j == limit or (j == m // 3 and d[p] > give_up):
             return None
         row = k_yy[p] - g[:j, p] @ g[:j]
         row /= math.sqrt(d[p])
+        # products of entries this small are subnormal, and subnormal
+        # arithmetic is several times slower; they are far below tol
+        row[np.abs(row) < 1e-150] = 0.0
         d -= row * row
         g[j] = row
 
 
-def _spectrum(holdout_y, y_params: KernelParams, k_zz, factor: bool = True):
+def _spectrum(holdout_y, y_params: KernelParams, k_zz):
     """Truncated eigendecomposition of K_YY with K_ZZ projected onto it.
 
-    With factor set, the pivoted Cholesky factor G is tried first: with the
-    thin QR G = Q R, K_YY ~ Q (R R^T) Q^T, so the eigenpairs are those of the
-    small R R^T with their vectors rotated by Q. Without it, or when the
-    factor would need M/2 columns or more, K_YY takes a dense
-    eigendecomposition.
+    The pivoted Cholesky factor G is tried first: with the thin QR
+    G = Q R, K_YY ~ Q (R R^T) Q^T, so the eigenpairs are those of the small
+    R R^T with their vectors rotated by Q. When the factor gives up, K_YY
+    takes a dense eigendecomposition.
     Returns (s, u, ku, c, n_nonpositive, width): the r eigenvalues above
     RANK_CUT times the largest, their eigenvectors u (M, r), ku = K_ZZ u,
     the symmetric c = u^T K_ZZ u, the count of non-positive eigenvalues
@@ -161,7 +171,7 @@ def _spectrum(holdout_y, y_params: KernelParams, k_zz, factor: bool = True):
     counted as zeros, and the factor's width, 0 on the dense path.
     """
     k_yy = gram(holdout_y, holdout_y, y_params)
-    g = _factor(k_yy) if factor else None
+    g = _factor(k_yy)
     width = 0 if g is None else g.shape[0]
     try:
         if width:
@@ -267,12 +277,10 @@ def select_hyperparams(holdout_y, holdout_z,
     The z-kernel bandwidth is fixed by the caller and not searched. K_ZZ is
     built once, and one truncated spectrum of K_YY per sigma2_y scores the
     whole lambda grid. Only the leading bandwidth's spectrum is kept, and the
-    winner is built from it, bitwise equal to fit_cme there.
-
-    The bandwidths run from widest to narrowest, and once the Cholesky
-    factor has needed M/2 columns or more, the narrower ones go straight to
-    the dense eigendecomposition: a narrower Gaussian Gram has the higher
-    numerical rank, so its factor would fail as well, after as much work.
+    winner is built from it. Every bandwidth takes the same _spectrum as
+    fit_cme, factor attempt included, so the winner is bitwise equal to
+    fit_cme at its parameters whenever both run on the same BLAS thread
+    count.
     """
     lambda_grid = [float(v) for v in lambda_grid]
     sigma2_y_grid = [float(v) for v in sigma2_y_grid]
@@ -289,11 +297,8 @@ def select_hyperparams(holdout_y, holdout_z,
     ranks = np.empty(len(sigma2_y_grid), dtype=np.int64)
     widths = np.empty(len(sigma2_y_grid), dtype=np.int64)
     best = best_spectrum = None
-    factor = True
-    for j in sorted(range(len(sigma2_y_grid)), key=lambda j: -sigma2_y_grid[j]):
-        s2, params = sigma2_y_grid[j], y_params[j]
-        s, u, ku, c, floored[j], widths[j] = _spectrum(holdout_y, params, k_zz, factor)
-        factor = bool(widths[j])
+    for j, (s2, params) in enumerate(zip(sigma2_y_grid, y_params)):
+        s, u, ku, c, floored[j], widths[j] = _spectrum(holdout_y, params, k_zz)
         ranks[j] = s.shape[0]
         errors[:, j] = _loo_errors(s, u, ku, c, k_zz_diag, lams)
         for i, lam in enumerate(lambda_grid):

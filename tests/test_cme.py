@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -217,26 +218,30 @@ def test_wide_gram_takes_the_dense_path_bitwise():
     assert floored == np.count_nonzero(s_ref <= 0.0)
 
 
-def test_grid_stops_trying_the_factor_once_it_fails(monkeypatch):
-    tried = []
-    factor = cme_mod._factor
+def test_factor_gives_up_early_only_where_the_width_limit_would(monkeypatch):
+    # on the SCM Grams at M = 1000 the M/3 give-up ends no factor that the
+    # M/2 limit lets finish, and changes no bit of those that finish
+    for case in ("uni1", "multi2"):
+        ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
+        y = ds.standardizer.transform("y", ds.holdout.y)
+        for s2 in (0.001, 0.01, 0.1, 1.0):
+            k_yy = gram(y, y, KernelParams(sigma2=s2))
+            g = cme_mod._factor(k_yy)
+            with monkeypatch.context() as mp:
+                mp.setattr(cme_mod, "FACTOR_GIVE_UP", math.inf)
+                g_full = cme_mod._factor(k_yy)
+            assert (g is None) == (g_full is None)
+            if g is not None:
+                assert np.array_equal(g, g_full)
 
-    def recording(k_yy):
-        g = factor(k_yy)
-        tried.append(None if g is None else g.shape[0])
-        return g
-
-    monkeypatch.setattr(cme_mod, "_factor", recording)
-    ds = make_dataset("uni1", 1500, 2, 0, m_holdout=200)
-    y = ds.standardizer.transform("y", ds.holdout.y)
-    z = ds.standardizer.transform("z", ds.holdout.z)
-    _, report = select_hyperparams(y, z)
-    # widest first: 1.0 and 0.1 factor, 0.01 would need M/2 columns, and
-    # 0.001 goes to the dense path without trying
-    widths = dict(zip([0.001, 0.01, 0.1, 1.0], report.factor_widths))
-    assert widths[1.0] > 0 and widths[0.1] > 0
-    assert widths[0.01] == 0 and widths[0.001] == 0
-    assert tried == [widths[1.0], widths[0.1], None]
+    # a near-full-rank Gram stops at M/3 columns instead of M/2
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal((400, 2))
+    rows = []
+    monkeypatch.setattr(cme_mod, "math", SimpleNamespace(
+        sqrt=lambda x: rows.append(x) or math.sqrt(x)))
+    assert cme_mod._factor(gram(y, y, KernelParams(sigma2=0.01))) is None
+    assert len(rows) == 400 // 3
 
 
 def test_tie_breaking_prefers_larger_lambda_then_sigma():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import circe.cme as cme_mod
 from circe.cme import CmeModel, _spectrum, fit_cme, select_hyperparams
 from circe.estimator import (
     centered_from_factors,
@@ -95,7 +96,7 @@ def test_low_rank_centered_gram_matches_dense_at_full_holdout(case):
     assert rel <= 1e-7
 
 
-def test_compressed_spectrum_matches_the_dense_path():
+def test_compressed_spectrum_matches_the_dense_path(monkeypatch):
     # every uni1 bandwidth at M = 1000 has rank < M/2: the Cholesky-factor
     # spectrum keeps the dense rank to within one eigenpair, and at the grid
     # winner its centered Gram meets the dense path's 1e-7 bound
@@ -107,7 +108,9 @@ def test_compressed_spectrum_matches_the_dense_path():
     for sigma2_y in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=sigma2_y)
         s, u, _, c, _, width = _spectrum(y, yp, k_zz)
-        s_d, u_d, _, c_d, _, width_d = _spectrum(y, yp, k_zz, factor=False)
+        with monkeypatch.context() as mp:
+            mp.setattr(cme_mod, "_factor", lambda k_yy: None)
+            s_d, u_d, _, c_d, _, width_d = _spectrum(y, yp, k_zz)
         assert 0 < width < 500 and width_d == 0
         assert abs(s.shape[0] - s_d.shape[0]) <= 1
     batch = train_data_from_dataset(ds).train.take(np.arange(256))
