@@ -20,8 +20,10 @@ from .exceptions import ConfigError
 from .kernels import KernelParams, as_points, gram
 
 VARIANTS = ("plain", "debiased", "centered")
-# rows per block when building the holdout cross-term factors
-FACTOR_BLOCK_ROWS = 1024
+# rows per block when building the holdout cross-term factors: a 512-row
+# block's Gram at M=1000 (4 MB) stays under glibc's dynamic mmap threshold,
+# so its buffer is reused from the heap instead of mapped and faulted afresh
+FACTOR_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)

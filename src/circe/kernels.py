@@ -2,7 +2,9 @@
 
 All arrays are float64. The bandwidth parameter is the variance sigma2 in
 k(x, x') = exp(-||x - x'||^2 / (2 * sigma2)); it is always set explicitly,
-never from a data heuristic.
+never from a data heuristic. Squared distances of one-column points come
+from direct differences and of wider points from the norm expansion (see
+squared_distances).
 """
 
 from __future__ import annotations
@@ -40,12 +42,23 @@ def as_points(x) -> np.ndarray:
 
 
 def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """||rows[i] - cols[j]||^2, (n_rows, n_cols).
+
+    One-column points take (r_i - c_j)^2 directly: one outer difference,
+    squared in place, never negative and exactly 0 on duplicated points.
+    Wider points take (r2 + c2) - 2 rows cols^T, whose GEMM beats the
+    per-column differences from two columns up.
+    """
     rows = as_points(rows)
     cols = as_points(cols)
     if rows.shape[1] != cols.shape[1]:
         raise ConfigError(
             f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]} columns"
         )
+    if rows.shape[1] == 1:
+        d2 = np.subtract.outer(rows[:, 0], cols[:, 0])
+        d2 *= d2
+        return d2
     r2 = np.sum(rows * rows, axis=1)[:, None]
     c2 = np.sum(cols * cols, axis=1)[None, :]
     # (r2 + c2) - 2 (rows cols^T), in that order, in two buffers

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import circe.cme as cme_mod
+import circe.estimator as estimator_mod
 from circe.cme import CmeModel, _spectrum, fit_cme, select_hyperparams
 from circe.estimator import (
     centered_from_factors,
@@ -120,6 +121,24 @@ def test_compressed_spectrum_matches_the_dense_path(monkeypatch):
         P, Q = _dense_cross_terms(model, batch.y, batch.z)
         expected = gram(batch.y, batch.y, yp) * (gram(batch.z, batch.z, ZP) - P - P.T + Q)
         assert np.max(np.abs(cg - expected)) / np.max(np.abs(expected)) <= 1e-7
+
+
+def test_cross_factors_do_not_depend_on_the_block_size(monkeypatch):
+    # the block size only bounds the Gram temporary: each factor row depends
+    # on its own point alone, so every block size gives the same bits
+    ds = make_dataset("uni1", 4000, 2, 0, m_holdout=200)
+    std = ds.standardizer
+    model, _ = select_hyperparams(std.transform("y", ds.holdout.y),
+                                  std.transform("z", ds.holdout.z))
+    train = train_data_from_dataset(ds).train
+    assert train.n > 1024
+    factors = {}
+    for rows in (512, 1024, train.n):
+        monkeypatch.setattr(estimator_mod, "FACTOR_BLOCK_ROWS", rows)
+        factors[rows] = cross_factors(train.y, train.z, model)
+    for rows in (1024, train.n):
+        for got, want in zip(factors[rows], factors[512]):
+            assert np.array_equal(got, want)
 
 
 def test_statistic_variants_match_brute_force_sums():

@@ -3,7 +3,7 @@ import pytest
 
 from circe.exceptions import ConfigError, NumericalError
 from circe.kernels import (KernelParams, gram, gram_backprop, regularized_solve,
-                           ridge_solve, ridge_system)
+                           ridge_solve, ridge_system, squared_distances)
 
 
 def kernel_eval(x, xp, params: KernelParams) -> float:
@@ -223,17 +223,58 @@ def _gram_reference(rows, cols, sigma2):
     return np.exp(-d2 / (2.0 * sigma2))
 
 
+def _gram_direct_reference(rows, cols, sigma2):
+    """gram of one-column points from direct differences, one temporary per step."""
+    diff = rows[:, 0][:, None] - cols[:, 0][None, :]
+    return np.exp(-(diff * diff) / (2.0 * sigma2))
+
+
 @pytest.mark.parametrize("n_rows,n_cols,dim", [(256, 256, 1), (256, 256, 2),
                                                (256, 256, 64), (1024, 1000, 1)])
 def test_gram_bitwise_equals_reference(n_rows, n_cols, dim):
     rng = np.random.default_rng(n_rows + dim)
     rows = rng.standard_normal((n_rows, dim))
     cols = rng.standard_normal((n_cols, dim))
+    reference = _gram_direct_reference if dim == 1 else _gram_reference
     for sigma2 in (0.001, 0.7, 1.0):
         p = KernelParams(sigma2=sigma2)
-        assert np.array_equal(gram(rows, cols, p), _gram_reference(rows, cols, sigma2))
-    # a duplicated point gives exact zeros (and clamped negatives) on the diagonal
-    assert np.array_equal(gram(rows, rows, p), _gram_reference(rows, rows, 1.0))
+        assert np.array_equal(gram(rows, cols, p), reference(rows, cols, sigma2))
+    # a duplicated point gives exact zeros on the diagonal (clamped negatives
+    # in the expansion)
+    assert np.array_equal(gram(rows, rows, p), reference(rows, rows, 1.0))
+
+
+def test_one_column_gram_is_exact_on_duplicates_and_within_ulps():
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("long double is no wider than float64 here")
+    rng = np.random.default_rng(13)
+    base = rng.uniform(-0.7, 0.7, 100)
+    # near-duplicates a few ulps apart, where r^2 + c^2 - 2 r c loses every digit
+    near = np.concatenate([np.nextafter(base[:20], np.inf),
+                           base[:20] + 64 * np.spacing(base[:20])])
+    points = np.concatenate([base, base[:30], near])[::-1]
+    column = np.empty((points.size, 3))
+    column[:, 1] = points
+    x = column[:, 1:2]
+    assert not x.flags.c_contiguous
+    p = KernelParams(sigma2=1.0)
+    K = gram(x, x, p)
+    assert np.array_equal(K, K.T)
+    same = points[:, None] == points[None, :]
+    assert np.all(K[same] == 1.0) and np.count_nonzero(same) > points.size
+
+    wide = points.astype(np.longdouble)
+    d2 = (wide[:, None] - wide[None, :]) ** 2
+    # two roundings put d2 within 3 ulps; |exponent| < 1 adds under 3 ulps
+    # to exp's own, so K stays within 4
+    d2_mine = squared_distances(x, x)
+    assert np.all(np.abs(d2_mine - d2) <= 3 * np.spacing(d2.astype(np.float64)))
+    assert np.all(d2_mine[~same] > 0.0)
+    exact = np.exp(-d2 / 2).astype(np.float64)
+    assert np.all(np.abs(K - exact) <= 4 * np.spacing(exact))
+
+    with pytest.raises(ConfigError):
+        gram(x, np.zeros((4, 2)), p)
 
 
 def test_gram_bitwise_on_non_contiguous_input():

@@ -137,7 +137,7 @@ def test_precomputed_context_matches_direct_centered_gram():
 
 
 def test_context_gathers_rows_from_partial_last_block():
-    # 1029 rows: one full block plus a 5-row block, every one of them gathered
+    # one full block plus a 5-row block, every one of them gathered
     n = FACTOR_BLOCK_ROWS + 5
     rng, batch, cme = _context_problem(n, 12)
     tail = np.arange(FACTOR_BLOCK_ROWS, n)
