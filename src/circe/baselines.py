@@ -6,15 +6,20 @@ ridge weights as functions of Y alone, which they are. Each measure is one
 function that returns its value and that gradient: gcm_with_grad and
 hscic_with_grad.
 
-GCM never forms the ridge smoother A = K_yy (K_yy + lam I)^-1: since
-I - A = lam (K_yy + lam I)^-1, its residuals take one solve with d_x + d_z
-right-hand sides and its gradient one with d_x; every (feature, z) pair is
-computed at once, on one array of residual products. Both solves share
-one kernels.ridge_system, so the Cholesky test and its jitter search run
-once per step. Every solve runs on numpy's LAPACK (Cholesky test, LU
-solve), not scipy's, whose own OpenBLAS thread pool contends with numpy's
-for the cores: a 256-row GCM step on two cores took 43-71 ms with it,
-15-19 without.
+Both regress through one greedy pivoted Cholesky factor K_yy ~ G G^T of
+the batch Gram (kernels.pivoted_cholesky). With F = G (G^T G + lam I)^-1
+from one r x r solve (kernels.ridge_factor), HSCIC's weights
+(K_yy + lam I)^-1 K_yy are F G^T, and GCM's residual maker
+I - A = lam (K_yy + lam I)^-1 is I - F G^T, so GCM's residuals
+B - F (G^T B) and its gradient share one factor per step. GCM never forms
+the smoother A, and every (feature, z) pair is computed at once, on one
+array of residual products. The batch factor gives up at n/8 columns while
+its pivot is above kernels.FACTOR_GIVE_UP of the largest diagonal, and
+always at n/2; such a batch takes the dense path: one kernels.ridge_system
+(a Cholesky test with its jitter search, once per step) and LU solves
+through ridge_solve. Every solve runs on numpy's LAPACK, not scipy's,
+whose own OpenBLAS thread pool contends with numpy's for the cores: a
+256-row GCM step on two cores took 43-71 ms with it, 15-19 without.
 """
 
 from __future__ import annotations
@@ -24,12 +29,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, NumericalError
-from .kernels import (KernelParams, as_points, gram, gram_backprop, regularized_solve,
-                      ridge_solve, ridge_system)
+from .kernels import (KernelParams, as_points, gram, gram_backprop, pivoted_cholesky,
+                      regularized_solve, ridge_factor, ridge_solve, ridge_system)
 
 GCM_MIN_BATCH = 8
 GCM_VARIANCE_GUARD = 1e-12
 GCM_SMOOTHMAX_TAU = 10.0
+# the batch factor ends once its pivot falls to this fraction of the largest
+# diagonal. The dropped part moves the ridge weights by about FACTOR_STOP /
+# lam relative, 1e-12 at the default grid's smallest lam of 1e-3, where the
+# holdout's stop of 1e-13 left errors up to 1.6e-10; the roundoff of the
+# residual diagonal sat at 2e-16 to 5e-16 on uni1 batches of 256 and 512
+FACTOR_STOP = 1e-15
 
 
 @dataclass
@@ -56,6 +67,19 @@ def _check_batch(x_feats, z, y, lam):
     return x_feats, z, y
 
 
+def _batch_factor(k_yy, lam):
+    """(G^T, F^T) of kernels.ridge_factor on a batch Gram, or None for the
+    dense path.
+
+    The n/8 checkpoint sorts B = 256 batches early: on seeds 0-2 the pivot
+    at column 32 was at most 6.2e-6 of the largest diagonal on uni1
+    (sigma2_y in {0.1, 1}, 21-52 columns in all) and at least 1.0e-2 on
+    multi2, whose factors do not finish within n/2 columns.
+    """
+    gt = pivoted_cholesky(k_yy, FACTOR_STOP, k_yy.shape[0] // 8)
+    return None if gt is None else (gt, ridge_factor(gt, lam))
+
+
 def gcm_with_grad(x_feats, z, y, y_params: KernelParams, lam: float):
     """GcmEstimate plus d(regularizer_value)/d(x_feats).
 
@@ -65,8 +89,19 @@ def gcm_with_grad(x_feats, z, y, y_params: KernelParams, lam: float):
     """
     x_feats, z, y = _check_batch(x_feats, z, y, lam)
     n, d_x = x_feats.shape
-    system = ridge_system(gram(y, y, y_params), lam)
-    resid = lam * ridge_solve(system, np.hstack([x_feats, z]))
+    k_yy = gram(y, y, y_params)
+    factor = _batch_factor(k_yy, lam)
+    if factor is None:
+        system = ridge_system(k_yy, lam)
+
+        def residuals(b):
+            return lam * ridge_solve(system, b)
+    else:
+        gt, ft = factor
+
+        def residuals(b):
+            return b - ft.T @ (gt @ b)
+    resid = residuals(np.hstack([x_feats, z]))
     rx = np.ascontiguousarray(resid[:, :d_x].T)
     rz = np.ascontiguousarray(resid[:, d_x:].T)
     prods = rx[:, None, :] * rz[None, :, :]
@@ -97,8 +132,8 @@ def gcm_with_grad(x_feats, z, y, y_params: KernelParams, lam: float):
     coeffs = np.zeros((n, d_x))
     # pairs of one feature add into its column in z order
     np.add.at(coeffs.T, j, (soft * np.sign(t_in))[:, None] * dt_dr * rz[k])
-    # the residual maker I - A is lam (K_yy + lam I)^-1, symmetric
-    grad = lam * ridge_solve(system, coeffs)
+    # the residual maker I - A is symmetric
+    grad = residuals(coeffs)
     return GcmEstimate(value, t, regularizer, included), grad
 
 
@@ -110,7 +145,12 @@ def hscic_with_grad(x_feats, z, y, x_params: KernelParams, z_params: KernelParam
     x_feats, z, y = _check_batch(x_feats, z, y, lam)
     n = x_feats.shape[0]
     k_yy = gram(y, y, y_params)
-    w = regularized_solve(k_yy, lam, k_yy)
+    factor = _batch_factor(k_yy, lam)
+    if factor is None:
+        w = regularized_solve(k_yy, lam, k_yy)
+    else:
+        gt, ft = factor
+        w = ft.T @ gt
     k_xx = gram(x_feats, x_feats, x_params)
     k_zz = gram(z, z, z_params)
     u = k_zz @ w

@@ -4,8 +4,8 @@ leave-one-out model selection.
 The embedding of Z given Y is estimated from a holdout set of (y, z) pairs:
 mu(y) = sum_j beta_j(y) psi(z_j) with beta(y) = (K_YY + lam I)^{-1} k_Y(y).
 The fit keeps the numerically nonzero part of the spectrum of K_YY. A greedy
-pivoted Cholesky factor K_YY ~ G G^T of width k < M/2 finds that part in
-O(M k^2) (Harbrecht, Peters & Schneider 2012), and one small
+pivoted Cholesky factor K_YY ~ G G^T of width k < M/2
+(kernels.pivoted_cholesky) finds that part in O(M k^2), and one small
 eigendecomposition of the triangular factor of G's thin QR gives its
 eigenpairs; a Gram of higher numerical rank takes a dense
 eigendecomposition. The leave-one-out error of every lam has a closed form
@@ -20,18 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, NumericalError
-from .kernels import KernelParams, as_points, gram
+from .kernels import KernelParams, as_points, gram, pivoted_cholesky
 
 LOO_DIAG_GUARD = 1e-10
 # eigenpairs of K_YY at or below this fraction of the largest eigenvalue are
 # dropped from the fit: at M = 1000 they are roundoff of a low-rank Gram
 RANK_CUT = 1e-12
-# the pivoted Cholesky factor of K_YY gives up after M/3 columns while its
-# pivot is still above this fraction of the largest diagonal: on the SCM
-# cases' Gaussian Grams at M = 200 and 1000, every factor that finished
-# within M/2 columns was below 1e-5 there, and at M = 1000 every one that
-# did not was still above 3e-4
-FACTOR_GIVE_UP = 1e-4
 
 DEFAULT_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0)
 DEFAULT_SIGMA2_Y_GRID = (0.001, 0.01, 0.1, 1.0)
@@ -126,41 +120,12 @@ def _check_lams(lams, name: str = "lambda") -> np.ndarray:
     return lams
 
 
-def _factor(k_yy):
-    """Greedy pivoted Cholesky K_YY ~ G G^T; returns G^T, shape (k, M).
-
-    Each step takes the largest residual diagonal as its pivot and stops
-    once that diagonal falls to a tenth of RANK_CUT times the largest
-    diagonal of K_YY, below every eigenvalue the cut keeps. Returns None
-    when the factor would need M/2 columns or more, one that wide being no
-    cheaper than the dense eigendecomposition, and also after M/3 columns
-    while the pivot is above FACTOR_GIVE_UP times the largest diagonal.
-    """
-    m = k_yy.shape[0]
-    d = np.diag(k_yy).copy()
-    tol = 0.1 * RANK_CUT * d.max()
-    give_up = FACTOR_GIVE_UP * d.max()
-    limit = (m - 1) // 2
-    g = np.empty((limit, m))
-    for j in range(limit + 1):
-        p = int(np.argmax(d))
-        if d[p] <= tol:
-            return g[:j]
-        if j == limit or (j == m // 3 and d[p] > give_up):
-            return None
-        row = k_yy[p] - g[:j, p] @ g[:j]
-        row /= math.sqrt(d[p])
-        # products of entries this small are subnormal, and subnormal
-        # arithmetic is several times slower; they are far below tol
-        row[np.abs(row) < 1e-150] = 0.0
-        d -= row * row
-        g[j] = row
-
-
 def _spectrum(holdout_y, y_params: KernelParams, k_zz):
     """Truncated eigendecomposition of K_YY with K_ZZ projected onto it.
 
-    The pivoted Cholesky factor G is tried first: with the thin QR
+    The pivoted Cholesky factor G is tried first. It stops at a tenth of
+    RANK_CUT times the largest diagonal, below every eigenvalue the cut
+    keeps, and its give-up checkpoint is M/3 columns. With the thin QR
     G = Q R, K_YY ~ Q (R R^T) Q^T, so the eigenpairs are those of the small
     R R^T with their vectors rotated by Q. When the factor gives up, K_YY
     takes a dense eigendecomposition.
@@ -171,7 +136,7 @@ def _spectrum(holdout_y, y_params: KernelParams, k_zz):
     counted as zeros, and the factor's width, 0 on the dense path.
     """
     k_yy = gram(holdout_y, holdout_y, y_params)
-    g = _factor(k_yy)
+    g = pivoted_cholesky(k_yy, 0.1 * RANK_CUT, k_yy.shape[0] // 3)
     width = 0 if g is None else g.shape[0]
     try:
         if width:

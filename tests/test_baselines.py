@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import circe.baselines as baselines_mod
 from circe.baselines import (
+    FACTOR_STOP,
     GCM_SMOOTHMAX_TAU,
     GCM_VARIANCE_GUARD,
     GcmEstimate,
@@ -10,7 +12,8 @@ from circe.baselines import (
     hscic_with_grad,
 )
 from circe.exceptions import ConfigError, NumericalError
-from circe.kernels import KernelParams, gram, gram_backprop, regularized_solve
+from circe.kernels import (KernelParams, gram, gram_backprop, pivoted_cholesky,
+                           regularized_solve, ridge_factor, ridge_solve, ridge_system)
 
 YP = KernelParams(sigma2=1.0)
 XP = KernelParams(sigma2=1.0)
@@ -227,12 +230,26 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def _batch_factor(k_yy):
+    """The batch's pivoted Cholesky factor G^T, None where it gives up."""
+    return pivoted_cholesky(k_yy, FACTOR_STOP, k_yy.shape[0] // 8)
+
+
+def _route_residuals(k_yy, lam, b):
+    """lam (K_yy + lam I)^-1 b on the measures' route: B - F (G^T B) on the
+    batch factor, the dense solve where the factor gives up."""
+    gt = _batch_factor(k_yy)
+    if gt is None:
+        return lam * regularized_solve(k_yy, lam, b)
+    return b - ridge_factor(gt, lam).T @ (gt @ b)
+
+
 def _gcm_per_pair(x, z, y, y_params, lam):
     """GCM as first written, one (feature, z) pair at a time: (estimate, grad)."""
     n, d_x = x.shape
     d_z = z.shape[1]
     k_yy = gram(y, y, y_params)
-    resid = lam * regularized_solve(k_yy, lam, np.hstack([x, z]))
+    resid = _route_residuals(k_yy, lam, np.hstack([x, z]))
     rx, rz = resid[:, :d_x], resid[:, d_x:]
     t = np.full((d_x, d_z), np.nan)
     included = np.zeros((d_x, d_z), dtype=bool)
@@ -263,13 +280,13 @@ def _gcm_per_pair(x, z, y, y_params, lam):
         r = prods[:, j, k]
         dt_dr = (np.sqrt(n) / (n * s)) * (1.0 - m * (r - m) / (s * s))
         coeffs[:, j] += weight * np.sign(t[j, k]) * dt_dr * rz[:, k]
-    grad = lam * regularized_solve(k_yy, lam, coeffs)
+    grad = _route_residuals(k_yy, lam, coeffs)
     return GcmEstimate(float(abs_t.max()), t, regularizer, included), grad
 
 
-def _assert_gcm_bitwise_per_pair(x, z, y):
-    est, grad = gcm_with_grad(x, z, y, YP, LAM)
-    ref, grad_ref = _gcm_per_pair(x, z, y, YP, LAM)
+def _assert_gcm_bitwise_per_pair(x, z, y, y_params=YP, lam=LAM):
+    est, grad = gcm_with_grad(x, z, y, y_params, lam)
+    ref, grad_ref = _gcm_per_pair(x, z, y, y_params, lam)
     assert est.value == ref.value
     assert np.array_equal(est.raw_covs, ref.raw_covs, equal_nan=True)
     assert est.regularizer_value == ref.regularizer_value
@@ -322,20 +339,133 @@ def test_hscic_value_matches_three_term_form(n, d_x):
     assert value == pytest.approx(_hscic_dense(x, z, y, XP, ZP, YP, LAM)[0], rel=1e-12)
 
 
-def test_gcm_tests_definiteness_once_per_step(monkeypatch):
-    # both thin solves share one ridge system: one Cholesky test per step
-    calls = []
+def _hscic_as_first_written(x, z, y, y_params, lam, w):
+    """HSCIC value and gradient from ridge weights w, as first written."""
+    n = x.shape[0]
+    k_xx, k_zz = gram(x, x, XP), gram(z, z, ZP)
+    u = k_zz @ w
+    q = np.einsum("li,li->i", w, u)
+    coeff = ((w @ w.T) * k_zz + (w * (q - 2.0 * u)) @ w.T) / n
+    return float(np.vdot(k_xx, coeff)), gram_backprop(coeff, x, k_xx, XP.sigma2)
+
+
+def _low_rank_batch(n, seed):
+    # 1-d y at sigma2_y = 1: the Gram's factor ends after about 20 columns
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, 1))
+    z = np.hstack([y**2, -y]) + rng.standard_normal((n, 2))
+    x = np.hstack([z[:, :1], np.sin(y)]) + 0.5 * rng.standard_normal((n, 2))
+    return x, z, y
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+def test_factor_route_matches_dense_smoother_forms(lam):
+    x, z, y = _low_rank_batch(256, 51)
+    gt = _batch_factor(gram(y, y, YP))
+    assert gt is not None and gt.shape[0] < 256 // 8
+
+    est, grad = gcm_with_grad(x, z, y, YP, lam)
+    t, smooth, grad_ref = _gcm_dense(x, z, y, YP, lam)
+    assert _rel(est.raw_covs, t) <= 1e-10
+    assert est.regularizer_value == pytest.approx(smooth, rel=1e-10)
+    assert _rel(grad, grad_ref) <= 1e-10
+    _assert_gcm_bitwise_per_pair(x, z, y, YP, lam)
+
+    value, grad = hscic_with_grad(x, z, y, XP, ZP, YP, lam)
+    value_ref, grad_ref = _hscic_dense(x, z, y, XP, ZP, YP, lam)
+    assert value == pytest.approx(value_ref, rel=1e-10)
+    assert _rel(grad, grad_ref) <= 1e-10
+    value_w, grad_w = _hscic_as_first_written(x, z, y, YP, lam, ridge_factor(gt, lam).T @ gt)
+    assert value == value_w and np.array_equal(grad, grad_w)
+
+
+def test_full_rank_batch_takes_the_dense_path_bitwise():
+    # 2-d y at sigma2_y = 0.1: the factor is still far from done at n/8
+    rng = np.random.default_rng(52)
+    y = rng.standard_normal((256, 2))
+    z = y[:, :1] ** 2 + rng.standard_normal((256, 1))
+    x = z + 0.5 * rng.standard_normal((256, 2))
+    yp = KernelParams(sigma2=0.1)
+    k_yy = gram(y, y, yp)
+    assert _batch_factor(k_yy) is None
+
+    system = ridge_system(k_yy, LAM)
+    b = np.hstack([x, z])
+    assert np.array_equal(_route_residuals(k_yy, LAM, b), LAM * ridge_solve(system, b))
+    _assert_gcm_bitwise_per_pair(x, z, y, yp, LAM)
+
+    value, grad = hscic_with_grad(x, z, y, XP, ZP, yp, LAM)
+    value_ref, grad_ref = _hscic_as_first_written(x, z, y, yp, LAM,
+                                                  ridge_solve(system, k_yy))
+    assert value == value_ref
+    assert np.array_equal(grad, grad_ref)
+
+
+def test_factor_route_on_an_exactly_singular_gram():
+    # every y row twice: K_yy has rank at most n/2, exactly
+    x, z, y = _low_rank_batch(256, 53)
+    y = np.vstack([y[:128], y[:128]])
+    gt = _batch_factor(gram(y, y, YP))
+    assert gt is not None and gt.shape[0] < 256 // 8
+    est, grad = gcm_with_grad(x, z, y, YP, LAM)
+    t, smooth, grad_ref = _gcm_dense(x, z, y, YP, LAM)
+    assert _rel(est.raw_covs, t) <= 1e-10
+    assert _rel(grad, grad_ref) <= 1e-10
+    _assert_gcm_bitwise_per_pair(x, z, y)
+    value, grad = hscic_with_grad(x, z, y, XP, ZP, YP, LAM)
+    value_ref, grad_ref = _hscic_dense(x, z, y, XP, ZP, YP, LAM)
+    assert value == pytest.approx(value_ref, rel=1e-10)
+    assert _rel(grad, grad_ref) <= 1e-10
+
+
+@pytest.mark.parametrize("sigma2_y", [1.0, 0.1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gcm_on_non_finite_features_is_never_finite(sigma2_y, bad):
+    # sigma2_y = 1 on 1-d y takes the factor route, 0.1 on 2-d y the dense one
+    rng = np.random.default_rng(54)
+    y = rng.standard_normal((256, 1 if sigma2_y == 1.0 else 2))
+    z = rng.standard_normal((256, 1))
+    x = rng.standard_normal((256, 2))
+    x[7, 1] = bad
+    yp = KernelParams(sigma2=sigma2_y)
+    assert (_batch_factor(gram(y, y, yp)) is None) == (sigma2_y == 0.1)
+    try:
+        with np.errstate(invalid="ignore"):
+            est, grad = gcm_with_grad(x, z, y, yp, LAM)
+    except NumericalError:
+        return
+    assert not np.isfinite(est.value) and not np.isfinite(est.regularizer_value)
+    assert not np.all(np.isfinite(grad))
+
+
+def test_gcm_factors_once_per_step(monkeypatch):
+    # both regressions share one factor per step; a batch whose factor
+    # gives up shares one ridge system: one Cholesky test per step
+    factors, cholesky_calls = [], []
     cholesky = np.linalg.cholesky
 
-    def counting(a):
-        calls.append(a.shape)
+    def counting_factor(k, stop, checkpoint):
+        factors.append(k.shape)
+        return pivoted_cholesky(k, stop, checkpoint)
+
+    def counting_cholesky(a):
+        cholesky_calls.append(a.shape)
         return cholesky(a)
 
+    monkeypatch.setattr(baselines_mod, "pivoted_cholesky", counting_factor)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    x, z, y = _low_rank_batch(256, 12)
+    gcm_with_grad(x, z, y, YP, LAM)
+    assert factors == [(256, 256)] and cholesky_calls == []
+
+    factors.clear()
     rng = np.random.default_rng(12)
     y = rng.standard_normal((64, 1))
     z = y**2 + rng.standard_normal((64, 2))
     x = z[:, :1] + 0.1 * rng.standard_normal((64, 2))
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    assert _batch_factor(gram(y, y, YP)) is None
+    cholesky_calls.clear()
     gcm_with_grad(x, z, y, YP, LAM)
-    assert calls == [(64, 64)]
+    assert factors == [(64, 64)] and cholesky_calls == [(64, 64)]
+    monkeypatch.undo()
     _assert_gcm_bitwise_per_pair(x, z, y)

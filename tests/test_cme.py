@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import circe.cme as cme_mod
+import circe.kernels as kernels_mod
 from circe.cme import (
     LOO_DIAG_GUARD,
     RANK_CUT,
@@ -18,7 +18,7 @@ from circe.cme import (
     _spectrum,
 )
 from circe.exceptions import ConfigError
-from circe.kernels import KernelParams, gram, regularized_solve
+from circe.kernels import KernelParams, gram, pivoted_cholesky, regularized_solve
 from circe.scm import SCM_CASES, make_dataset
 
 
@@ -221,26 +221,30 @@ def test_wide_gram_takes_the_dense_path_bitwise():
 def test_factor_gives_up_early_only_where_the_width_limit_would(monkeypatch):
     # on the SCM Grams at M = 1000 the M/3 give-up ends no factor that the
     # M/2 limit lets finish, and changes no bit of those that finish
+    def factor(k_yy):
+        return pivoted_cholesky(k_yy, 0.1 * RANK_CUT, k_yy.shape[0] // 3)
+
     for case in ("uni1", "multi2"):
         ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
         y = ds.standardizer.transform("y", ds.holdout.y)
         for s2 in (0.001, 0.01, 0.1, 1.0):
             k_yy = gram(y, y, KernelParams(sigma2=s2))
-            g = cme_mod._factor(k_yy)
+            g = factor(k_yy)
             with monkeypatch.context() as mp:
-                mp.setattr(cme_mod, "FACTOR_GIVE_UP", math.inf)
-                g_full = cme_mod._factor(k_yy)
+                mp.setattr(kernels_mod, "FACTOR_GIVE_UP", math.inf)
+                g_full = factor(k_yy)
             assert (g is None) == (g_full is None)
             if g is not None:
                 assert np.array_equal(g, g_full)
 
-    # a near-full-rank Gram stops at M/3 columns instead of M/2
+    # a near-full-rank Gram stops at M/3 columns instead of M/2, and
+    # _spectrum passes that checkpoint
     rng = np.random.default_rng(11)
     y = rng.standard_normal((400, 2))
     rows = []
-    monkeypatch.setattr(cme_mod, "math", SimpleNamespace(
+    monkeypatch.setattr(kernels_mod, "math", SimpleNamespace(
         sqrt=lambda x: rows.append(x) or math.sqrt(x)))
-    assert cme_mod._factor(gram(y, y, KernelParams(sigma2=0.01))) is None
+    _spectrum(y, KernelParams(sigma2=0.01), np.eye(400))
     assert len(rows) == 400 // 3
 
 

@@ -1,9 +1,14 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import circe.kernels as kernels_mod
 from circe.exceptions import ConfigError, NumericalError
-from circe.kernels import (KernelParams, gram, gram_backprop, regularized_solve,
-                           ridge_solve, ridge_system, squared_distances)
+from circe.kernels import (KernelParams, gram, gram_backprop, pivoted_cholesky,
+                           regularized_solve, ridge_factor, ridge_solve, ridge_system,
+                           squared_distances)
 
 
 def kernel_eval(x, xp, params: KernelParams) -> float:
@@ -189,6 +194,44 @@ def test_ridge_system_searches_jitter_once_for_every_solve(monkeypatch):
     assert len(calls) == 2
     jitter = 1e-10 * np.mean(np.diag(K))
     assert np.array_equal(jittered, A + jitter * np.eye(10))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+def test_ridge_factor_matches_the_dense_solve(lam):
+    # 1-d points at sigma2 = 1: a Gram of numerical rank about 20 of 256
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((256, 1))
+    K = gram(x, x, KernelParams(sigma2=1.0))
+    gt = pivoted_cholesky(K, 1e-15, 256 // 8)
+    assert gt is not None and gt.shape[0] < 256 // 8
+    ft = ridge_factor(gt, lam)
+    A = K + lam * np.eye(256)
+    w = np.linalg.solve(A, K)
+    assert np.max(np.abs(ft.T @ gt - w)) / np.max(np.abs(w)) <= 1e-10
+    B = rng.standard_normal((256, 3))
+    resid = lam * np.linalg.solve(A, B)
+    assert np.max(np.abs(B - ft.T @ (gt @ B) - resid)) / np.max(np.abs(resid)) <= 1e-10
+
+
+def test_pivoted_cholesky_gives_up_at_its_checkpoint_or_half_width(monkeypatch):
+    # spread 2-d points at a narrow bandwidth: numerical rank near n
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((64, 2))
+    K = gram(x, x, KernelParams(sigma2=0.01))
+    columns = []
+    monkeypatch.setattr(kernels_mod, "math", SimpleNamespace(
+        sqrt=lambda v: columns.append(v) or math.sqrt(v)))
+    for checkpoint, width in ((8, 8), (64, 31)):
+        columns.clear()
+        assert pivoted_cholesky(K, 1e-15, checkpoint) is None
+        assert len(columns) == width
+
+
+def test_ridge_factor_raises_on_a_non_finite_factor():
+    gt = np.ones((2, 5))
+    gt[1, 2] = np.nan
+    with pytest.raises(NumericalError):
+        ridge_factor(gt, 0.1)
 
 
 def test_gram_backprop_matches_finite_differences():

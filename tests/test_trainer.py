@@ -11,11 +11,13 @@ import pytest
 import scipy.linalg
 
 import circe.baselines as baselines_mod
+from circe.baselines import FACTOR_STOP
 import circe.trainer as trainer_mod
 from circe.cme import fit_cme
 from circe.estimator import FACTOR_BLOCK_ROWS, centered_gram, cross_factors
 from circe.exceptions import ConfigError
-from circe.kernels import KernelParams, gram, gram_backprop, regularized_solve
+from circe.kernels import (KernelParams, gram, gram_backprop, pivoted_cholesky,
+                           regularized_solve, ridge_factor)
 from circe.nn import MlpModel
 from circe.scm import gen_toy, make_dataset
 from circe.trainer import (
@@ -468,10 +470,12 @@ def _circe_coeff_as_first_written(m, variant):
 
 
 def _hscic_coeff_as_first_written(x, z, y, z_params, y_params, lam):
-    """The HSCIC gradient coefficient as first written."""
+    """The HSCIC gradient coefficient as first written, with the ridge
+    weights F G^T of the batch factor, or the dense solve where it gives up."""
     n = x.shape[0]
     k_yy = gram(y, y, y_params)
-    w = regularized_solve(k_yy, lam, k_yy)
+    gt = pivoted_cholesky(k_yy, FACTOR_STOP, n // 8)
+    w = regularized_solve(k_yy, lam, k_yy) if gt is None else ridge_factor(gt, lam).T @ gt
     k_zz = gram(z, z, z_params)
     u = k_zz @ w
     q = np.einsum("li,li->i", w, u)
@@ -485,8 +489,10 @@ def _hscic_coeff_as_first_written(x, z, y, z_params, y_params, lam):
 ] + [("hscic", "centered", "prediction"), ("hscic", "centered", "features")])
 def test_penalty_gradient_bitwise_as_first_written(monkeypatch, method, variant,
                                                    regularize):
-    batch, cme = small_problem(seed=4, n=64)
-    config = TrainConfig(method=method, gamma=0.7, batch_size=64, epochs=1,
+    # hscic's 256-row batch takes the batch factor, its 64-row one the dense path
+    n = 256 if (method, regularize) == ("hscic", "prediction") else 64
+    batch, cme = small_problem(seed=4, n=n)
+    config = TrainConfig(method=method, gamma=0.7, batch_size=n, epochs=1,
                          variant=variant, hidden_widths=(8, 4),
                          regularize=regularize, lam=0.05)
     model = MlpModel(3, config.hidden_widths, seed=6)
@@ -508,6 +514,8 @@ def test_penalty_gradient_bitwise_as_first_written(monkeypatch, method, variant,
         centered = centered_gram(batch.y, batch.z, cme, cme.y_params, cme.z_params)
         coeff = _circe_coeff_as_first_written(centered, variant)
     else:
+        factor = pivoted_cholesky(gram(batch.y, batch.y, yp), FACTOR_STOP, n // 8)
+        assert (factor is None) == (n == 64)
         coeff = _hscic_coeff_as_first_written(x, batch.z, batch.y, zp, yp, config.lam)
     assert len(seen) == 1
     assert np.array_equal(seen[0], gram_backprop(coeff, x, gram(x, x, xp), xp.sigma2))
