@@ -339,7 +339,7 @@ def test_hscic_value_matches_three_term_form(n, d_x):
     assert value == pytest.approx(_hscic_dense(x, z, y, XP, ZP, YP, LAM)[0], rel=1e-12)
 
 
-def _hscic_as_first_written(x, z, y, y_params, lam, w):
+def _hscic_as_first_written(x, z, w):
     """HSCIC value and gradient from ridge weights w, as first written."""
     n = x.shape[0]
     k_xx, k_zz = gram(x, x, XP), gram(z, z, ZP)
@@ -375,7 +375,7 @@ def test_factor_route_matches_dense_smoother_forms(lam):
     value_ref, grad_ref = _hscic_dense(x, z, y, XP, ZP, YP, lam)
     assert value == pytest.approx(value_ref, rel=1e-10)
     assert _rel(grad, grad_ref) <= 1e-10
-    value_w, grad_w = _hscic_as_first_written(x, z, y, YP, lam, ridge_factor(gt, lam).T @ gt)
+    value_w, grad_w = _hscic_as_first_written(x, z, ridge_factor(gt, lam).T @ gt)
     assert value == value_w and np.array_equal(grad, grad_w)
 
 
@@ -395,8 +395,7 @@ def test_full_rank_batch_takes_the_dense_path_bitwise():
     _assert_gcm_bitwise_per_pair(x, z, y, yp, LAM)
 
     value, grad = hscic_with_grad(x, z, y, XP, ZP, yp, LAM)
-    value_ref, grad_ref = _hscic_as_first_written(x, z, y, yp, LAM,
-                                                  ridge_solve(system, k_yy))
+    value_ref, grad_ref = _hscic_as_first_written(x, z, ridge_solve(system, k_yy))
     assert value == value_ref
     assert np.array_equal(grad, grad_ref)
 

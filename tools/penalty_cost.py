@@ -8,10 +8,13 @@ harness's standardization and LOO grid), each penalty (circe, hscic, gcm)
 and the unpenalized step run STEPS training steps at B = 64, 256 and 512:
 the batch's centered Gram for circe (gathered from the cell's cross
 factors, as train does), loss_and_grad and the optimizer step, with the
-LOO winner's lam and sigma2_y and each method's middle default gamma. The
-methods take turns step by step on the same batches, each on its own
-model. One JSON object goes to stdout: per case the LOO winner, and per
-batch size the median ms per step of each method, the penalty cost (a
+LOO winner's lam and sigma2_y and each method's middle default gamma.
+Each method runs all its steps on the same batches, on its own model,
+before the next method starts: taking turns step by step let one
+method's heap state slow the next one's step (circe at B = 512 read
+2-3 ms slower after the factor-path baselines). One JSON object goes to
+stdout: per case the LOO winner, and per batch size the median ms per
+step of each method, the penalty cost (a
 penalty's median step minus the unpenalized one), the route of the first
 batch's ridge regression ("factor" with its width, or "dense") and the
 median ms of that batch's factor attempt, which a dense batch pays on top
@@ -75,32 +78,29 @@ def main(argv=None):
         rng = np.random.default_rng(SEED)
         batches = {}
         for b in BATCH_SIZES:
-            configs, models, optimizers, times = {}, {}, {}, {}
+            idxs = [rng.choice(train.n, b, replace=False) for _ in range(size["steps"])]
+            step_ms = {}
             for method in METHODS:
                 grid = harness.DEFAULT_GAMMA_GRIDS[method]
-                configs[method] = TrainConfig(
+                config = TrainConfig(
                     method=method, gamma=float(grid[len(grid) // 2]), batch_size=b,
                     lr=lr, weight_decay=wd, seed=SEED, lam=cme.lam,
                     sigma2_y=cme.y_params.sigma2)
-                models[method] = MlpModel(train.inputs.shape[1],
-                                          configs[method].hidden_widths, seed=SEED)
-                optimizers[method] = make_optimizer("adam", lr, wd)
-                times[method] = []
-            idxs = [rng.choice(train.n, b, replace=False) for _ in range(size["steps"])]
-            for idx in idxs:
-                mini = train.take(idx)
-                for method in METHODS:
+                model = MlpModel(train.inputs.shape[1], config.hidden_widths, seed=SEED)
+                optimizer = make_optimizer(config.optimizer, config.lr, config.weight_decay)
+                times = []
+                for idx in idxs:
+                    mini = train.take(idx)
                     start = time.perf_counter()
                     centered = None
                     if method == "circe":
                         centered = centered_from_factors(
                             mini.y, mini.z, cme.y_params, cme.z_params,
                             *(f[idx] for f in factors))
-                    _, grads, _ = loss_and_grad(models[method], mini, configs[method],
-                                                centered)
-                    optimizers[method].step(models[method].params, grads)
-                    times[method].append(time.perf_counter() - start)
-            step_ms = {m: 1e3 * statistics.median(t) for m, t in times.items()}
+                    _, grads, _ = loss_and_grad(model, mini, config, centered)
+                    optimizer.step(model.params, grads)
+                    times.append(time.perf_counter() - start)
+                step_ms[method] = 1e3 * statistics.median(times)
             entry = {"step_ms": step_ms,
                      "penalty_ms": {m: step_ms[m] - step_ms["none"] for m in METHODS[1:]}}
             if factor is not None:
