@@ -43,7 +43,7 @@ class CmeModel:
 
     Each object also keeps the holdout cross factors of the training rows
     that the trainer last used with it, so every gamma trained on those rows
-    reuses them. It holds one context at most (3 n r floats), takes no part
+    reuses them. It holds one context at most (2 n r floats), takes no part
     in comparison, and starts empty, also in a copy made by
     dataclasses.replace and in a loaded model. Whoever owns the model for a
     sweep cell empties it when the cell ends.

@@ -35,11 +35,12 @@ class CirceEstimate:
 
 
 def cross_factors(y, z, model: CmeModel):
-    """Per-row factors (L, R_p, R_q) = (K_yY u, K_zZ u D, L D c D), each (n, r).
+    """Per-row factors (L, S) = (K_yY u, 1/2 L D c D - K_zZ u D), each (n, r).
 
     With the model's truncated spectrum u, s, c and D = diag(1 / (s + lam)),
-    the holdout cross terms of the centered Gram are P = L R_p^T and
-    Q = L R_q^T. Row i of every factor depends on point i alone, so a batch
+    the holdout cross terms of the centered Gram are P = K_yY u D u^T K_Zz
+    and Q = L D c D L^T. Q is symmetric, so Q - P - P^T = T + T^T with
+    T = L S^T. Row i of both factors depends on point i alone, so a batch
     of rows is a row gather. Rows are filled in blocks of FACTOR_BLOCK_ROWS
     so no full (n, M) Gram temporary is alive.
     """
@@ -48,36 +49,31 @@ def cross_factors(y, z, model: CmeModel):
     n = y.shape[0]
     d = 1.0 / (model.s + model.lam)
     u_d = model.u * d
-    dcd = d[:, None] * model.c * d
-    factors = tuple(np.empty((n, model.rank)) for _ in range(3))
-    left, right_p, right_q = factors
+    half_dcd = 0.5 * (d[:, None] * model.c * d)
+    left, right = np.empty((n, model.rank)), np.empty((n, model.rank))
     for start in range(0, n, FACTOR_BLOCK_ROWS):
         rows = slice(start, start + FACTOR_BLOCK_ROWS)
         np.matmul(gram(y[rows], model.holdout_y, model.y_params), model.u,
                   out=left[rows])
-        np.matmul(gram(z[rows], model.holdout_z, model.z_params), u_d,
-                  out=right_p[rows])
-        np.matmul(left[rows], dcd, out=right_q[rows])
-    return factors
+        np.matmul(left[rows], half_dcd, out=right[rows])
+        right[rows] -= gram(z[rows], model.holdout_z, model.z_params) @ u_d
+    return left, right
 
 
 def centered_from_factors(batch_y, batch_z, y_params: KernelParams,
                           z_params: KernelParams, left: np.ndarray,
-                          right_p: np.ndarray, right_q: np.ndarray) -> np.ndarray:
-    """K_yy o (K_zz - P - P^T + Q), (B, B), with P = left right_p^T and
-    Q = left right_q^T.
+                          right: np.ndarray) -> np.ndarray:
+    """K_yy o (K_zz + T + T^T), (B, B), with T = left right^T.
 
     The factors come from cross_factors (exact holdout regression) or from
     random feature products (circe.rff); each has one row per batch point.
-    The sum is assembled into K_zz in the same order, ((K_zz - P) - P^T) + Q,
-    and Q reuses P's buffer once P^T has been taken.
+    T + T^T stands for the holdout cross terms Q - P - P^T.
     """
     k_yy = gram(batch_y, batch_y, y_params)
     matrix = gram(batch_z, batch_z, z_params)
-    cross = left @ right_p.T
-    matrix -= cross
-    matrix -= cross.T
-    matrix += np.matmul(left, right_q.T, out=cross)
+    cross = left @ right.T
+    matrix += cross
+    matrix += cross.T
     matrix *= k_yy
     return matrix
 
@@ -87,9 +83,9 @@ def centered_gram(batch_y, batch_z, model: CmeModel,
     """Centered joint Gram of a batch against a fitted embedding model.
 
     With W1 = (K_YY + lam I)^{-1} and W2 = W1 K_ZZ W1 over the holdout,
-    both taken on the model's kept eigenpairs (see cross_factors),
+    both taken on the model's kept eigenpairs (see cross_factors for T),
         P = K_yY W1 K_Zz,   Q = K_yY W2 K_Yy,
-        result = K_yy o (K_zz - P - P^T + Q).
+        result = K_yy o (K_zz - P - P^T + Q) = K_yy o (K_zz + T + T^T).
     The kernel parameters must match the ones the model was fitted with.
     """
     if y_params != model.y_params:

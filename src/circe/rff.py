@@ -196,7 +196,8 @@ def rff_centered_gram(batch_y, batch_z, weights: RffCmeWeights,
     idx_y, idx_z, w1_sub, w2_sub = _slot_weights(weights, y_map, z_map, d_active, slot)
     ry = y_map.features(batch_y, idx_y)
     rz = z_map.features(batch_z, idx_z)
-    # P = ry w1_sub rz^T and Q = ry w2_sub ry^T as per-row factors
+    # P = ry w1_sub rz^T and Q = ry w2_sub ry^T; the right factor
+    # 1/2 ry w2_sub^T - rz w1_sub^T gives T + T^T = 1/2 (Q + Q^T) - P - P^T
+    right = 0.5 * (ry @ w2_sub.T) - rz @ w1_sub.T
     return centered_from_factors(batch_y, batch_z, KernelParams(sigma2=y_map.sigma2),
-                                 KernelParams(sigma2=z_map.sigma2),
-                                 ry, rz @ w1_sub.T, ry @ w2_sub.T)
+                                 KernelParams(sigma2=z_map.sigma2), ry, right)

@@ -142,24 +142,24 @@ class TrainLog:
 
 
 class _CirceContext:
-    """Holdout cross-term factors of every training row, with copies of the
-    rows and the kernel parameters of the model they were built from.
+    """Holdout cross-term factors (L, S) of every training row, with copies
+    of the rows and the kernel parameters of the model they were built from.
 
-    A batch drawn by row index gathers its rows of the factors; the centered
+    A batch drawn by row index gathers its rows of both factors; the centered
     Gram equals the direct per-batch computation bitwise.
     """
 
     def __init__(self, train_y, train_z, model: CmeModel):
         self.y_params, self.z_params = model.y_params, model.z_params
         self.y, self.z = train_y.copy(), train_z.copy()
-        self.factors = cross_factors(train_y, train_z, model)
+        self.left, self.right = cross_factors(train_y, train_z, model)
 
     def serves(self, train_y, train_z) -> bool:
         return np.array_equal(train_y, self.y) and np.array_equal(train_z, self.z)
 
     def batch_centered(self, batch: TrainBatch, idx: np.ndarray) -> np.ndarray:
         return centered_from_factors(batch.y, batch.z, self.y_params, self.z_params,
-                                     *(f[idx] for f in self.factors))
+                                     self.left[idx], self.right[idx])
 
 
 def _circe_context(batch: TrainBatch, model: CmeModel) -> _CirceContext:

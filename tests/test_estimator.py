@@ -72,11 +72,10 @@ def test_duplicated_holdout_keeps_unique_rank_and_cross_terms():
     model = fit_cme(np.vstack([y, y]), np.vstack([z, z]), 0.05, YP, ZP)
     assert model.rank <= 15
     _, by, bz = _batch(rng, b=10)
-    left, right_p, right_q = cross_factors(by, bz, model)
-    assert left.shape == (10, model.rank)
+    left, right = cross_factors(by, bz, model)
+    assert left.shape == right.shape == (10, model.rank)
     P, Q = _dense_cross_terms(model, by, bz)
-    assert np.allclose(left @ right_p.T, P, atol=1e-9)
-    assert np.allclose(left @ right_q.T, Q, atol=1e-9)
+    assert np.allclose(left @ right.T + right @ left.T, Q - P - P.T, atol=1e-9)
 
 
 @pytest.mark.parametrize("case", ["uni1", "multi2"])
@@ -95,6 +94,26 @@ def test_low_rank_centered_gram_matches_dense_at_full_holdout(case):
                 * (gram(batch.z, batch.z, model.z_params) - P - P.T + Q))
     rel = np.max(np.abs(cg - expected)) / np.max(np.abs(expected))
     assert rel <= 1e-7
+
+
+@pytest.mark.parametrize("case", ["uni1", "multi1", "multi2"])
+def test_two_factor_assembly_matches_the_three_factor_form(case):
+    # T + T^T with T = L S^T against K_zz - P - P^T + Q from the factors
+    # L = K_yY u, R_p = K_zZ u D and R_q = L D c D, at the M = 1000 winner
+    ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
+    std = ds.standardizer
+    model, _ = select_hyperparams(std.transform("y", ds.holdout.y),
+                                  std.transform("z", ds.holdout.z))
+    batch = train_data_from_dataset(ds).train.take(np.arange(256))
+    cg = centered_gram(batch.y, batch.z, model, model.y_params, model.z_params)
+    d = 1.0 / (model.s + model.lam)
+    left = gram(batch.y, model.holdout_y, model.y_params) @ model.u
+    P = left @ (gram(batch.z, model.holdout_z, model.z_params) @ (model.u * d)).T
+    Q = left @ (left @ (d[:, None] * model.c * d)).T
+    expected = (gram(batch.y, batch.y, model.y_params)
+                * (gram(batch.z, batch.z, model.z_params) - P - P.T + Q))
+    rel = np.max(np.abs(cg - expected)) / np.max(np.abs(expected))
+    assert rel <= 1e-12
 
 
 def test_compressed_spectrum_matches_the_dense_path(monkeypatch):
@@ -281,10 +300,10 @@ def test_centered_from_factors_bitwise_equals_reference():
     rng = np.random.default_rng(21)
     b, r = 256, 48
     y, z = rng.standard_normal((b, 1)), rng.standard_normal((b, 2))
-    left, right_p, right_q = (rng.standard_normal((b, r)) for _ in range(3))
-    cg = centered_from_factors(y, z, YP, ZP, left, right_p, right_q)
-    P, Q = left @ right_p.T, left @ right_q.T
-    expected = gram(y, y, YP) * (gram(z, z, ZP) - P - P.T + Q)
+    left, right = (rng.standard_normal((b, r)) for _ in range(2))
+    cg = centered_from_factors(y, z, YP, ZP, left, right)
+    T = left @ right.T
+    expected = gram(y, y, YP) * (gram(z, z, ZP) + T + T.T)
     assert np.array_equal(cg, expected)
     # the centered variant's gradient coefficient, as first written
     row = expected.mean(axis=0)

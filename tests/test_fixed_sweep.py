@@ -18,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -29,12 +31,16 @@ def _diff_results():
     return module.diff_results
 
 
-def test_fixed_sweep_matches_reference(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_fixed_sweep_matches_reference(tmp_path, workers):
+    # the worker count never changes results: two worker processes reproduce
+    # the one-process reference too
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "circe", "sweep", "--config",
-           str(ROOT / "tools" / "fixed_sweep.json"), "--out", str(tmp_path)]
+           str(ROOT / "tools" / "fixed_sweep.json"), "--out", str(tmp_path),
+           "--workers", workers]
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -15,7 +15,7 @@ from circe.baselines import FACTOR_STOP
 import circe.trainer as trainer_mod
 from circe.cme import fit_cme
 from circe.estimator import FACTOR_BLOCK_ROWS, centered_gram, cross_factors
-from circe.exceptions import ConfigError
+from circe.exceptions import ConfigError, NumericalError
 from circe.kernels import (KernelParams, gram, gram_backprop, pivoted_cholesky,
                            regularized_solve, ridge_factor)
 from circe.nn import MlpModel
@@ -223,12 +223,18 @@ def test_skip_and_unstable_flags(monkeypatch):
     toy = gen_toy(512, 1.0, 1.0, 1.0, shifted=False, seed=9)
     data = train_data_from_toy(toy)
     real = trainer_mod.loss_and_grad
-    calls = {"k": 0}
+    calls = {"k": 0, "raised": 0, "non_finite": 0}
 
     def flaky(model, batch, config, centered=None):
+        # every fifth step fails in the solver, every other third step
+        # returns a non-finite loss
         calls["k"] += 1
+        if calls["k"] % 5 == 0:
+            calls["raised"] += 1
+            raise NumericalError("solver failed")
         loss, grads, diag = real(model, batch, config, centered)
         if calls["k"] % 3 == 0:
+            calls["non_finite"] += 1
             diag = dict(diag, finite=False)
             return float("nan"), grads, diag
         return loss, grads, diag
@@ -237,9 +243,29 @@ def test_skip_and_unstable_flags(monkeypatch):
     config = TrainConfig(method="none", batch_size=64, epochs=2, lr=1e-3,
                          weight_decay=0.0, hidden_widths=(4,), seed=0)
     model, log = train(config, data)
-    assert log.skipped_steps > 0
+    assert calls["raised"] > 0 and calls["non_finite"] > 0
+    assert log.skipped_steps == calls["raised"] + calls["non_finite"]
+    assert log.total_steps == calls["k"]
     assert log.unstable
     assert all(np.all(np.isfinite(p)) for p in model.params)
+
+
+def test_adamw_from_a_config_trains_like_adam_without_decay():
+    # coupled and decoupled decay coincide at weight_decay = 0, bit for bit
+    data = train_data_from_toy(gen_toy(256, 1.0, 1.0, 1.0, shifted=False, seed=4))
+    params = {}
+    for optimizer in ("adam", "adamw"):
+        for decay in (0.0, 0.3):
+            config = TrainConfig(method="none", batch_size=64, epochs=2, lr=1e-2,
+                                 weight_decay=decay, optimizer=optimizer,
+                                 hidden_widths=(8,), seed=0)
+            params[optimizer, decay] = train(config, data)[0].params
+    for want, got in zip(params["adam", 0.0], params["adamw", 0.0]):
+        assert np.array_equal(want, got)
+    assert not all(np.array_equal(want, got) for want, got
+                   in zip(params["adam", 0.3], params["adamw", 0.3]))
+    assert not all(np.array_equal(want, got) for want, got
+                   in zip(params["adamw", 0.0], params["adamw", 0.3]))
 
 
 @pytest.mark.parametrize("method", ["none", "circe", "hscic", "gcm"])
