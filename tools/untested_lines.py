@@ -16,7 +16,8 @@ decorator line ran. Docstrings are not statements.
 One JSON object goes to stdout: {"circe.<module>": [line, ...], ...}, the
 unexecuted statement lines of every module, ascending, with an empty list
 for a module whose statements all ran. pytest's own report goes to stderr,
-and the exit status is pytest's.
+and the exit status is pytest's. src/circe goes first on sys.path and on
+PYTHONPATH, so the tests need no PYTHONPATH of their own.
 
 It does not follow subprocesses: what a test runs in a child interpreter
 (the `circe` command line, the fixed sweep, `--workers 2` pools, the tools'
@@ -28,6 +29,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import json
+import os
 import sys
 import threading
 from pathlib import Path
@@ -90,7 +92,10 @@ def main(argv=None):
             return local
         return local
 
+    # this process and the child interpreters that tests start import src/circe
     sys.path.insert(0, str(ROOT / "src"))
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
