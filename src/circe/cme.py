@@ -5,11 +5,10 @@ The embedding of Z given Y is estimated from a holdout set of (y, z) pairs:
 mu(y) = sum_j beta_j(y) psi(z_j) with beta(y) = (K_YY + lam I)^{-1} k_Y(y).
 The fit keeps the numerically nonzero part of the spectrum of K_YY. A greedy
 pivoted Cholesky factor K_YY ~ G G^T of width k < M/2
-(kernels.pivoted_cholesky) finds that part in O(M k^2), and one small
-eigendecomposition of the triangular factor of G's thin QR gives its
-eigenpairs; a Gram of higher numerical rank takes a dense
-eigendecomposition. The leave-one-out error of every lam has a closed form
-in the same eigenpairs and never refits.
+(kernels.pivoted_cholesky) finds that part in O(M k^2), and an eigh of
+the small k x k Gram G^T G gives its eigenpairs; a Gram of higher
+numerical rank takes a dense eigh. The leave-one-out error of every lam
+has a closed form in the same eigenpairs and never refits.
 """
 
 from __future__ import annotations
@@ -125,10 +124,12 @@ def _spectrum(holdout_y, y_params: KernelParams, k_zz):
 
     The pivoted Cholesky factor G is tried first. It stops at a tenth of
     RANK_CUT times the largest diagonal, below every eigenvalue the cut
-    keeps, and its give-up checkpoint is M/3 columns. With the thin QR
-    G = Q R, K_YY ~ Q (R R^T) Q^T, so the eigenpairs are those of the small
-    R R^T with their vectors rotated by Q. When the factor gives up, K_YY
-    takes a dense eigendecomposition.
+    keeps, and its give-up checkpoint is M/3 columns. G^T G has the nonzero
+    eigenvalues of G G^T, so with G^T G = V diag(s) V^T the eigenvectors of
+    K_YY are G V diag(s)^{-1/2}: a k x k eigh and two M k^2 products. Those
+    columns are orthonormal only to about 1e-5 in the smallest kept
+    directions (s near RANK_CUT times the largest). When the factor gives
+    up, K_YY takes a dense eigendecomposition.
     Returns (s, u, ku, c, n_nonpositive, width): the r eigenvalues above
     RANK_CUT times the largest, their eigenvectors u (M, r), ku = K_ZZ u,
     the symmetric c = u^T K_ZZ u, the count of non-positive eigenvalues
@@ -139,14 +140,10 @@ def _spectrum(holdout_y, y_params: KernelParams, k_zz):
     g = pivoted_cholesky(k_yy, 0.1 * RANK_CUT, k_yy.shape[0] // 3)
     width = 0 if g is None else g.shape[0]
     try:
-        if width:
-            q, r = np.linalg.qr(g.T)
-            s, v = np.linalg.eigh(r @ r.T)
-        else:
-            s, v = np.linalg.eigh(k_yy)
+        s, v = np.linalg.eigh(g @ g.T if width else k_yy)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of K_YY failed: {exc}") from None
-    del k_yy, g
+    del k_yy
     if not np.all(np.isfinite(s)):
         raise NumericalError("K_YY has non-finite eigenvalues")
     # the directions a factor never reached are zeros of K_YY
@@ -154,7 +151,10 @@ def _spectrum(holdout_y, y_params: KernelParams, k_zz):
     # eigh sorts ascending, so the kept eigenpairs are the last r
     cut = int(np.searchsorted(s, RANK_CUT * s[-1], side="right"))
     s = s[cut:].copy()
-    u = q @ v[:, cut:] if width else np.ascontiguousarray(v[:, cut:])
+    u = g.T @ v[:, cut:] if width else np.ascontiguousarray(v[:, cut:])
+    if width:  # g is G^T, so the eigenvectors of G G^T are g.T v / sqrt(s)
+        u /= np.sqrt(s)
+    del g
     ku = k_zz @ u
     c = u.T @ ku
     c = 0.5 * (c + c.T)

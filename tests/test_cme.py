@@ -15,9 +15,11 @@ from circe.cme import (
     save_cme,
     select_hyperparams,
     _better,
+    _loo_errors,
     _spectrum,
 )
-from circe.exceptions import ConfigError
+from circe.estimator import centered_gram
+from circe.exceptions import ConfigError, NumericalError
 from circe.kernels import KernelParams, gram, pivoted_cholesky, regularized_solve
 from circe.scm import SCM_CASES, make_dataset
 
@@ -218,6 +220,50 @@ def test_wide_gram_takes_the_dense_path_bitwise():
     assert floored == np.count_nonzero(s_ref <= 0.0)
 
 
+@pytest.mark.parametrize("case", ["uni1", "multi1", "multi2"])
+def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
+    # the factor's eigenpairs come from its small Gram G^T G; check them
+    # against a dense eigh of K_YY cut at the same RANK_CUT, on every
+    # bandwidth that takes the factor at M = 1000. Bounds are 10x or more
+    # above the largest value measured on these cells at one and two BLAS
+    # threads: eigenvalues 3.9e-15 s_max, LOO errors 1.3e-11 relative, and
+    # centered Grams at lam = 0.001 2.6e-8 relative to their largest entry
+    # (the smallest kept directions are orthonormal only to about 1e-5)
+    ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
+    std = ds.standardizer
+    y = std.transform("y", ds.holdout.y)
+    z = std.transform("z", ds.holdout.z)
+    rows = ds.fit_pool()
+    batch_y = std.transform("y", rows.y[:256])
+    batch_z = std.transform("z", rows.z[:256])
+    zp = KernelParams(sigma2=1.0)
+    k_zz = gram(z, z, zp)
+    lams = np.array([0.001, 0.01, 0.1, 1.0])
+    factored = []
+    for s2 in (0.001, 0.01, 0.1, 1.0):
+        yp = KernelParams(sigma2=s2)
+        s, u, ku, c, _, width = _spectrum(y, yp, k_zz)
+        if not width:
+            continue
+        factored.append(s2)
+        s_ref, u_ref = np.linalg.eigh(gram(y, y, yp))
+        cut = int(np.searchsorted(s_ref, RANK_CUT * s_ref[-1], side="right"))
+        s_ref, u_ref = s_ref[cut:], np.ascontiguousarray(u_ref[:, cut:])
+        assert s.shape == s_ref.shape
+        assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[-1]
+        ku_ref = k_zz @ u_ref
+        c_ref = u_ref.T @ ku_ref
+        c_ref = 0.5 * (c_ref + c_ref.T)
+        errors = _loo_errors(s, u, ku, c, np.diag(k_zz), lams)
+        ref = _loo_errors(s_ref, u_ref, ku_ref, c_ref, np.diag(k_zz), lams)
+        assert np.all(np.abs(errors - ref) <= 2e-10 * ref)
+        grams = [centered_gram(batch_y, batch_z, CmeModel(y, z, 0.001, yp, zp, *spec),
+                               yp, zp) for spec in ((u, s, c), (u_ref, s_ref, c_ref))]
+        assert np.max(np.abs(grams[0] - grams[1])) <= 3e-7 * np.max(np.abs(grams[1]))
+    # 1-d y takes the factor at every bandwidth, 2-d y at sigma2_y = 1 only
+    assert factored == ([1.0] if case == "multi2" else [0.001, 0.01, 0.1, 1.0])
+
+
 def test_factor_gives_up_early_only_where_the_width_limit_would(monkeypatch):
     # on the SCM Grams at M = 1000 the M/3 give-up ends no factor that the
     # M/2 limit lets finish, and changes no bit of those that finish
@@ -246,6 +292,45 @@ def test_factor_gives_up_early_only_where_the_width_limit_would(monkeypatch):
         sqrt=lambda x: rows.append(x) or math.sqrt(x)))
     _spectrum(y, KernelParams(sigma2=0.01), np.eye(400))
     assert len(rows) == 400 // 3
+
+
+@pytest.mark.parametrize("sigma2_y", [0.01, 1.0])
+def test_failed_or_non_finite_eigh_raises_numerical_error(monkeypatch, sigma2_y):
+    # sigma2_y 0.01 on 40 spread points takes the dense eigh, 1.0 the factor's
+    rng = np.random.default_rng(12)
+    y, z = _sample_pairs(rng, 40)
+    yp, zp = KernelParams(sigma2=sigma2_y), KernelParams(sigma2=1.0)
+    eigh = np.linalg.eigh
+    assert (_spectrum(y, yp, np.eye(40))[-1] > 0) == (sigma2_y == 1.0)
+
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(NumericalError, match="eigendecomposition of K_YY failed"):
+        fit_cme(y, z, 0.1, yp, zp)
+
+    def not_finite(a):
+        s, v = eigh(a)
+        s[0] = np.nan
+        return s, v
+
+    monkeypatch.setattr(np.linalg, "eigh", not_finite)
+    with pytest.raises(NumericalError, match="non-finite eigenvalues"):
+        select_hyperparams(y, z, sigma2_y_grid=[sigma2_y], z_params=zp)
+
+
+def test_loo_diag_guard_and_a_grid_without_finite_error():
+    # 10 points 3 apart at sigma2_y = 0.01: K_YY = I to roundoff, so at
+    # lam = 1e-12 every 1 - A_ii is about 1e-12, below LOO_DIAG_GUARD
+    y = 3.0 * np.arange(10.0)[:, None]
+    z = np.sin(y)
+    yp, zp = KernelParams(sigma2=0.01), KernelParams(sigma2=1.0)
+    assert 1e-12 / (1.0 + 1e-12) < LOO_DIAG_GUARD
+    assert loo_error(y, z, 1e-12, yp, zp) == math.inf
+    assert math.isfinite(loo_error(y, z, 0.1, yp, zp))
+    with pytest.raises(ConfigError, match="non-finite leave-one-out error"):
+        select_hyperparams(y, z, lambda_grid=[1e-12], sigma2_y_grid=[0.01], z_params=zp)
 
 
 def test_tie_breaking_prefers_larger_lambda_then_sigma():

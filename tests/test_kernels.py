@@ -168,6 +168,13 @@ def test_regularized_solve_fails_on_indefinite():
         regularized_solve(K, 0.5, np.ones(10))
 
 
+def test_ridge_solve_on_a_singular_system_raises_numerical_error():
+    # the LU solve itself fails: the jittered matrix of the system is singular
+    system = (np.eye(3), np.zeros((3, 3)))
+    with pytest.raises(NumericalError, match="solve failed"):
+        ridge_solve(system, np.ones((3, 2)))
+
+
 def test_ridge_system_searches_jitter_once_for_every_solve(monkeypatch):
     calls = []
     cholesky = np.linalg.cholesky
