@@ -88,6 +88,10 @@ class TrainConfig:
             KernelParams(sigma2=sigma2)
         object.__setattr__(self, "hidden_widths", hidden_widths_tuple(
             check_items("hidden_widths", self.hidden_widths, numbers.Integral)))
+        if self.regularize == "features" and not self.hidden_widths:
+            # the features of a model without a hidden layer are its inputs,
+            # which no gradient moves
+            raise ConfigError("regularize='features' needs a hidden layer")
 
     def replace(self, **kw) -> "TrainConfig":
         return dataclasses.replace(self, **kw)
@@ -174,13 +178,31 @@ def _circe_context(batch: TrainBatch, model: CmeModel) -> _CirceContext:
     return context
 
 
-def _penalty_features(config: TrainConfig, feats, pred):
-    return pred if config.regularize == "prediction" else feats
+def _penalty(config: TrainConfig, x: np.ndarray, batch: TrainBatch,
+             centered: np.ndarray | None):
+    """(statistic, trainable value, its gradient in x) of the penalty on x;
+    gcm trains on a smooth max of the statistic, the others on itself."""
+    x_params = KernelParams(sigma2=config.sigma2_x)
+    y_params = KernelParams(sigma2=config.sigma2_y)
+    if config.method == "circe":
+        if centered is None:
+            raise ConfigError("method 'circe' needs the batch's centered Gram")
+        k_xx = gram(x, x, x_params)
+        stat = circe_statistic(k_xx, centered, config.variant)
+        return stat.value, stat.value, gram_backprop(stat.coeff, x, k_xx, x_params.sigma2)
+    if config.method == "hscic":
+        value, d_x = hscic_with_grad(x, batch.z, batch.y, x_params,
+                                     KernelParams(sigma2=config.sigma2_z), y_params,
+                                     config.lam)
+        return value, value, d_x
+    est, d_x = gcm_with_grad(x, batch.z, batch.y, y_params, config.lam)
+    return est.value, est.regularizer_value, d_x
 
 
 def loss_and_grad(model: MlpModel, batch: TrainBatch, config: TrainConfig,
                   centered: np.ndarray | None = None):
-    """Scalar loss, parameter gradients, diagnostics for one batch.
+    """(loss, parameter gradients, penalty statistic) for one batch; the
+    statistic is 0.0 on an unpenalized step.
 
     centered is the batch's (B, B) centered Gram, which a circe penalty
     needs: train() gathers it from its run context, and a direct caller
@@ -188,47 +210,19 @@ def loss_and_grad(model: MlpModel, batch: TrainBatch, config: TrainConfig,
     """
     feats, pred, cache = model.forward(batch.inputs)
     err = pred - batch.targets
-    mse = float(np.mean(err * err))
+    loss = float(np.mean(err * err))
     d_pred = 2.0 * err / err.size
-    diagnostics = {"mse": mse, "statistic": 0.0, "trainable_statistic": 0.0,
-                   "finite": True}
-
-    if config.method == "none" or config.gamma == 0.0:
-        loss = mse
-        grads = model.backward(cache, d_pred)
-        diagnostics["finite"] = bool(np.isfinite(loss))
-        return loss, grads, diagnostics
-
-    x = _penalty_features(config, feats, pred)
-    x_params = KernelParams(sigma2=config.sigma2_x)
-    y_params = KernelParams(sigma2=config.sigma2_y)
-    z_params = KernelParams(sigma2=config.sigma2_z)
-
-    if config.method == "circe":
-        if centered is None:
-            raise ConfigError("method 'circe' needs the batch's centered Gram")
-        k_xx = gram(x, x, x_params)
-        stat = circe_statistic(k_xx, centered, config.variant)
-        d_x = gram_backprop(stat.coeff, x, k_xx, x_params.sigma2)
-        value = trainable = stat.value
-    elif config.method == "hscic":
-        value, d_x = hscic_with_grad(x, batch.z, batch.y, x_params, z_params,
-                                     y_params, config.lam)
-        trainable = value
-    else:
-        est, d_x = gcm_with_grad(x, batch.z, batch.y, y_params, config.lam)
-        value = est.value
-        trainable = est.regularizer_value
-
-    loss = mse + config.gamma * trainable
-    diagnostics["statistic"] = value
-    diagnostics["trainable_statistic"] = trainable
-    diagnostics["finite"] = bool(np.isfinite(loss)) and bool(np.all(np.isfinite(d_x)))
-    if config.regularize == "prediction":
-        grads = model.backward(cache, d_pred + config.gamma * d_x)
-    else:
-        grads = model.backward(cache, d_pred, d_features=config.gamma * d_x)
-    return loss, grads, diagnostics
+    statistic, d_features = 0.0, None
+    if config.method != "none" and config.gamma != 0.0:
+        on_features = config.regularize == "features"
+        statistic, trainable, d_x = _penalty(config, feats if on_features else pred,
+                                             batch, centered)
+        loss += config.gamma * trainable
+        if on_features:
+            d_features = config.gamma * d_x
+        else:
+            d_pred += config.gamma * d_x
+    return loss, model.backward(cache, d_pred, d_features), statistic
 
 
 def _split_mse(model: MlpModel, split: TrainBatch | None):
@@ -271,17 +265,18 @@ def train(config: TrainConfig, data: TrainData,
             log.total_steps += 1
             centered = None if context is None else context.batch_centered(mini, idx)
             try:
-                loss, grads, diag = loss_and_grad(model, mini, config, centered)
+                loss, grads, statistic = loss_and_grad(model, mini, config, centered)
             except NumericalError:
                 log.skipped_steps += 1
                 continue
-            finite = diag["finite"] and all(np.all(np.isfinite(g)) for g in grads)
-            if not finite:
+            # a non-finite penalty gradient reaches every bias gradient, each
+            # a column sum of the delta it flows into
+            if not (np.isfinite(loss) and all(np.all(np.isfinite(g)) for g in grads)):
                 log.skipped_steps += 1
                 continue
             optimizer.step(model.params, grads)
             epoch_loss += loss
-            epoch_stat += diag["statistic"]
+            epoch_stat += statistic
             used += 1
         entry = {
             "epoch": epoch,

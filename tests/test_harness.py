@@ -425,3 +425,16 @@ def test_summarize_records_medians_and_front():
     assert [r["gamma"] for r in front] == [1.0, 10.0]
     with pytest.raises(ConfigError):
         summarize_records([])
+
+
+def test_summarize_records_keeps_an_all_nan_group_out_of_the_front():
+    nan = float("nan")
+    records = [make_record(gamma=1.0, seed=s) for s in range(2)]
+    for gamma, mse, vcf in [(1.0, nan, 0.1), (10.0, 0.3, nan)]:
+        records += [make_record(method="hscic", gamma=gamma, seed=s, mse_in=mse,
+                                vcf=vcf, unstable=True) for s in range(2)]
+    summary = summarize_records(records)
+    hscic = [r for r in summary["rows"] if r["method"] == "hscic"]
+    assert [r["gamma"] for r in hscic] == [1.0, 10.0]
+    assert all(r["n_unstable"] == 2 for r in hscic)
+    assert list(summary["pareto"]) == [("uni1", "circe")]

@@ -24,6 +24,7 @@ from circe.trainer import (
     TrainBatch,
     TrainConfig,
     TrainData,
+    TrainLog,
     _CirceContext,
     loss_and_grad,
     train,
@@ -232,12 +233,11 @@ def test_skip_and_unstable_flags(monkeypatch):
         if calls["k"] % 5 == 0:
             calls["raised"] += 1
             raise NumericalError("solver failed")
-        loss, grads, diag = real(model, batch, config, centered)
+        loss, grads, statistic = real(model, batch, config, centered)
         if calls["k"] % 3 == 0:
             calls["non_finite"] += 1
-            diag = dict(diag, finite=False)
-            return float("nan"), grads, diag
-        return loss, grads, diag
+            return float("nan"), grads, statistic
+        return loss, grads, statistic
 
     monkeypatch.setattr(trainer_mod, "loss_and_grad", flaky)
     config = TrainConfig(method="none", batch_size=64, epochs=2, lr=1e-3,
@@ -248,6 +248,7 @@ def test_skip_and_unstable_flags(monkeypatch):
     assert log.total_steps == calls["k"]
     assert log.unstable
     assert all(np.all(np.isfinite(p)) for p in model.params)
+    assert not TrainLog().unstable  # no steps, so none skipped
 
 
 def test_adamw_from_a_config_trains_like_adam_without_decay():
@@ -452,6 +453,10 @@ def test_config_validation():
         TrainConfig(variant="bogus")
     with pytest.raises(ConfigError):
         TrainConfig(regularize="nowhere")
+    # the features of a model without a hidden layer are its raw inputs
+    for method in ("none", "circe", "hscic", "gcm"):
+        with pytest.raises(ConfigError, match="hidden layer"):
+            TrainConfig(method=method, regularize="features", hidden_widths=())
     # each of these used to fail only inside train()
     with pytest.raises(ConfigError):
         TrainConfig(optimizer="sgd")
