@@ -7,16 +7,18 @@ function that returns its value and that gradient: gcm_with_grad and
 hscic_with_grad.
 
 Both regress through one greedy pivoted Cholesky factor K_yy ~ G G^T of
-the batch Gram (kernels.pivoted_cholesky). With F = G (G^T G + lam I)^-1
-from one r x r solve (kernels.ridge_factor), HSCIC's weights
-(K_yy + lam I)^-1 K_yy are F G^T, and GCM's residual maker
-I - A = lam (K_yy + lam I)^-1 is I - F G^T, so GCM's residuals
-B - F (G^T B) and its gradient share one factor per step. GCM never forms
-the smoother A, and every (feature, z) pair is computed at once, on one
-array of residual products. The batch factor gives up at n/8 columns while
-its pivot is above kernels.FACTOR_GIVE_UP of the largest diagonal, and
-always at n/2; such a batch takes the dense path: one kernels.ridge_system
-(a Cholesky test with its jitter search, once per step) and LU solves
+the batch Gram (kernels.pivoted_cholesky), computed from the batch labels:
+it reads only the diagonal and the r pivot rows of K_yy, so a batch on
+this route never forms K_yy. With F = G (G^T G + lam I)^-1 from one r x r
+solve (kernels.ridge_factor), HSCIC's weights (K_yy + lam I)^-1 K_yy are
+F G^T, and GCM's residual maker I - A = lam (K_yy + lam I)^-1 is
+I - F G^T, so GCM's residuals B - F (G^T B) and its gradient share one
+factor per step. GCM never forms the smoother A, and every (feature, z)
+pair is computed at once, on one array of residual products. The batch
+factor gives up at n/8 columns while its pivot is above
+kernels.FACTOR_GIVE_UP of the largest diagonal, and always at n/2; such a
+batch forms K_yy and takes the dense path: one kernels.ridge_system (a
+Cholesky test with its jitter search, once per step) and LU solves
 through ridge_solve. Every solve runs on numpy's LAPACK, not scipy's,
 whose own OpenBLAS thread pool contends with numpy's for the cores: a
 256-row GCM step on two cores took 43-71 ms with it, 15-19 without.
@@ -67,16 +69,16 @@ def _check_batch(x_feats, z, y, lam):
     return x_feats, z, y
 
 
-def _batch_factor(k_yy, lam):
-    """(G^T, F^T) of kernels.ridge_factor on a batch Gram, or None for the
-    dense path.
+def _batch_factor(y, y_params, lam):
+    """(G^T, F^T) of kernels.ridge_factor on the batch's label Gram, or None
+    for the dense path. The factor reads only the pivot rows of K_yy.
 
     The n/8 checkpoint sorts B = 256 batches early: on seeds 0-2 the pivot
     at column 32 was at most 6.2e-6 of the largest diagonal on uni1
     (sigma2_y in {0.1, 1}, 21-52 columns in all) and at least 1.0e-2 on
     multi2, whose factors do not finish within n/2 columns.
     """
-    gt = pivoted_cholesky(k_yy, FACTOR_STOP, k_yy.shape[0] // 8)
+    gt = pivoted_cholesky(y, y_params, FACTOR_STOP, y.shape[0] // 8)
     return None if gt is None else (gt, ridge_factor(gt, lam))
 
 
@@ -89,10 +91,9 @@ def gcm_with_grad(x_feats, z, y, y_params: KernelParams, lam: float):
     """
     x_feats, z, y = _check_batch(x_feats, z, y, lam)
     n, d_x = x_feats.shape
-    k_yy = gram(y, y, y_params)
-    factor = _batch_factor(k_yy, lam)
+    factor = _batch_factor(y, y_params, lam)
     if factor is None:
-        system = ridge_system(k_yy, lam)
+        system = ridge_system(gram(y, y, y_params), lam)
 
         def residuals(b):
             return lam * ridge_solve(system, b)
@@ -144,9 +145,9 @@ def hscic_with_grad(x_feats, z, y, x_params: KernelParams, z_params: KernelParam
     gram_backprop(C) through the X Gram."""
     x_feats, z, y = _check_batch(x_feats, z, y, lam)
     n = x_feats.shape[0]
-    k_yy = gram(y, y, y_params)
-    factor = _batch_factor(k_yy, lam)
+    factor = _batch_factor(y, y_params, lam)
     if factor is None:
+        k_yy = gram(y, y, y_params)
         w = regularized_solve(k_yy, lam, k_yy)
     else:
         gt, ft = factor

@@ -5,9 +5,10 @@ The embedding of Z given Y is estimated from a holdout set of (y, z) pairs:
 mu(y) = sum_j beta_j(y) psi(z_j) with beta(y) = (K_YY + lam I)^{-1} k_Y(y).
 The fit keeps the numerically nonzero part of the spectrum of K_YY. A greedy
 pivoted Cholesky factor K_YY ~ G G^T of width k < M/2
-(kernels.pivoted_cholesky) finds that part in O(M k^2), and an eigh of
-the small k x k Gram G^T G gives its eigenpairs; a Gram of higher
-numerical rank takes a dense eigh. The leave-one-out error of every lam
+(kernels.pivoted_cholesky, which reads only the diagonal and the k pivot
+rows of K_YY) finds that part in O(M k^2), and an eigh of the small k x k
+Gram G^T G gives its eigenpairs; only a Gram of higher numerical rank is
+formed, for a dense eigh. The leave-one-out error of every lam
 has a closed form in the same eigenpairs and never refits.
 """
 
@@ -122,28 +123,27 @@ def _check_lams(lams, name: str = "lambda") -> np.ndarray:
 def _spectrum(holdout_y, y_params: KernelParams, k_zz):
     """Truncated eigendecomposition of K_YY with K_ZZ projected onto it.
 
-    The pivoted Cholesky factor G is tried first. It stops at a tenth of
-    RANK_CUT times the largest diagonal, below every eigenvalue the cut
+    The pivoted Cholesky factor G is tried first, on the labels themselves:
+    it computes only the k pivot rows of K_YY it reads. It stops at a tenth
+    of RANK_CUT times the largest diagonal, below every eigenvalue the cut
     keeps, and its give-up checkpoint is M/3 columns. G^T G has the nonzero
     eigenvalues of G G^T, so with G^T G = V diag(s) V^T the eigenvectors of
     K_YY are G V diag(s)^{-1/2}: a k x k eigh and two M k^2 products. Those
     columns are orthonormal only to about 1e-5 in the smallest kept
-    directions (s near RANK_CUT times the largest). When the factor gives
-    up, K_YY takes a dense eigendecomposition.
+    directions (s near RANK_CUT times the largest). Only when the factor
+    gives up is K_YY formed, for a dense eigendecomposition.
     Returns (s, u, ku, c, n_nonpositive, width): the r eigenvalues above
     RANK_CUT times the largest, their eigenvectors u (M, r), ku = K_ZZ u,
     the symmetric c = u^T K_ZZ u, the count of non-positive eigenvalues
     before the cut, with the M - width directions the factor never reached
     counted as zeros, and the factor's width, 0 on the dense path.
     """
-    k_yy = gram(holdout_y, holdout_y, y_params)
-    g = pivoted_cholesky(k_yy, 0.1 * RANK_CUT, k_yy.shape[0] // 3)
+    g = pivoted_cholesky(holdout_y, y_params, 0.1 * RANK_CUT, holdout_y.shape[0] // 3)
     width = 0 if g is None else g.shape[0]
     try:
-        s, v = np.linalg.eigh(g @ g.T if width else k_yy)
+        s, v = np.linalg.eigh(g @ g.T if width else gram(holdout_y, holdout_y, y_params))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of K_YY failed: {exc}") from None
-    del k_yy
     if not np.all(np.isfinite(s)):
         raise NumericalError("K_YY has non-finite eigenvalues")
     # the directions a factor never reached are zeros of K_YY

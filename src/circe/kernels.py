@@ -1,5 +1,6 @@
 """Gaussian kernel primitives, Gram matrices, regularized SPD solves, and a
-greedy pivoted Cholesky factor for numerically low-rank Grams.
+greedy pivoted Cholesky factor of numerically low-rank Grams that computes
+only the Gram rows it pivots on.
 
 All arrays are float64. The bandwidth parameter is the variance sigma2 in
 k(x, x') = exp(-||x - x'||^2 / (2 * sigma2)); it is always set explicitly,
@@ -163,40 +164,61 @@ def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
     return ridge_solve(ridge_system(K, lam), B)
 
 
-def pivoted_cholesky(K: np.ndarray, stop: float, checkpoint: int) -> np.ndarray | None:
-    """Greedy pivoted Cholesky K ~ G G^T of a symmetric PSD K; returns G^T, (r, n).
+def pivoted_cholesky(points, params: KernelParams, stop: float,
+                     checkpoint: int) -> np.ndarray | None:
+    """Greedy pivoted Cholesky K ~ G G^T of the Gaussian Gram K of `points`;
+    returns G^T, (r, n).
 
     Each step takes the largest residual diagonal as its pivot and ends the
-    factor once that diagonal falls to `stop` times the largest diagonal of
-    K (Harbrecht, Peters & Schneider 2012), so a numerically low-rank K
-    costs O(n r^2). Returns None when the factor would need n/2 columns or
-    more, one that wide being no cheaper than a dense factorization, also
-    at column `checkpoint` while the pivot is still above FACTOR_GIVE_UP
-    times the largest diagonal.
+    factor once that diagonal falls to `stop` (Harbrecht, Peters & Schneider
+    2012), so a numerically low-rank K costs O(n r^2). Returns None when the
+    factor would need n/2 columns or more, one that wide being no cheaper
+    than a dense factorization, also at column `checkpoint` while the pivot
+    is still above FACTOR_GIVE_UP. K's diagonal is 1, so both are absolute.
+
+    The factor reads only that diagonal and the rows of its pivots, each
+    computed when its pivot is taken: from direct differences on one-column
+    points, bitwise row p of gram(points, points, params), and from the norm
+    expansion on wider points, with the norms summed once. K itself is
+    never formed.
     """
-    n = K.shape[0]
-    d = np.diag(K).copy()
-    top = d.max()
-    tol = stop * top
-    give_up = FACTOR_GIVE_UP * top
+    points = as_points(points)
+    n = points.shape[0]
+    d = np.ones(n)
     limit = (n - 1) // 2
     g = np.empty((limit, n))
     # one scratch row for every step: at n = 256 a column costs a few
     # microseconds, so fresh temporaries are a fifth of it
     tmp = np.empty(n)
     tiny = np.empty(n, dtype=bool)
+    scale = -2.0 * params.sigma2
+    column = points[:, 0] if points.shape[1] == 1 else None
+    if column is None:
+        norms = np.sum(points * points, axis=1)
+        # 2 rows cols^T is exactly (2 rows) cols^T: scaling by 2 is exact
+        twice = 2.0 * points
     for j in range(limit + 1):
         p = int(d.argmax())
         pivot = d[p]
-        if pivot <= tol:
+        if pivot <= stop:
             return g[:j]
-        if j == limit or (j == checkpoint and pivot > give_up):
+        if j == limit or (j == checkpoint and pivot > FACTOR_GIVE_UP):
             return None
         row = g[j]
-        np.subtract(K[p], np.matmul(g[:j, p], g[:j], out=tmp), out=row)
+        # row p of K in the row itself, in the operation order of gram
+        if column is not None:
+            np.subtract(column[p], column, out=row)
+            row *= row
+        else:
+            np.add(norms[p], norms, out=row)
+            row -= np.matmul(twice, points[p], out=tmp)
+            np.maximum(row, 0.0, out=row)
+        np.divide(row, scale, out=row)
+        np.exp(row, out=row)
+        row -= np.matmul(g[:j, p], g[:j], out=tmp)
         row /= math.sqrt(pivot)
         # products of entries this small are subnormal, and subnormal
-        # arithmetic is several times slower; they are far below tol
+        # arithmetic is several times slower; they are far below stop
         np.less(np.abs(row, out=tmp), 1e-150, out=tiny)
         row[tiny] = 0.0
         d -= np.multiply(row, row, out=tmp)

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import logsumexp
 
 import circe.baselines as baselines_mod
+import circe.cme as cme_mod
 from circe.baselines import (
     FACTOR_STOP,
     GCM_SMOOTHMAX_TAU,
@@ -14,6 +15,7 @@ from circe.baselines import (
 from circe.exceptions import ConfigError, NumericalError
 from circe.kernels import (KernelParams, gram, gram_backprop, pivoted_cholesky,
                            regularized_solve, ridge_factor, ridge_solve, ridge_system)
+from circe.scm import make_dataset
 
 YP = KernelParams(sigma2=1.0)
 XP = KernelParams(sigma2=1.0)
@@ -230,17 +232,17 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-def _batch_factor(k_yy):
+def _batch_factor(y, y_params=YP):
     """The batch's pivoted Cholesky factor G^T, None where it gives up."""
-    return pivoted_cholesky(k_yy, FACTOR_STOP, k_yy.shape[0] // 8)
+    return pivoted_cholesky(y, y_params, FACTOR_STOP, y.shape[0] // 8)
 
 
-def _route_residuals(k_yy, lam, b):
+def _route_residuals(y, y_params, lam, b):
     """lam (K_yy + lam I)^-1 b on the measures' route: B - F (G^T B) on the
     batch factor, the dense solve where the factor gives up."""
-    gt = _batch_factor(k_yy)
+    gt = _batch_factor(y, y_params)
     if gt is None:
-        return lam * regularized_solve(k_yy, lam, b)
+        return lam * regularized_solve(gram(y, y, y_params), lam, b)
     return b - ridge_factor(gt, lam).T @ (gt @ b)
 
 
@@ -248,8 +250,7 @@ def _gcm_per_pair(x, z, y, y_params, lam):
     """GCM as first written, one (feature, z) pair at a time: (estimate, grad)."""
     n, d_x = x.shape
     d_z = z.shape[1]
-    k_yy = gram(y, y, y_params)
-    resid = _route_residuals(k_yy, lam, np.hstack([x, z]))
+    resid = _route_residuals(y, y_params, lam, np.hstack([x, z]))
     rx, rz = resid[:, :d_x], resid[:, d_x:]
     t = np.full((d_x, d_z), np.nan)
     included = np.zeros((d_x, d_z), dtype=bool)
@@ -280,7 +281,7 @@ def _gcm_per_pair(x, z, y, y_params, lam):
         r = prods[:, j, k]
         dt_dr = (np.sqrt(n) / (n * s)) * (1.0 - m * (r - m) / (s * s))
         coeffs[:, j] += weight * np.sign(t[j, k]) * dt_dr * rz[:, k]
-    grad = _route_residuals(k_yy, lam, coeffs)
+    grad = _route_residuals(y, y_params, lam, coeffs)
     return GcmEstimate(float(abs_t.max()), t, regularizer, included), grad
 
 
@@ -361,7 +362,7 @@ def _low_rank_batch(n, seed):
 @pytest.mark.parametrize("lam", [1e-3, 1.0])
 def test_factor_route_matches_dense_smoother_forms(lam):
     x, z, y = _low_rank_batch(256, 51)
-    gt = _batch_factor(gram(y, y, YP))
+    gt = _batch_factor(y)
     assert gt is not None and gt.shape[0] < 256 // 8
 
     est, grad = gcm_with_grad(x, z, y, YP, lam)
@@ -387,11 +388,11 @@ def test_full_rank_batch_takes_the_dense_path_bitwise():
     x = z + 0.5 * rng.standard_normal((256, 2))
     yp = KernelParams(sigma2=0.1)
     k_yy = gram(y, y, yp)
-    assert _batch_factor(k_yy) is None
+    assert _batch_factor(y, yp) is None
 
     system = ridge_system(k_yy, LAM)
     b = np.hstack([x, z])
-    assert np.array_equal(_route_residuals(k_yy, LAM, b), LAM * ridge_solve(system, b))
+    assert np.array_equal(_route_residuals(y, yp, LAM, b), LAM * ridge_solve(system, b))
     _assert_gcm_bitwise_per_pair(x, z, y, yp, LAM)
 
     value, grad = hscic_with_grad(x, z, y, XP, ZP, yp, LAM)
@@ -404,7 +405,7 @@ def test_factor_route_on_an_exactly_singular_gram():
     # every y row twice: K_yy has rank at most n/2, exactly
     x, z, y = _low_rank_batch(256, 53)
     y = np.vstack([y[:128], y[:128]])
-    gt = _batch_factor(gram(y, y, YP))
+    gt = _batch_factor(y)
     assert gt is not None and gt.shape[0] < 256 // 8
     est, grad = gcm_with_grad(x, z, y, YP, LAM)
     t, smooth, grad_ref = _gcm_dense(x, z, y, YP, LAM)
@@ -427,7 +428,7 @@ def test_gcm_on_non_finite_features_is_never_finite(sigma2_y, bad):
     x = rng.standard_normal((256, 2))
     x[7, 1] = bad
     yp = KernelParams(sigma2=sigma2_y)
-    assert (_batch_factor(gram(y, y, yp)) is None) == (sigma2_y == 0.1)
+    assert (_batch_factor(y, yp) is None) == (sigma2_y == 0.1)
     try:
         with np.errstate(invalid="ignore"):
             est, grad = gcm_with_grad(x, z, y, yp, LAM)
@@ -443,9 +444,9 @@ def test_gcm_factors_once_per_step(monkeypatch):
     factors, cholesky_calls = [], []
     cholesky = np.linalg.cholesky
 
-    def counting_factor(k, stop, checkpoint):
-        factors.append(k.shape)
-        return pivoted_cholesky(k, stop, checkpoint)
+    def counting_factor(points, params, stop, checkpoint):
+        factors.append(points.shape)
+        return pivoted_cholesky(points, params, stop, checkpoint)
 
     def counting_cholesky(a):
         cholesky_calls.append(a.shape)
@@ -455,16 +456,53 @@ def test_gcm_factors_once_per_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     x, z, y = _low_rank_batch(256, 12)
     gcm_with_grad(x, z, y, YP, LAM)
-    assert factors == [(256, 256)] and cholesky_calls == []
+    assert factors == [(256, 1)] and cholesky_calls == []
 
     factors.clear()
     rng = np.random.default_rng(12)
     y = rng.standard_normal((64, 1))
     z = y**2 + rng.standard_normal((64, 2))
     x = z[:, :1] + 0.1 * rng.standard_normal((64, 2))
-    assert _batch_factor(gram(y, y, YP)) is None
+    assert _batch_factor(y) is None
     cholesky_calls.clear()
     gcm_with_grad(x, z, y, YP, LAM)
-    assert factors == [(64, 64)] and cholesky_calls == [(64, 64)]
+    assert factors == [(64, 1)] and cholesky_calls == [(64, 64)]
     monkeypatch.undo()
     _assert_gcm_bitwise_per_pair(x, z, y)
+
+
+def test_factor_routes_build_no_label_gram(monkeypatch):
+    # the factor computes its own pivot rows, so a holdout or a batch on the
+    # factor route never forms K_YY or K_yy; on the dense route it is formed
+    # once, which also shows that the recorder sees it
+    seen = []
+
+    def recording_gram(rows, cols, params):
+        seen.append((rows, cols))
+        return gram(rows, cols, params)
+
+    def label_grams(y):
+        return [(rows.shape, cols.shape) for rows, cols in seen if rows is y and cols is y]
+
+    monkeypatch.setattr(cme_mod, "gram", recording_gram)
+    monkeypatch.setattr(baselines_mod, "gram", recording_gram)
+    for case, routes_factor in (("uni1", True), ("multi2", False)):
+        ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
+        y = ds.standardizer.transform("y", ds.holdout.y)
+        seen.clear()
+        _, _, _, _, _, width = cme_mod._spectrum(y, KernelParams(sigma2=0.1), np.eye(1000))
+        assert (width > 0) == routes_factor
+        assert label_grams(y) == ([] if routes_factor else [(y.shape, y.shape)])
+
+    x, z, y = _low_rank_batch(256, 12)
+    rng = np.random.default_rng(52)
+    y_dense = rng.standard_normal((256, 2))
+    for labels, yp, routes_factor in ((y, YP, True), (y_dense, KernelParams(sigma2=0.1), False)):
+        assert (_batch_factor(labels, yp) is not None) == routes_factor
+        expected = [] if routes_factor else [(labels.shape, labels.shape)]
+        seen.clear()
+        hscic_with_grad(x, z, labels, XP, ZP, yp, LAM)
+        assert label_grams(labels) == expected
+        seen.clear()
+        gcm_with_grad(x, z, labels, yp, LAM)
+        assert label_grams(labels) == expected

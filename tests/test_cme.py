@@ -267,18 +267,18 @@ def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
 def test_factor_gives_up_early_only_where_the_width_limit_would(monkeypatch):
     # on the SCM Grams at M = 1000 the M/3 give-up ends no factor that the
     # M/2 limit lets finish, and changes no bit of those that finish
-    def factor(k_yy):
-        return pivoted_cholesky(k_yy, 0.1 * RANK_CUT, k_yy.shape[0] // 3)
+    def factor(y, params):
+        return pivoted_cholesky(y, params, 0.1 * RANK_CUT, y.shape[0] // 3)
 
     for case in ("uni1", "multi2"):
         ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
         y = ds.standardizer.transform("y", ds.holdout.y)
         for s2 in (0.001, 0.01, 0.1, 1.0):
-            k_yy = gram(y, y, KernelParams(sigma2=s2))
-            g = factor(k_yy)
+            params = KernelParams(sigma2=s2)
+            g = factor(y, params)
             with monkeypatch.context() as mp:
                 mp.setattr(kernels_mod, "FACTOR_GIVE_UP", math.inf)
-                g_full = factor(k_yy)
+                g_full = factor(y, params)
             assert (g is None) == (g_full is None)
             if g is not None:
                 assert np.array_equal(g, g_full)

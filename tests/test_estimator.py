@@ -129,7 +129,7 @@ def test_compressed_spectrum_matches_the_dense_path(monkeypatch):
         yp = KernelParams(sigma2=sigma2_y)
         s, u, _, c, _, width = _spectrum(y, yp, k_zz)
         with monkeypatch.context() as mp:
-            mp.setattr(cme_mod, "pivoted_cholesky", lambda k, stop, checkpoint: None)
+            mp.setattr(cme_mod, "pivoted_cholesky", lambda y, params, stop, checkpoint: None)
             s_d, u_d, _, c_d, _, width_d = _spectrum(y, yp, k_zz)
         assert 0 < width < 500 and width_d == 0
         assert abs(s.shape[0] - s_d.shape[0]) <= 1

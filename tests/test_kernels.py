@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 import circe.kernels as kernels_mod
+from circe.baselines import FACTOR_STOP
+from circe.cme import RANK_CUT
 from circe.exceptions import ConfigError, NumericalError
-from circe.kernels import (KernelParams, gram, gram_backprop, pivoted_cholesky,
+from circe.kernels import (KernelParams, as_points, gram, gram_backprop, pivoted_cholesky,
                            regularized_solve, ridge_factor, ridge_solve, ridge_system,
                            squared_distances)
+from circe.scm import make_dataset
 
 
 def kernel_eval(x, xp, params: KernelParams) -> float:
@@ -93,6 +96,22 @@ def test_bad_params_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ConfigError):
         gram(np.zeros((3, 2)), np.zeros((3, 4)), KernelParams(sigma2=1.0))
+
+
+def test_as_points_rejects_a_3d_array():
+    with pytest.raises(ConfigError, match="1-d or 2-d"):
+        as_points(np.zeros((2, 3, 1)))
+
+
+def test_ridge_system_rejects_a_non_square_k():
+    with pytest.raises(ConfigError, match="square"):
+        ridge_system(np.zeros((3, 4)), 0.1)
+
+
+def test_ridge_solve_rejects_a_row_mismatch():
+    system = ridge_system(np.eye(3), 0.1)
+    with pytest.raises(ConfigError, match="4 rows"):
+        ridge_solve(system, np.ones((4, 2)))
 
 
 def test_trace_product_matches_brute_force():
@@ -209,7 +228,7 @@ def test_ridge_factor_matches_the_dense_solve(lam):
     rng = np.random.default_rng(12)
     x = rng.standard_normal((256, 1))
     K = gram(x, x, KernelParams(sigma2=1.0))
-    gt = pivoted_cholesky(K, 1e-15, 256 // 8)
+    gt = pivoted_cholesky(x, KernelParams(sigma2=1.0), 1e-15, 256 // 8)
     assert gt is not None and gt.shape[0] < 256 // 8
     ft = ridge_factor(gt, lam)
     A = K + lam * np.eye(256)
@@ -224,14 +243,78 @@ def test_pivoted_cholesky_gives_up_at_its_checkpoint_or_half_width(monkeypatch):
     # spread 2-d points at a narrow bandwidth: numerical rank near n
     rng = np.random.default_rng(13)
     x = rng.standard_normal((64, 2))
-    K = gram(x, x, KernelParams(sigma2=0.01))
     columns = []
     monkeypatch.setattr(kernels_mod, "math", SimpleNamespace(
         sqrt=lambda v: columns.append(v) or math.sqrt(v)))
     for checkpoint, width in ((8, 8), (64, 31)):
         columns.clear()
-        assert pivoted_cholesky(K, 1e-15, checkpoint) is None
+        assert pivoted_cholesky(x, KernelParams(sigma2=0.01), 1e-15, checkpoint) is None
         assert len(columns) == width
+
+
+def _dense_row_factor(K, stop, checkpoint):
+    """The pivoted Cholesky factor on the rows of a dense Gram K, as it was
+    written before the factor computed its own pivot rows."""
+    n = K.shape[0]
+    d = np.diag(K).copy()
+    top = d.max()
+    limit = (n - 1) // 2
+    g = np.empty((limit, n))
+    tmp = np.empty(n)
+    for j in range(limit + 1):
+        p = int(d.argmax())
+        pivot = d[p]
+        if pivot <= stop * top:
+            return g[:j]
+        if j == limit or (j == checkpoint and pivot > kernels_mod.FACTOR_GIVE_UP * top):
+            return None
+        row = g[j]
+        np.subtract(K[p], np.matmul(g[:j, p], g[:j], out=tmp), out=row)
+        row /= math.sqrt(pivot)
+        row[np.abs(row) < 1e-150] = 0.0
+        d -= np.multiply(row, row, out=tmp)
+
+
+def _factor_inputs(case):
+    """(points, stop, checkpoint) of a holdout factor at M = 1000 and of a
+    batch factor at B = 256, as cme and baselines call it."""
+    ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
+    y = ds.standardizer.transform("y", ds.holdout.y)
+    batch_y = ds.standardizer.transform("y", ds.fit_pool().y[:256])
+    return ((y, 0.1 * RANK_CUT, 1000 // 3), (batch_y, FACTOR_STOP, 256 // 8))
+
+
+@pytest.mark.parametrize("sigma2", [0.001, 0.01, 0.1, 1.0])
+def test_pivoted_cholesky_on_one_column_points_is_the_dense_row_factor_bitwise(sigma2):
+    # one-column pivot rows come from direct differences, bitwise the rows
+    # of gram, so the factor is the one the dense Gram's rows give
+    params = KernelParams(sigma2=sigma2)
+    for points, stop, checkpoint in _factor_inputs("uni1"):
+        assert points.shape[1] == 1
+        g = pivoted_cholesky(points, params, stop, checkpoint)
+        ref = _dense_row_factor(gram(points, points, params), stop, checkpoint)
+        assert (g is None) == (ref is None)
+        assert g is None or np.array_equal(g, ref)
+        # every holdout bandwidth of uni1 factors
+        assert g is not None or points.shape[0] == 256
+
+
+@pytest.mark.parametrize("sigma2", [0.001, 0.01, 0.1, 1.0])
+def test_pivoted_cholesky_on_two_column_points_reproduces_the_gram(sigma2):
+    # two-column pivot rows come from the norm expansion, a GEMV instead of
+    # gram's GEMM, so the factor agrees with the dense Gram to roundoff and
+    # gives up where the dense-row factor does
+    params = KernelParams(sigma2=sigma2)
+    for points, stop, checkpoint in _factor_inputs("multi2"):
+        assert points.shape[1] == 2
+        K = gram(points, points, params)
+        g = pivoted_cholesky(points, params, stop, checkpoint)
+        ref = _dense_row_factor(K, stop, checkpoint)
+        assert (g is None) == (ref is None)
+        if g is not None:
+            assert np.max(np.abs(g.T @ g - K)) <= 1e-12
+        # multi2's holdout factors at sigma2 = 1 alone, its batch nowhere
+        assert (g is not None) == (sigma2 == 1.0 and points.shape[0] == 1000)
 
 
 def test_ridge_factor_raises_on_a_non_finite_factor():

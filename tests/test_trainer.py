@@ -505,7 +505,7 @@ def _hscic_coeff_as_first_written(x, z, y, z_params, y_params, lam):
     weights F G^T of the batch factor, or the dense solve where it gives up."""
     n = x.shape[0]
     k_yy = gram(y, y, y_params)
-    gt = pivoted_cholesky(k_yy, FACTOR_STOP, n // 8)
+    gt = pivoted_cholesky(y, y_params, FACTOR_STOP, n // 8)
     w = regularized_solve(k_yy, lam, k_yy) if gt is None else ridge_factor(gt, lam).T @ gt
     k_zz = gram(z, z, z_params)
     u = k_zz @ w
@@ -545,7 +545,7 @@ def test_penalty_gradient_bitwise_as_first_written(monkeypatch, method, variant,
         centered = centered_gram(batch.y, batch.z, cme, cme.y_params, cme.z_params)
         coeff = _circe_coeff_as_first_written(centered, variant)
     else:
-        factor = pivoted_cholesky(gram(batch.y, batch.y, yp), FACTOR_STOP, n // 8)
+        factor = pivoted_cholesky(batch.y, yp, FACTOR_STOP, n // 8)
         assert (factor is None) == (n == 64)
         coeff = _hscic_coeff_as_first_written(x, batch.z, batch.y, zp, yp, config.lam)
     assert len(seen) == 1

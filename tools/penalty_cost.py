@@ -18,15 +18,19 @@ step of each method, the penalty cost (a
 penalty's median step minus the unpenalized one), the route of the first
 batch's ridge regression ("factor" with its width, or "dense") and the
 median ms of that batch's factor attempt, which a dense batch pays on top
-of its dense solve; plus the BLAS thread count. A package without the
-batch factor reports neither route nor attempt. --src picks the package to
-time, so the same script measures two checkouts, such as a parent commit
-and a change. --smoke runs every path at n=1500, M=200 and 2 steps.
+of its dense solve; plus the BLAS thread count. The attempt computes the
+pivot rows of the batch's K_yy itself and builds no Gram; on a package
+whose factor still takes a dense Gram (first parameter K) that Gram is
+built once, outside the timed attempt. A package without the batch factor
+reports neither route nor attempt. --src picks the package to time, so the
+same script measures two checkouts, such as a parent commit and a change.
+--smoke runs every path at n=1500, M=200 and 2 steps.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import statistics
 import sys
@@ -105,10 +109,12 @@ def main(argv=None):
                      "penalty_ms": {m: step_ms[m] - step_ms["none"] for m in METHODS[1:]}}
             if factor is not None:
                 first = train.take(idxs[0])
-                k_yy = kernels.gram(first.y, first.y, cme.y_params)
+                labels = (first.y, cme.y_params)
+                if next(iter(inspect.signature(factor).parameters)) == "K":
+                    labels = (kernels.gram(first.y, first.y, cme.y_params),)
 
                 def attempt():
-                    return factor(k_yy, baselines.FACTOR_STOP, b // 8)
+                    return factor(*labels, baselines.FACTOR_STOP, b // 8)
 
                 gt = attempt()
                 entry["route"] = "dense" if gt is None else f"factor:{gt.shape[0]}"
