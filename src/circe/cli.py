@@ -25,6 +25,7 @@ from .harness import (
     run_sweep,
     summarize_records,
     write_records_csv,
+    write_summary_csv,
 )
 from .nn import save_model
 from .scm import export_csv, gen_scm
@@ -86,8 +87,9 @@ def _cmd_fit_cme(args) -> int:
     for key in ("n", "d", "m_holdout"):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
-    # the sweep config's own checks: types, the grids and the holdout size
-    config = SweepConfig(cases=[case], methods=["none"], **cfg)
+    # the sweep config's own checks: types, the grids and the holdout size;
+    # fit-cme trains nothing, so the smallest batch leaves any fit pool room
+    config = SweepConfig(cases=[case], methods=["none"], batch_size=2, **cfg)
     _, model, report, _ = _prepare_case(config, case, args.seed)
     print("lambda sigma2_y loo_error")
     for lam, s2, err in report.as_rows():
@@ -156,7 +158,10 @@ def _cmd_sweep(args) -> int:
     return EXIT_PARTIAL if any_unstable else EXIT_OK
 
 
-def _print_summary(summary) -> None:
+def _cmd_report(args) -> int:
+    records = read_records_csv(args.results)
+    summary = summarize_records(records)
+    # the printed table has its own header, with case for summary.csv's case_id
     print("case method gamma median_mse_in median_vcf median_statistic "
           "n_seeds n_unstable")
     for row in summary["rows"]:
@@ -167,24 +172,9 @@ def _print_summary(summary) -> None:
     for (case, method), front in summary["pareto"].items():
         gammas = ", ".join(f"{r['gamma']:g}" for r in front)
         print(f"pareto {case}/{method}: gamma in [{gammas}]")
-
-
-def _cmd_report(args) -> int:
-    records = read_records_csv(args.results)
-    summary = summarize_records(records)
-    _print_summary(summary)
     if args.out is not None:
-        out = _out_dir(args)
-        path = out / "summary.csv"
-        fields = ["case_id", "method", "gamma", "median_mse_in", "median_vcf",
-                  "median_statistic", "n_seeds", "n_unstable"]
-        import csv as csv_mod
-
-        with open(path, "w", newline="") as fh:
-            writer = csv_mod.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            for row in summary["rows"]:
-                writer.writerow({k: row[k] for k in fields})
+        path = _out_dir(args) / "summary.csv"
+        write_summary_csv(summary["rows"], path)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -195,35 +185,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conditional-independence regularized regression toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # gen and fit-cme read the same data flags; fit-cme adds --m-holdout
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--config", default=None, help="JSON config path")
+    data.add_argument("--seed", type=int, default=0)
+    data.add_argument("--out", default=".", help="output directory")
+    data.add_argument("--case", default=None)
+    data.add_argument("--n", type=int, default=None)
+    data.add_argument("--d", type=int, default=None)
 
-    def common(p, with_workers=False):
-        p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        if with_workers:
-            p.add_argument("--workers", type=int, default=1)
+    sub.add_parser("gen", parents=[data], help="generate a dataset CSV")
 
-    p_gen = sub.add_parser("gen", help="generate a dataset CSV")
-    common(p_gen)
-    p_gen.add_argument("--case", default=None)
-    p_gen.add_argument("--n", type=int, default=None)
-    p_gen.add_argument("--d", type=int, default=None)
-
-    p_fit = sub.add_parser("fit-cme", help="fit the embedding regression")
-    common(p_fit)
-    p_fit.add_argument("--case", default=None)
-    p_fit.add_argument("--n", type=int, default=None)
-    p_fit.add_argument("--d", type=int, default=None)
+    p_fit = sub.add_parser("fit-cme", parents=[data], help="fit the embedding regression")
     p_fit.add_argument("--m-holdout", type=int, default=None)
 
     p_train = sub.add_parser("train", help="run a single training job")
-    common(p_train)
+    p_train.add_argument("--config", default=None, help="JSON config path")
+    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--out", default=None, help="output directory")
 
     p_sweep = sub.add_parser("sweep", help="run a grid of training jobs")
-    common(p_sweep, with_workers=True)
+    p_sweep.add_argument("--config", default=None, help="JSON config path")
+    p_sweep.add_argument("--out", default=".", help="output directory")
+    p_sweep.add_argument("--workers", type=int, default=1)
 
     p_report = sub.add_parser("report", help="summarize a results CSV")
-    common(p_report)
+    p_report.add_argument("--out", default=None, help="output directory")
     p_report.add_argument("results", help="path to results.csv")
     return parser
 
@@ -240,10 +227,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command in ("gen", "fit-cme"):
-        args.seed = 0
-    if args.out is None and args.command in ("gen", "fit-cme", "sweep"):
-        args.out = "."
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

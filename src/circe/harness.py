@@ -10,6 +10,7 @@ concurrency never changes results.
 from __future__ import annotations
 
 import csv
+import itertools
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,13 +31,6 @@ from .trainer import (
     train_data_from_dataset,
 )
 
-# schema 1 had an mse_ood column, always NaN in sweeps; readers ignore it
-SCHEMA_VERSION = 2
-CSV_COLUMNS = (
-    "schema_version", "case_id", "method", "variant", "gamma", "seed",
-    "lambda", "sigma2_y", "sigma2_z", "mse_in", "vcf",
-    "statistic_final", "unstable", "wall_seconds",
-)
 DEFAULT_N_INTERVENTIONS = 20
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 # per-method gamma grids, 10 log-spaced points
@@ -79,14 +73,31 @@ class RunRecord:
     wall_seconds: float
 
     def as_row(self):
-        return [
-            str(SCHEMA_VERSION), self.case_id, self.method, self.variant,
-            repr(float(self.gamma)), str(self.seed), repr(float(self.lam)),
-            repr(float(self.sigma2_y)), repr(float(self.sigma2_z)),
-            repr(float(self.mse_in)), repr(float(self.vcf)),
-            repr(float(self.statistic_final)),
-            str(bool(self.unstable)), repr(float(self.wall_seconds)),
-        ]
+        return [str(SCHEMA_VERSION)] + [_CELL_RULES[f.type][0](getattr(self, f.name))
+                                        for f in fields(self)]
+
+
+def _read_bool(text: str) -> bool:
+    if text not in ("True", "False"):
+        raise ValueError(f"expected True or False, got {text!r}")
+    return text == "True"
+
+
+# (write, read) of a results cell, keyed by its RunRecord field's annotation
+_CELL_RULES = {
+    "str": (str, str),
+    "int": (lambda v: str(int(v)), int),
+    "float": (lambda v: repr(float(v)), float),
+    "bool": (lambda v: str(bool(v)), _read_bool),
+}
+# schema 1 had an mse_ood column, always NaN in sweeps; readers ignore it
+SCHEMA_VERSION = 2
+# schema_version, then one column per RunRecord field in field order; lam's
+# column is named lambda
+CSV_COLUMNS = ("schema_version",) + tuple("lambda" if f.name == "lam" else f.name
+                                          for f in fields(RunRecord))
+SUMMARY_COLUMNS = ("case_id", "method", "gamma", "median_mse_in", "median_vcf",
+                   "median_statistic", "n_seeds", "n_unstable")
 
 
 def predictor_from_model(model, standardizer):
@@ -155,7 +166,8 @@ PER_RUN_FIELDS = {"method", "gamma", "seed", "lam", "sigma2_y"}
 @dataclass(init=False)
 class SweepConfig:
     """Sweep axes plus one TrainConfig template for every run, validated when
-    built. The template is built from flat keywords naming a TrainConfig
+    built, with each (method, gamma) run's config and the fit pool's room for
+    a batch. The template is built from flat keywords naming a TrainConfig
     field, except PER_RUN_FIELDS, which are unknown keys; lr and weight_decay
     override the case's CASE_OPTIM_DEFAULTS unless None."""
 
@@ -196,7 +208,10 @@ class SweepConfig:
             if not grid:
                 raise ConfigError(f"{key} must be non-empty")
             setattr(self, key, tuple(float(v) for v in _check_lams(grid, key)))
-        check_split(self.n, self.m_holdout)
+        pool = check_split(self.n, self.m_holdout) - self.m_holdout
+        if self.train.batch_size > pool:
+            raise ConfigError(f"batch_size {self.train.batch_size} exceeds the fit pool "
+                              f"of {pool} rows, the train split less m_holdout")
         _check_n_interventions(self.n_interventions)
         if not self.cases:
             raise ConfigError("sweep needs at least one case")
@@ -220,6 +235,11 @@ class SweepConfig:
                 grids[method] = tuple(float(g) for g in
                                       check_items("gammas", grid, numbers.Real))
         self.gammas = grids
+        # each run's own TrainConfig; the rest of what a run sets (seed, the
+        # case's lr and weight_decay, the LOO winner) is valid by the checks above
+        for method in self.methods:
+            for gamma in self.gammas[method]:
+                self.train.replace(method=method, gamma=gamma)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -354,20 +374,6 @@ def write_records_csv(records, path) -> None:
             writer.writerow(record.as_row())
 
 
-def _parse_cell(column: str, text):
-    if text is None:
-        raise ValueError("the row ends before this column")
-    if column in ("case_id", "method", "variant"):
-        return text
-    if column == "seed":
-        return int(text)
-    if column == "unstable":
-        if text not in ("True", "False"):
-            raise ValueError(f"expected True or False, got {text!r}")
-        return text == "True"
-    return float(text)
-
-
 def read_records_csv(path) -> list:
     """RunRecords of a results CSV; ConfigError naming the line and column of
     a cell that is missing or does not parse."""
@@ -382,22 +388,25 @@ def read_records_csv(path) -> list:
                 if None in row:
                     raise ConfigError(f"results CSV {path} line {reader.line_num} "
                                       f"has more cells than columns")
-                values = []
-                # RunRecord's fields follow the CSV columns after schema_version
-                for column in CSV_COLUMNS[1:]:
+                values = {}
+                for f, column in zip(fields(RunRecord), CSV_COLUMNS[1:]):
                     try:
-                        values.append(_parse_cell(column, row[column]))
+                        if row[column] is None:
+                            raise ValueError("the row ends before this column")
+                        values[f.name] = _CELL_RULES[f.type][1](row[column])
                     except ValueError as exc:
                         raise ConfigError(f"results CSV {path} line {reader.line_num}, "
                                           f"column {column}: {exc}") from exc
-                records.append(RunRecord(*values))
+                records.append(RunRecord(**values))
     except OSError as exc:
         raise ConfigError(f"cannot read results CSV {path}: {exc}") from exc
     return records
 
 
 def summarize_records(records) -> dict:
-    """Median metrics per (case, method, gamma) plus per-group Pareto fronts."""
+    """Median metrics per (case, method, gamma), one row of SUMMARY_COLUMNS
+    each, plus per-(case, method) Pareto fronts of the rows whose medians are
+    finite."""
     if not records:
         raise ConfigError("no records to summarize")
     groups: dict = {}
@@ -405,24 +414,26 @@ def summarize_records(records) -> dict:
         groups.setdefault((r.case_id, r.method, r.gamma), []).append(r)
     summary_rows = []
     for (case, method, gamma), rows in sorted(groups.items()):
-        mse = float(np.median([r.mse_in for r in rows]))
-        vcf = float(np.median([r.vcf for r in rows]))
-        stat = float(np.median([r.statistic_final for r in rows]))
-        n_unstable = sum(r.unstable for r in rows)
-        summary_rows.append({
-            "case_id": case, "method": method, "gamma": gamma,
-            "median_mse_in": mse, "median_vcf": vcf,
-            "median_statistic": stat, "n_seeds": len(rows),
-            "n_unstable": n_unstable,
-        })
+        summary_rows.append(dict(zip(SUMMARY_COLUMNS, (
+            case, method, gamma,
+            float(np.median([r.mse_in for r in rows])),
+            float(np.median([r.vcf for r in rows])),
+            float(np.median([r.statistic_final for r in rows])),
+            len(rows), sum(r.unstable for r in rows),
+        ))))
     fronts = {}
-    for (case, method) in sorted({(r["case_id"], r["method"])
-                                  for r in summary_rows}):
-        rows = [r for r in summary_rows
-                if r["case_id"] == case and r["method"] == method
-                and np.isfinite(r["median_mse_in"]) and np.isfinite(r["median_vcf"])]
-        if not rows:
-            continue
-        idx = pareto_front([(r["median_mse_in"], r["median_vcf"]) for r in rows])
-        fronts[(case, method)] = [rows[i] for i in idx]
+    for key, group in itertools.groupby(summary_rows,
+                                        key=lambda r: (r["case_id"], r["method"])):
+        rows = [r for r in group
+                if np.isfinite(r["median_mse_in"]) and np.isfinite(r["median_vcf"])]
+        if rows:
+            idx = pareto_front([(r["median_mse_in"], r["median_vcf"]) for r in rows])
+            fronts[key] = [rows[i] for i in idx]
     return {"rows": summary_rows, "pareto": fronts}
+
+
+def write_summary_csv(summary_rows, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
+        writer.writeheader()
+        writer.writerows(summary_rows)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import gcm_with_grad, hscic_with_grad
+from .baselines import GCM_MIN_BATCH, gcm_with_grad, hscic_with_grad
 from .cme import CmeModel
 from .estimator import VARIANTS, centered_from_factors, circe_statistic, cross_factors
 from .exceptions import ConfigError, NumericalError
@@ -79,6 +79,9 @@ class TrainConfig:
             raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
+        if self.method in ("hscic", "gcm") and self.gamma > 0 and self.batch_size < GCM_MIN_BATCH:
+            raise ConfigError(f"method {self.method!r} needs batch_size of at least "
+                              f"{GCM_MIN_BATCH}, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.lam <= 0:

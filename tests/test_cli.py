@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import circe.cli as cli_mod
+import circe.harness as harness_mod
 from circe.cli import main
 from circe.exceptions import NumericalError
 from circe.harness import RunRecord, read_records_csv, write_records_csv
@@ -36,6 +37,27 @@ def test_gen_unknown_case_exits_2(tmp_path):
 def test_missing_subcommand_exits_2():
     proc = run_cli()
     assert proc.returncode == 2
+    # circe.cli runs as a module too
+    proc = subprocess.run([sys.executable, "-m", "circe.cli"], capture_output=True, text=True)
+    assert proc.returncode == 2 and "usage: circe" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["sweep"], None, "sweep needs --config"),
+    (["sweep", "--config", "missing.json"], None, "cannot read config"),
+    (["sweep", "--config", "cfg.json"], [1], "config must be a JSON object"),
+    (["gen", "--config", "cfg.json"], {"n": 50}, "gen needs --case"),
+    (["fit-cme"], None, "fit-cme needs --case"),
+    (["train", "--config", "cfg.json"], {"n": 600}, "train config needs a 'case' entry"),
+])
+def test_missing_or_unreadable_config_exits_2(tmp_path, monkeypatch, capsys, argv,
+                                              config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"] * (config is not None)
 
 
 def test_fit_cme_prints_report_and_saves(tmp_path):
@@ -105,10 +127,11 @@ def test_sweep_and_report_roundtrip(tmp_path):
 
 
 def test_sweep_partial_failure_exits_4(tmp_path):
+    # a step size that overflows the weights: every step after the first is skipped
     cfg = {
         "cases": ["uni1"], "methods": ["none"], "seeds": [0],
-        "n": 600, "d": 2, "m_holdout": 100, "epochs": 1, "batch_size": 512,
-        "lr": 1e-3, "weight_decay": 0.0, "hidden_widths": [8],
+        "n": 600, "d": 2, "m_holdout": 100, "epochs": 1, "batch_size": 64,
+        "lr": 1e100, "weight_decay": 0.0, "hidden_widths": [8],
         "lambda_grid": [0.1], "sigma2_y_grid": [1.0],
     }
     cfg_path = tmp_path / "sweep.json"
@@ -141,6 +164,18 @@ def test_sweep_bad_config_key_exits_2(tmp_path):
                                     "zaphod": 1}))
     proc = run_cli("sweep", "--config", str(cfg_path), "--out", str(tmp_path))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--seed", "1"],
+                                  ["report", "--config", "x.json", "results.csv"],
+                                  ["report", "--seed", "1", "results.csv"]])
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    # sweep never read --seed, nor report --config or --seed; all were accepted
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_report_missing_file_exits_2(tmp_path):
@@ -269,6 +304,19 @@ def test_train_rejects_non_string_method(tmp_path, capsys):
     rc = main(["train", "--config", str(cfg_path)])
     assert rc == 2
     assert "method" in capsys.readouterr().err
+
+
+def test_train_rejects_a_batch_no_run_fits_before_preparing(tmp_path, capsys, monkeypatch):
+    # used to generate the data and fit the embedding, then exit 2 from train
+    prepared = []
+    monkeypatch.setattr(harness_mod, "_prepare_case", lambda *a: prepared.append(a))
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({"case": "uni1", "n": 600, "m_holdout": 100,
+                                    "batch_size": 512}))
+    rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "fit pool of 380" in capsys.readouterr().err
+    assert not prepared and not list(tmp_path.glob("run_*.csv"))
 
 
 def test_train_rejects_several_seeds(tmp_path, capsys):

@@ -278,6 +278,8 @@ def test_kernel_param_mismatch_rejected():
         centered_gram(y, z, model, KernelParams(sigma2=0.51), ZP)
     with pytest.raises(ConfigError):
         centered_gram(y, z, model, YP, KernelParams(sigma2=2.0))
+    with pytest.raises(ConfigError, match="batch_y has 8 rows, batch_z 7"):
+        centered_gram(y, z[:7], model, YP, ZP)
 
 
 def test_bad_variant_and_shapes_rejected():
@@ -294,6 +296,17 @@ def test_bad_variant_and_shapes_rejected():
         statistic_gradient_coeff(np.eye(1), "plain")
     with pytest.raises(ConfigError):
         circe_statistic(np.ones((3, 4)), np.ones((3, 4)), "centered")
+    x, y, z = _batch(np.random.default_rng(6), b=8)
+
+    def analytic_mu(batch_y):
+        return np.zeros((3, 1)), np.ones((batch_y.shape[0], 3))
+
+    with pytest.raises(ConfigError, match="leading dimension"):
+        circe_oracle(x[:7], y, z, analytic_mu, XP, YP, ZP, "plain")
+    with pytest.raises(ConfigError, match="weights shape"):
+        circe_oracle(x, y, z, lambda batch_y: (np.zeros((2, 1)), np.ones((8, 3))),
+                     XP, YP, ZP, "plain")
+    assert np.isfinite(circe_oracle(x, y, z, analytic_mu, XP, YP, ZP, "plain").value)
 
 
 def test_centered_from_factors_bitwise_equals_reference():

@@ -134,6 +134,8 @@ def test_read_csv_rejects_wrong_schema(tmp_path):
     path.write_text("case_id,method\nuni1,circe\n")
     with pytest.raises(ConfigError):
         read_records_csv(path)
+    with pytest.raises(ConfigError, match="cannot read results CSV"):
+        read_records_csv(tmp_path / "missing.csv")
 
 
 def test_sweep_config_validation():
@@ -141,6 +143,23 @@ def test_sweep_config_validation():
         SweepConfig(cases=(), methods=("none",))
     with pytest.raises(ConfigError):
         SweepConfig(cases=("uni1",), methods=("magic",))
+    with pytest.raises(ConfigError, match="at least one method"):
+        SweepConfig(cases=("uni1",), methods=())
+    with pytest.raises(ConfigError, match="at least one seed"):
+        SweepConfig(cases=("uni1",), methods=("none",), seeds=())
+    with pytest.raises(ConfigError, match="gamma grid for unknown method"):
+        SweepConfig(cases=("uni1",), methods=("none",), gammas={"magic": [1.0]})
+    with pytest.raises(ConfigError, match="workers must be positive"):
+        run_sweep(SweepConfig(cases=("uni1",), methods=("none",)), workers=0)
+    # each used to build, then write unstable NaN rows: a run's own gamma, the
+    # baselines' smallest batch, and a batch larger than the fit pool of 380
+    bad = [dict(methods=["circe"], gammas={"circe": [-1.0]}),
+           dict(methods=["gcm"], batch_size=4), dict(methods=["hscic"], batch_size=4),
+           dict(methods=["none"], n=600, m_holdout=100, batch_size=512)]
+    for entry in bad:
+        with pytest.raises(ConfigError):
+            SweepConfig.from_dict({"cases": ["uni1"], **entry})
+    SweepConfig(cases=("uni1",), methods=("none",), n=600, m_holdout=100, batch_size=380)
     with pytest.raises(ConfigError):
         SweepConfig(cases=("yale",), methods=("none",))
     with pytest.raises(ConfigError):
@@ -197,10 +216,13 @@ def test_sweep_level_values_rejected_when_built():
             SweepConfig(cases=("uni1",), methods=("none",), **entry)
     with pytest.raises(ConfigError, match="sigma2_y_grid values"):
         SweepConfig(cases=("uni1",), methods=("none",), sigma2_y_grid=(0.0,))
-    # the largest holdout the 80% train split of n = 600 takes is 479
-    SweepConfig(cases=("uni1",), methods=("none",), n=600, m_holdout=479)
-    with pytest.raises(ConfigError):
-        SweepConfig(cases=("uni1",), methods=("none",), n=600, m_holdout=480)
+    # the 80% train split of n = 600 has 480 rows; a holdout of 478 leaves a
+    # fit pool of 2, room for the smallest batch, and one of 479 leaves none
+    SweepConfig(cases=("uni1",), methods=("none",), n=600, m_holdout=478, batch_size=2)
+    for m_holdout in (479, 480):
+        with pytest.raises(ConfigError):
+            SweepConfig(cases=("uni1",), methods=("none",), n=600, m_holdout=m_holdout,
+                        batch_size=2)
 
 
 def test_wrong_value_types_rejected_with_their_key():
@@ -291,9 +313,12 @@ def test_sweep_singleton_matches_direct_run():
     assert records[0].as_row()[:-1] == direct.as_row()[:-1]
 
 
-def test_sweep_records_failures_as_unstable_rows():
-    # batch_size larger than the training pool makes the run fail
-    config = tiny_sweep_config(methods=("none",), seeds=(0,), batch_size=512)
+def test_sweep_records_failures_as_unstable_rows(monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericalError("synthetic training failure")
+
+    monkeypatch.setattr(harness_mod, "train", failing)
+    config = tiny_sweep_config(methods=("none",), seeds=(0,))
     records, any_unstable = run_sweep(config)
     assert len(records) == 1
     assert records[0].unstable

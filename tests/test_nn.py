@@ -172,7 +172,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(model.forward(x)[1], loaded.forward(x)[1])
 
 
-def test_invalid_arguments():
+def test_invalid_arguments(tmp_path):
     with pytest.raises(ConfigError):
         MlpModel(0, (4,))
     with pytest.raises(ConfigError):
@@ -186,6 +186,11 @@ def test_invalid_arguments():
     model = MlpModel(3, (4,))
     with pytest.raises(ConfigError):
         model.forward(np.zeros((2, 5)))
+    with pytest.raises(ConfigError, match="length mismatch"):
+        Adam(lr=0.1).step(model.params, model.params[:-1])
+    np.savez(tmp_path / "future.npz", checkpoint_version=np.array(2))
+    with pytest.raises(ConfigError, match="unsupported checkpoint version 2"):
+        load_model(tmp_path / "future.npz")
 
 
 def _forward_reference(model, x):

@@ -211,3 +211,9 @@ def test_rff_argument_validation():
         sample_rff(0, 16, 1.0, seed=0)
     with pytest.raises(ConfigError):
         sample_rff(1, 16, -1.0, seed=0)
+    with pytest.raises(ConfigError, match="map expects 1"):
+        ym.features(np.zeros((4, 2)))
+    with pytest.raises(ConfigError, match="refresh_period"):
+        precompute_rff_weights(model, ym, zm, refresh_period=0)
+    with pytest.raises(ConfigError, match="batch_y has 8 rows, batch_z 7"):
+        rff_centered_gram(y, z[:7], w, ym, zm, 8)

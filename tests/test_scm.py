@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -194,6 +195,10 @@ def test_invalid_arguments_raise_config_error():
         gen_scm("multi1", 10, 1, seed=0)
     with pytest.raises(ConfigError):
         gen_toy(10, -1.0, 1.0, 1.0, False, seed=0)
+    with pytest.raises(ConfigError, match="n must be positive"):
+        gen_toy(0, 1.0, 1.0, 1.0, False, seed=0)
+    with pytest.raises(ConfigError, match="n must be positive"):
+        gen_nonlinear_gcm_case(0, 1.0, 1.0, 1.0, seed=0)
     with pytest.raises(ConfigError):
         make_dataset("uni1", 100, 1, seed=0, m_holdout=90)
     batch = gen_scm("uni1", 10, 1, seed=0)
@@ -201,6 +206,10 @@ def test_invalid_arguments_raise_config_error():
         intervene_z(batch, 10, [0.0])
     with pytest.raises(ConfigError):
         regenerate(batch, np.zeros((5, 1)))
+    with pytest.raises(ConfigError, match="cannot regenerate case 'nope'"):
+        regenerate(dataclasses.replace(batch, case_id="nope"), batch.z)
+    with pytest.raises(ConfigError, match="columns"):
+        intervene_z(batch, 0, [0.0, 1.0])
 
 
 def test_slice_batch_preserves_noise_alignment():

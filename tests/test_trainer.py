@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import circe.baselines as baselines_mod
-from circe.baselines import FACTOR_STOP
+from circe.baselines import FACTOR_STOP, GCM_MIN_BATCH
 import circe.trainer as trainer_mod
 from circe.cme import fit_cme
 from circe.estimator import FACTOR_BLOCK_ROWS, centered_gram, cross_factors
@@ -453,6 +453,16 @@ def test_config_validation():
         TrainConfig(variant="bogus")
     with pytest.raises(ConfigError):
         TrainConfig(regularize="nowhere")
+    for lam in (0.0, -0.1):
+        with pytest.raises(ConfigError, match="lam must be positive"):
+            TrainConfig(lam=lam)
+    # the baselines' per-batch regression needs GCM_MIN_BATCH rows once they train
+    for method in ("hscic", "gcm"):
+        with pytest.raises(ConfigError, match="batch_size of at least"):
+            TrainConfig(method=method, gamma=1.0, batch_size=GCM_MIN_BATCH - 1)
+        TrainConfig(method=method, gamma=0.0, batch_size=GCM_MIN_BATCH - 1)
+    with pytest.raises(ConfigError, match="leading dimension"):
+        TrainBatch(np.zeros((4, 2)), np.zeros(4), np.zeros(4), np.zeros(3))
     # the features of a model without a hidden layer are its raw inputs
     for method in ("none", "circe", "hscic", "gcm"):
         with pytest.raises(ConfigError, match="hidden layer"):

@@ -79,7 +79,6 @@ def main(argv=None):
         print(json.dumps(seconds))
         return
     sys.path.insert(0, str(ROOT))
-    import numpy as np
     from circe import cme
     from circe.kernels import KernelParams
     from perfbench.run import blas_threads
@@ -97,12 +96,10 @@ def main(argv=None):
                 times, _ = timed(size["repeats"], cme.fit_cme, y, z, report.best_lam,
                                  KernelParams(sigma2=s2), z_params)
                 fit_times.setdefault(str(s2), []).extend(times)
-            # a package without the factor ran the dense eigh everywhere
-            widths = getattr(report, "factor_widths", np.zeros(len(report.ranks), int))
             bandwidths[seed] = [
                 {"sigma2_y": float(s2), "path": "factor" if w else "eigh",
                  "width": int(w) or None, "rank": int(rank)}
-                for (s2, _, rank), w in zip(report.floor_rows(), widths)
+                for (s2, _, rank), w in zip(report.floor_rows(), report.factor_widths)
             ]
         cold = [cold_first_call(args.src, case, seeds[i % len(seeds)], args.smoke)
                 for i in range(size["cold_runs"])]

@@ -19,18 +19,15 @@ penalty's median step minus the unpenalized one), the route of the first
 batch's ridge regression ("factor" with its width, or "dense") and the
 median ms of that batch's factor attempt, which a dense batch pays on top
 of its dense solve; plus the BLAS thread count. The attempt computes the
-pivot rows of the batch's K_yy itself and builds no Gram; on a package
-whose factor still takes a dense Gram (first parameter K) that Gram is
-built once, outside the timed attempt. A package without the batch factor
-reports neither route nor attempt. --src picks the package to time, so the
-same script measures two checkouts, such as a parent commit and a change.
+pivot rows of the batch's K_yy itself and builds no Gram. --src picks the
+package to time, so the same script measures two checkouts, such as a
+parent commit and a change.
 --smoke runs every path at n=1500, M=200 and 2 steps.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import statistics
 import sys
@@ -70,7 +67,6 @@ def main(argv=None):
     from circe.trainer import TrainConfig, loss_and_grad
     from perfbench.run import blas_threads
 
-    factor = getattr(kernels, "pivoted_cholesky", None)
     cases = {}
     for case in CASES:
         config = harness.SweepConfig([case], ["none"], seeds=[SEED], n=size["n"],
@@ -107,18 +103,15 @@ def main(argv=None):
                 step_ms[method] = 1e3 * statistics.median(times)
             entry = {"step_ms": step_ms,
                      "penalty_ms": {m: step_ms[m] - step_ms["none"] for m in METHODS[1:]}}
-            if factor is not None:
-                first = train.take(idxs[0])
-                labels = (first.y, cme.y_params)
-                if next(iter(inspect.signature(factor).parameters)) == "K":
-                    labels = (kernels.gram(first.y, first.y, cme.y_params),)
+            first = train.take(idxs[0])
 
-                def attempt():
-                    return factor(*labels, baselines.FACTOR_STOP, b // 8)
+            def attempt():
+                return kernels.pivoted_cholesky(first.y, cme.y_params,
+                                                baselines.FACTOR_STOP, b // 8)
 
-                gt = attempt()
-                entry["route"] = "dense" if gt is None else f"factor:{gt.shape[0]}"
-                entry["factor_attempt_ms"] = median_ms(attempt, size["steps"])
+            gt = attempt()
+            entry["route"] = "dense" if gt is None else f"factor:{gt.shape[0]}"
+            entry["factor_attempt_ms"] = median_ms(attempt, size["steps"])
             batches[str(b)] = entry
         cases[case] = {"lam": cme.lam, "sigma2_y": cme.y_params.sigma2,
                        "batch_sizes": batches}
