@@ -97,6 +97,9 @@ def _cmd_fit_cme(args) -> int:
     print("sigma2_y nonpositive_eigenvalues rank")
     for s2, count, rank in report.floor_rows():
         print(f"{s2:g} {count} {rank}")
+    # 0: the K_ZZ factor gave up and the Gram was formed
+    print("sigma2_z z_factor_width")
+    print(f"{model.z_params.sigma2:g} {report.z_factor_width}")
     print(f"selected lambda={model.lam:g} sigma2_y={model.y_params.sigma2:g} "
           f"loo={report.best_error:.6g}")
     out = _out_dir(args)

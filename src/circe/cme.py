@@ -7,15 +7,18 @@ The fit keeps the numerically nonzero part of the spectrum of K_YY. A greedy
 pivoted Cholesky factor K_YY ~ G G^T of width k < M/2
 (kernels.pivoted_cholesky, which reads only the diagonal and the k pivot
 rows of K_YY) finds that part in O(M k^2), and an eigh of the small k x k
-Gram G^T G gives its eigenpairs; only a Gram of higher numerical rank is
-formed, for a dense eigh. The leave-one-out error of every lam
-has a closed form in the same eigenpairs and never refits.
+Gram G^T G gives its eigenpairs. K_ZZ ~ G_z G_z^T is factored the same way,
+once per fit or grid, and enters only through G_z^T u. Either Gram is formed
+only where its factor gives up: K_YY for a dense eigh, K_ZZ for dense
+products. The leave-one-out error of every lam has a closed form in the
+same eigenpairs and never refits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +81,9 @@ class LooReport:
     the M - k directions it never reached as zeros. ranks[j] counts the
     eigenpairs kept by the rank cut, which drops the non-positive ones with
     the rest of the roundoff, and factor_widths[j] the factor's width, 0
-    where a dense eigendecomposition ran.
+    where a dense eigendecomposition ran. z_factor_width is the width of
+    the one factor of K_ZZ that every bandwidth shared, 0 where K_ZZ was
+    formed.
     """
 
     lams: np.ndarray
@@ -90,6 +95,7 @@ class LooReport:
     floored_eigs: np.ndarray
     ranks: np.ndarray
     factor_widths: np.ndarray
+    z_factor_width: int
 
     def as_rows(self):
         return list(zip(self.lams, self.sigma2_ys, self.errors))
@@ -120,25 +126,52 @@ def _check_lams(lams, name: str = "lambda") -> np.ndarray:
     return lams
 
 
-def _spectrum(holdout_y, y_params: KernelParams, k_zz):
+def _holdout_factor(points, params: KernelParams):
+    """Pivoted Cholesky factor G^T of a holdout Gram, or None where it gives
+    up: it stops at a tenth of RANK_CUT times the largest diagonal, below
+    every eigenvalue the cut keeps, with its give-up checkpoint at M/3."""
+    return pivoted_cholesky(points, params, 0.1 * RANK_CUT, points.shape[0] // 3)
+
+
+class _ZGram(NamedTuple):
+    """K_ZZ as _spectrum takes it: matrix is its factor G_z^T (width, M),
+    whose diagonal is the Gaussian kernel's exact 1, or, where that factor
+    gives up, K_ZZ itself with its computed diagonal and width 0."""
+
+    matrix: np.ndarray
+    diag: np.ndarray | float
+    width: int
+
+
+def _z_gram(holdout_z, z_params: KernelParams) -> _ZGram:
+    g = _holdout_factor(holdout_z, z_params)
+    if g is not None:
+        return _ZGram(g, 1.0, g.shape[0])
+    k_zz = gram(holdout_z, holdout_z, z_params)
+    return _ZGram(k_zz, np.diag(k_zz).copy(), 0)
+
+
+def _spectrum(holdout_y, y_params: KernelParams, kz: _ZGram):
     """Truncated eigendecomposition of K_YY with K_ZZ projected onto it.
 
     The pivoted Cholesky factor G is tried first, on the labels themselves:
-    it computes only the k pivot rows of K_YY it reads. It stops at a tenth
-    of RANK_CUT times the largest diagonal, below every eigenvalue the cut
-    keeps, and its give-up checkpoint is M/3 columns. G^T G has the nonzero
-    eigenvalues of G G^T, so with G^T G = V diag(s) V^T the eigenvectors of
-    K_YY are G V diag(s)^{-1/2}: a k x k eigh and two M k^2 products. Those
-    columns are orthonormal only to about 1e-5 in the smallest kept
-    directions (s near RANK_CUT times the largest). Only when the factor
-    gives up is K_YY formed, for a dense eigendecomposition.
-    Returns (s, u, ku, c, n_nonpositive, width): the r eigenvalues above
+    it computes only the k pivot rows of K_YY it reads. G^T G has the
+    nonzero eigenvalues of G G^T, so with G^T G = V diag(s) V^T the
+    eigenvectors of K_YY are G V diag(s)^{-1/2}: a k x k eigh and two M k^2
+    products. Those columns are orthonormal only to about 1e-5 in the
+    smallest kept directions (s near RANK_CUT times the largest). Only when
+    the factor gives up is K_YY formed, for a dense eigendecomposition.
+    K_ZZ comes factored as G_z G_z^T (r_z columns) where it can: then
+    p = G_z^T u, ku = G_z p and c = p^T p cost 2 M r r_z + r_z r^2 instead
+    of the dense M^2 r + M r^2.
+    Returns (s, u, ku, c, p, n_nonpositive, width): the r eigenvalues above
     RANK_CUT times the largest, their eigenvectors u (M, r), ku = K_ZZ u,
-    the symmetric c = u^T K_ZZ u, the count of non-positive eigenvalues
-    before the cut, with the M - width directions the factor never reached
-    counted as zeros, and the factor's width, 0 on the dense path.
+    the symmetric c = u^T K_ZZ u, p (r_z, r), None where K_ZZ is dense, the
+    count of non-positive eigenvalues before the cut, with the M - width
+    directions the factor never reached counted as zeros, and the factor's
+    width, 0 on the dense path.
     """
-    g = pivoted_cholesky(holdout_y, y_params, 0.1 * RANK_CUT, holdout_y.shape[0] // 3)
+    g = _holdout_factor(holdout_y, y_params)
     width = 0 if g is None else g.shape[0]
     try:
         s, v = np.linalg.eigh(g @ g.T if width else gram(holdout_y, holdout_y, y_params))
@@ -155,10 +188,16 @@ def _spectrum(holdout_y, y_params: KernelParams, k_zz):
     if width:  # g is G^T, so the eigenvectors of G G^T are g.T v / sqrt(s)
         u /= np.sqrt(s)
     del g
-    ku = k_zz @ u
-    c = u.T @ ku
+    if kz.width:
+        p = kz.matrix @ u
+        ku = kz.matrix.T @ p
+        c = p.T @ p
+    else:
+        p = None
+        ku = kz.matrix @ u
+        c = u.T @ ku
     c = 0.5 * (c + c.T)
-    return s, u, ku, c, n_nonpositive, width
+    return s, u, ku, c, p, n_nonpositive, width
 
 
 def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
@@ -167,12 +206,11 @@ def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     truncated at RANK_CUT."""
     lam = float(_check_lams([lam])[0])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
-    k_zz = gram(holdout_z, holdout_z, z_params)
-    s, u, _, c, _, _ = _spectrum(holdout_y, y_params, k_zz)
+    s, u, _, c, _, _, _ = _spectrum(holdout_y, y_params, _z_gram(holdout_z, z_params))
     return CmeModel(holdout_y, holdout_z, lam, y_params, z_params, u, s, c)
 
 
-def _loo_errors(s, u, ku, c, k_zz_diag, lams):
+def _loo_errors(s, u, ku, c, p, k_zz_diag, lams):
     """Leave-one-out errors of every lam in lams from one truncated spectrum.
 
     With K_YY = U diag(s) U^T and d = s / (s + lam), the hat matrix is
@@ -182,7 +220,8 @@ def _loo_errors(s, u, ku, c, k_zz_diag, lams):
         diag(A K_ZZ A^T) = rowsum((W C) o W),  C = U^T K_ZZ U,
     so each lam costs one M r^2 product over the r kept eigenpairs; a
     discarded eigenvalue would contribute d below RANK_CUT s_max / lam
-    (Rifkin & Lippert 2007).
+    (Rifkin & Lippert 2007). With K_ZZ ~ G_z G_z^T and p = G_z^T U (p not
+    None), diag(A K_ZZ A^T) = rowsum((W p^T)^2) costs M r r_z instead.
     """
     d = s[:, None] / (s[:, None] + lams[None, :])
     diag_a = (u * u) @ d
@@ -194,7 +233,12 @@ def _loo_errors(s, u, ku, c, k_zz_diag, lams):
             errors[j] = math.inf
             continue
         w = u * d[:, j]
-        resid = k_zz_diag - 2.0 * diag_ak[:, j] + np.einsum("ij,ij->i", w @ c, w)
+        if p is None:
+            quad = np.einsum("ij,ij->i", w @ c, w)
+        else:
+            wp = w @ p.T
+            quad = np.einsum("ij,ij->i", wp, wp)
+        resid = k_zz_diag - 2.0 * diag_ak[:, j] + quad
         np.maximum(resid, 0.0, out=resid)
         errors[j] = np.mean(resid / denom**2)
     return errors
@@ -212,9 +256,9 @@ def loo_error(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     """
     lams = _check_lams([lam])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
-    k_zz = gram(holdout_z, holdout_z, z_params)
-    s, u, ku, c, _, _ = _spectrum(holdout_y, y_params, k_zz)
-    return float(_loo_errors(s, u, ku, c, np.diag(k_zz), lams)[0])
+    kz = _z_gram(holdout_z, z_params)
+    s, u, ku, c, p, _, _ = _spectrum(holdout_y, y_params, kz)
+    return float(_loo_errors(s, u, ku, c, p, kz.diag, lams)[0])
 
 
 def _better(err, lam, s2, best):
@@ -240,12 +284,12 @@ def select_hyperparams(holdout_y, holdout_z,
     """Grid-search (lam, sigma2_y) by leave-one-out error and fit the winner.
 
     The z-kernel bandwidth is fixed by the caller and not searched. K_ZZ is
-    built once, and one truncated spectrum of K_YY per sigma2_y scores the
-    whole lambda grid. Only the leading bandwidth's spectrum is kept, and the
-    winner is built from it. Every bandwidth takes the same _spectrum as
-    fit_cme, factor attempt included, so the winner is bitwise equal to
-    fit_cme at its parameters whenever both run on the same BLAS thread
-    count.
+    factored once (formed only where its factor gives up), and one
+    truncated spectrum of K_YY per sigma2_y scores the whole lambda grid.
+    Only the leading bandwidth's spectrum is kept, and the winner is built
+    from it. Every bandwidth takes the same _spectrum as fit_cme, both
+    factor attempts included, so the winner is bitwise equal to fit_cme at
+    its parameters whenever both run on the same BLAS thread count.
     """
     lambda_grid = [float(v) for v in lambda_grid]
     sigma2_y_grid = [float(v) for v in sigma2_y_grid]
@@ -255,32 +299,31 @@ def select_hyperparams(holdout_y, holdout_z,
     y_params = [KernelParams(sigma2=s2) for s2 in sigma2_y_grid]
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
 
-    k_zz = gram(holdout_z, holdout_z, z_params)
-    k_zz_diag = np.diag(k_zz).copy()
+    kz = _z_gram(holdout_z, z_params)
     errors = np.empty((len(lambda_grid), len(sigma2_y_grid)))
     floored = np.empty(len(sigma2_y_grid), dtype=np.int64)
     ranks = np.empty(len(sigma2_y_grid), dtype=np.int64)
     widths = np.empty(len(sigma2_y_grid), dtype=np.int64)
     best = best_spectrum = None
     for j, (s2, params) in enumerate(zip(sigma2_y_grid, y_params)):
-        s, u, ku, c, floored[j], widths[j] = _spectrum(holdout_y, params, k_zz)
+        s, u, ku, c, p, floored[j], widths[j] = _spectrum(holdout_y, params, kz)
         ranks[j] = s.shape[0]
-        errors[:, j] = _loo_errors(s, u, ku, c, k_zz_diag, lams)
+        errors[:, j] = _loo_errors(s, u, ku, c, p, kz.diag, lams)
         for i, lam in enumerate(lambda_grid):
             err = float(errors[i, j])
             if math.isfinite(err) and _better(err, lam, s2, best):
                 best = (err, lam, s2)
                 best_spectrum = (u, s, c)
         # the next spectrum is the grid's peak: hold only the best one there
-        del s, u, ku, c
-    del k_zz
+        del s, u, ku, c, p
 
     if best is None:
         raise ConfigError("all grid points produced non-finite leave-one-out error")
     b_err, b_lam, b_s2 = best
     report = LooReport(np.repeat(lambda_grid, len(sigma2_y_grid)),
                        np.tile(sigma2_y_grid, len(lambda_grid)),
-                       errors.ravel(), b_lam, b_s2, b_err, floored, ranks, widths)
+                       errors.ravel(), b_lam, b_s2, b_err, floored, ranks, widths,
+                       kz.width)
     model = CmeModel(holdout_y, holdout_z, b_lam, KernelParams(sigma2=b_s2), z_params,
                      *best_spectrum)
     return model, report

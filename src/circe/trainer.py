@@ -11,6 +11,7 @@ bitwise-identical parameters.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -68,7 +69,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            check_type(f.name, getattr(self, f.name), _FIELD_KINDS[type(f.default)])
+            value = getattr(self, f.name)
+            check_type(f.name, value, _FIELD_KINDS[type(f.default)])
+            # NaN fails every range check below, so finiteness is its own rule
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.variant not in VARIANTS:

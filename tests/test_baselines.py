@@ -473,8 +473,8 @@ def test_gcm_factors_once_per_step(monkeypatch):
 
 def test_factor_routes_build_no_label_gram(monkeypatch):
     # the factor computes its own pivot rows, so a holdout or a batch on the
-    # factor route never forms K_YY or K_yy; on the dense route it is formed
-    # once, which also shows that the recorder sees it
+    # factor route never forms K_YY or K_yy, nor a holdout K_ZZ; on the dense
+    # route it is formed once, which also shows that the recorder sees it
     seen = []
 
     def recording_gram(rows, cols, params):
@@ -489,10 +489,19 @@ def test_factor_routes_build_no_label_gram(monkeypatch):
     for case, routes_factor in (("uni1", True), ("multi2", False)):
         ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
         y = ds.standardizer.transform("y", ds.holdout.y)
+        z = ds.standardizer.transform("z", ds.holdout.z)
         seen.clear()
-        _, _, _, _, _, width = cme_mod._spectrum(y, KernelParams(sigma2=0.1), np.eye(1000))
-        assert (width > 0) == routes_factor
+        kz = cme_mod._z_gram(z, KernelParams(sigma2=1.0))
+        width = cme_mod._spectrum(y, KernelParams(sigma2=0.1), kz)[-1]
+        assert (width > 0) == routes_factor and kz.width > 0
         assert label_grams(y) == ([] if routes_factor else [(y.shape, y.shape)])
+        assert label_grams(z) == []
+    # multi1's two-column z at sigma2_z = 0.1 gives its factor up: K_ZZ once
+    ds = make_dataset("multi1", 2000, 2, 0, m_holdout=1000)
+    z = ds.standardizer.transform("z", ds.holdout.z)
+    seen.clear()
+    assert cme_mod._z_gram(z, KernelParams(sigma2=0.1)).width == 0
+    assert label_grams(z) == [(z.shape, z.shape)]
 
     x, z, y = _low_rank_batch(256, 12)
     rng = np.random.default_rng(52)

@@ -17,6 +17,8 @@ from circe.cme import (
     _better,
     _loo_errors,
     _spectrum,
+    _z_gram,
+    _ZGram,
 )
 from circe.estimator import centered_gram
 from circe.exceptions import ConfigError, NumericalError
@@ -35,6 +37,12 @@ def _spectral_w1(model):
     """The model's W1 rebuilt from its kept eigenpairs, u (D - I/lam) u^T + I/lam."""
     d = 1.0 / (model.s + model.lam) - 1.0 / model.lam
     return (model.u * d) @ model.u.T + np.eye(model.n_holdout) / model.lam
+
+
+def _dense_z(k_zz):
+    """K_ZZ on the dense route of _spectrum, as _z_gram gives it where the
+    factor gives up."""
+    return _ZGram(k_zz, np.diag(k_zz).copy(), 0)
 
 
 def _sample_pairs(rng, m):
@@ -211,7 +219,7 @@ def test_wide_gram_takes_the_dense_path_bitwise():
     z = rng.standard_normal((400, 1))
     yp = KernelParams(sigma2=0.01)
     k_zz = gram(z, z, KernelParams(sigma2=1.0))
-    s, u, _, c, floored, width = _spectrum(y, yp, k_zz)
+    s, u, _, c, _, floored, width = _spectrum(y, yp, _dense_z(k_zz))
     assert width == 0
     s_ref, u_ref = np.linalg.eigh(gram(y, y, yp))
     cut = int(np.searchsorted(s_ref, RANK_CUT * s_ref[-1], side="right"))
@@ -224,7 +232,8 @@ def test_wide_gram_takes_the_dense_path_bitwise():
 def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
     # the factor's eigenpairs come from its small Gram G^T G; check them
     # against a dense eigh of K_YY cut at the same RANK_CUT, on every
-    # bandwidth that takes the factor at M = 1000. Bounds are 10x or more
+    # bandwidth that takes the factor at M = 1000, with K_ZZ dense on both
+    # sides so only the y route differs. Bounds are 10x or more
     # above the largest value measured on these cells at one and two BLAS
     # threads: eigenvalues 3.9e-15 s_max, LOO errors 1.3e-11 relative, and
     # centered Grams at lam = 0.001 2.6e-8 relative to their largest entry
@@ -242,7 +251,7 @@ def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
     factored = []
     for s2 in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=s2)
-        s, u, ku, c, _, width = _spectrum(y, yp, k_zz)
+        s, u, ku, c, _, _, width = _spectrum(y, yp, _dense_z(k_zz))
         if not width:
             continue
         factored.append(s2)
@@ -254,14 +263,68 @@ def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
         ku_ref = k_zz @ u_ref
         c_ref = u_ref.T @ ku_ref
         c_ref = 0.5 * (c_ref + c_ref.T)
-        errors = _loo_errors(s, u, ku, c, np.diag(k_zz), lams)
-        ref = _loo_errors(s_ref, u_ref, ku_ref, c_ref, np.diag(k_zz), lams)
+        errors = _loo_errors(s, u, ku, c, None, np.diag(k_zz), lams)
+        ref = _loo_errors(s_ref, u_ref, ku_ref, c_ref, None, np.diag(k_zz), lams)
         assert np.all(np.abs(errors - ref) <= 2e-10 * ref)
         grams = [centered_gram(batch_y, batch_z, CmeModel(y, z, 0.001, yp, zp, *spec),
                                yp, zp) for spec in ((u, s, c), (u_ref, s_ref, c_ref))]
         assert np.max(np.abs(grams[0] - grams[1])) <= 3e-7 * np.max(np.abs(grams[1]))
     # 1-d y takes the factor at every bandwidth, 2-d y at sigma2_y = 1 only
     assert factored == ([1.0] if case == "multi2" else [0.001, 0.01, 0.1, 1.0])
+
+
+@pytest.mark.parametrize("case", ["uni1", "multi1", "multi2"])
+def test_z_factor_matches_the_dense_z_gram(case):
+    # K_ZZ ~ G_z G_z^T enters as p = G_z^T u: against the formed K_ZZ on the
+    # same y spectrum, at every bandwidth of the M = 1000 grid (y factor and
+    # dense eigh alike). Bounds are 10x above the largest value measured on
+    # these cells: ku and c 1.1e-14 of their largest entry, LOO errors
+    # 1.4e-9 relative (multi2, sigma2_y = 0.001, lam = 0.001: the factor's
+    # stop of 1e-13 is amplified by 1 / (1 - A_ii)^2 at the smallest lam)
+    ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
+    y = ds.standardizer.transform("y", ds.holdout.y)
+    z = ds.standardizer.transform("z", ds.holdout.z)
+    zp = KernelParams(sigma2=1.0)
+    kz = _z_gram(z, zp)
+    k_zz = gram(z, z, zp)
+    # the factor reads K_ZZ's diagonal as the Gaussian kernel's exact 1; the
+    # reference keeps gram's, which the norm expansion of two-column z
+    # (multi1) moves off 1 by roundoff
+    assert 0 < kz.width < 500 and kz.diag == 1.0
+    lams = np.array([0.001, 0.01, 0.1, 1.0])
+    for s2 in (0.001, 0.01, 0.1, 1.0):
+        yp = KernelParams(sigma2=s2)
+        s, u, ku, c, p, _, _ = _spectrum(y, yp, kz)
+        s_ref, u_ref, ku_ref, c_ref, p_ref, _, _ = _spectrum(y, yp, _dense_z(k_zz))
+        assert p.shape == (kz.width, s.shape[0]) and p_ref is None
+        assert np.array_equal(s, s_ref) and np.array_equal(u, u_ref)
+        assert np.max(np.abs(ku - ku_ref)) <= 1e-13 * np.max(np.abs(ku_ref))
+        assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
+        assert np.array_equal(c, c.T)
+        errors = _loo_errors(s, u, ku, c, p, kz.diag, lams)
+        ref = _loo_errors(s_ref, u_ref, ku_ref, c_ref, None, np.diag(k_zz), lams)
+        assert np.all(np.abs(errors - ref) <= 2e-8 * ref)
+
+
+def test_z_gram_is_formed_where_its_factor_gives_up():
+    # multi1's two-column z at sigma2_z = 0.1 is near full rank at M = 1000:
+    # K_ZZ is formed by gram, as every grid before the z factor formed it,
+    # and the grid on it matches the dense Cholesky reference
+    ds = make_dataset("multi1", 2000, 2, 0, m_holdout=1000)
+    y = ds.standardizer.transform("y", ds.holdout.y)
+    z = ds.standardizer.transform("z", ds.holdout.z)
+    zp = KernelParams(sigma2=0.1)
+    kz = _z_gram(z, zp)
+    assert kz.width == 0 and np.array_equal(kz.matrix, gram(z, z, zp))
+    assert np.array_equal(kz.diag, np.diag(kz.matrix))
+    _, report = select_hyperparams(y, z, lambda_grid=[0.01, 1.0], sigma2_y_grid=[1.0],
+                                   z_params=zp)
+    assert report.z_factor_width == 0
+    for lam, s2, err in report.as_rows():
+        assert err == pytest.approx(cholesky_loo(y, z, lam, KernelParams(sigma2=s2), zp),
+                                    rel=1e-8)
+    _, report = select_hyperparams(y, z, lambda_grid=[1.0], sigma2_y_grid=[1.0])
+    assert report.z_factor_width == _z_gram(z, KernelParams(sigma2=1.0)).width > 0
 
 
 def test_factor_gives_up_early_only_where_the_width_limit_would(monkeypatch):
@@ -290,7 +353,7 @@ def test_factor_gives_up_early_only_where_the_width_limit_would(monkeypatch):
     rows = []
     monkeypatch.setattr(kernels_mod, "math", SimpleNamespace(
         sqrt=lambda x: rows.append(x) or math.sqrt(x)))
-    _spectrum(y, KernelParams(sigma2=0.01), np.eye(400))
+    _spectrum(y, KernelParams(sigma2=0.01), _dense_z(np.eye(400)))
     assert len(rows) == 400 // 3
 
 
@@ -301,7 +364,7 @@ def test_failed_or_non_finite_eigh_raises_numerical_error(monkeypatch, sigma2_y)
     y, z = _sample_pairs(rng, 40)
     yp, zp = KernelParams(sigma2=sigma2_y), KernelParams(sigma2=1.0)
     eigh = np.linalg.eigh
-    assert (_spectrum(y, yp, np.eye(40))[-1] > 0) == (sigma2_y == 1.0)
+    assert (_spectrum(y, yp, _dense_z(np.eye(40)))[-1] > 0) == (sigma2_y == 1.0)
 
     def fails(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -3,7 +3,7 @@ import pytest
 
 import circe.cme as cme_mod
 import circe.estimator as estimator_mod
-from circe.cme import CmeModel, _spectrum, fit_cme, select_hyperparams
+from circe.cme import CmeModel, _spectrum, _z_gram, fit_cme, select_hyperparams
 from circe.estimator import (
     centered_from_factors,
     centered_gram,
@@ -124,13 +124,13 @@ def test_compressed_spectrum_matches_the_dense_path(monkeypatch):
     std = ds.standardizer
     y = std.transform("y", ds.holdout.y)
     z = std.transform("z", ds.holdout.z)
-    k_zz = gram(z, z, ZP)
+    kz = _z_gram(z, ZP)
     for sigma2_y in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=sigma2_y)
-        s, u, _, c, _, width = _spectrum(y, yp, k_zz)
+        s, u, _, c, _, _, width = _spectrum(y, yp, kz)
         with monkeypatch.context() as mp:
             mp.setattr(cme_mod, "pivoted_cholesky", lambda y, params, stop, checkpoint: None)
-            s_d, u_d, _, c_d, _, width_d = _spectrum(y, yp, k_zz)
+            s_d, u_d, _, c_d, _, _, width_d = _spectrum(y, yp, kz)
         assert 0 < width < 500 and width_d == 0
         assert abs(s.shape[0] - s_d.shape[0]) <= 1
     batch = train_data_from_dataset(ds).train.take(np.arange(256))

@@ -1,8 +1,9 @@
 """The fixed sweep reproduces its recorded results.csv, cell for cell.
 
-tools/fixed_sweep.json is small (20 rows, about 1.5 s) but runs every method
-on a uni and a multi case, so a change that moves any number of a sweep shows
-here. The sweep runs in a fresh interpreter with one OpenBLAS thread: two
+tools/fixed_sweep.json is small (30 rows, about 2.4 s) but runs every method
+on a uni case and two multi cases, so a change that moves any number of a
+sweep shows here. multi2's two-column y takes the dense label Gram in its LOO
+grid and in its baselines' batch regressions, which uni1 and multi1 do not. The sweep runs in a fresh interpreter with one OpenBLAS thread: two
 one-thread runs are byte-identical, while the default thread count moves the
 gcm cells by about 1e-14. Only wall_seconds is ignored.
 

@@ -152,10 +152,15 @@ def test_sweep_config_validation():
     with pytest.raises(ConfigError, match="workers must be positive"):
         run_sweep(SweepConfig(cases=("uni1",), methods=("none",)), workers=0)
     # each used to build, then write unstable NaN rows: a run's own gamma, the
-    # baselines' smallest batch, and a batch larger than the fit pool of 380
+    # baselines' smallest batch, a batch larger than the fit pool of 380, and
+    # a non-finite gamma or optimizer setting
     bad = [dict(methods=["circe"], gammas={"circe": [-1.0]}),
            dict(methods=["gcm"], batch_size=4), dict(methods=["hscic"], batch_size=4),
-           dict(methods=["none"], n=600, m_holdout=100, batch_size=512)]
+           dict(methods=["none"], n=600, m_holdout=100, batch_size=512),
+           dict(methods=["circe"], gammas={"circe": [float("nan")]}),
+           dict(methods=["circe"], gammas={"circe": [float("inf")]}),
+           dict(methods=["none"], lr=float("nan")),
+           dict(methods=["none"], weight_decay=float("nan"))]
     for entry in bad:
         with pytest.raises(ConfigError):
             SweepConfig.from_dict({"cases": ["uni1"], **entry})
@@ -249,7 +254,7 @@ def test_fixed_sweep_config_builds():
     # the byte-identity gate's committed config must pass validation
     path = Path(__file__).resolve().parent.parent / "tools" / "fixed_sweep.json"
     config = SweepConfig.from_dict(_load_config(path))
-    assert config.cases == ("uni1", "multi1")
+    assert config.cases == ("uni1", "multi1", "multi2")
     assert config.train.epochs == 1
 
 

@@ -479,6 +479,12 @@ def test_config_validation():
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ConfigError):
                 TrainConfig(**{name: bad})
+    # NaN fails every range check, so each float field is checked for
+    # finiteness; these used to build and train rows of NaN
+    for name in ("gamma", "lr", "weight_decay", "lam"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                TrainConfig(**{name: bad})
     toy = gen_toy(64, 1.0, 1.0, 1.0, shifted=False, seed=0)
     data = train_data_from_toy(toy)
     with pytest.raises(ConfigError):

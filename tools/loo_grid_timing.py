@@ -14,7 +14,8 @@ seed count. One JSON object goes to stdout: per case, the min and median
 grid seconds over every repeat of every seed, each cold first-call time
 and their max, the median fit_cme seconds per sigma2_y, and per seed and
 sigma2_y the path taken ("factor" or "eigh"), the factor width and the
-kept rank; plus the size and the BLAS thread count. --src picks the
+kept rank, and per seed the route of K_ZZ ("factor" or "dense") with its
+factor width; plus the size and the BLAS thread count. --src picks the
 package to time, so the same script measures two checkouts, such as a
 parent commit and a change. --smoke runs every path at n=1500, M=200, one
 seed, one repeat and one cold run.
@@ -87,7 +88,7 @@ def main(argv=None):
     seeds = size["seeds"]
     cases = {}
     for case in CASES:
-        grid_times, fit_times, bandwidths = [], {}, {}
+        grid_times, fit_times, bandwidths, z_routes = [], {}, {}, {}
         for seed in seeds:
             y, z = holdout(case, seed, size)
             times, (_, report) = timed(size["repeats"], cme.select_hyperparams, y, z)
@@ -101,13 +102,15 @@ def main(argv=None):
                  "width": int(w) or None, "rank": int(rank)}
                 for (s2, _, rank), w in zip(report.floor_rows(), report.factor_widths)
             ]
+            z_routes[seed] = {"path": "factor" if report.z_factor_width else "dense",
+                              "width": report.z_factor_width or None}
         cold = [cold_first_call(args.src, case, seeds[i % len(seeds)], args.smoke)
                 for i in range(size["cold_runs"])]
         cases[case] = {"min_s": min(grid_times), "median_s": statistics.median(grid_times),
                        "cold_first_call_s": cold, "cold_max_s": max(cold),
                        "fit_cme_median_s": {s2: statistics.median(t)
                                             for s2, t in fit_times.items()},
-                       "bandwidths": bandwidths}
+                       "bandwidths": bandwidths, "z": z_routes}
     print(json.dumps({"src": args.src, "size": size, "blas_threads": blas_threads(),
                       "cases": cases}))
 
