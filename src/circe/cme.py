@@ -136,7 +136,9 @@ def _holdout_factor(points, params: KernelParams):
 class _ZGram(NamedTuple):
     """K_ZZ as _spectrum takes it: matrix is its factor G_z^T (width, M),
     whose diagonal is the Gaussian kernel's exact 1, or, where that factor
-    gives up, K_ZZ itself with its computed diagonal and width 0."""
+    gives up, K_ZZ itself with its computed diagonal and width 0. The
+    factor is copied out of pivoted_cholesky's (M/2, M) buffer, which a
+    view would keep alive through the whole grid."""
 
     matrix: np.ndarray
     diag: np.ndarray | float
@@ -146,7 +148,7 @@ class _ZGram(NamedTuple):
 def _z_gram(holdout_z, z_params: KernelParams) -> _ZGram:
     g = _holdout_factor(holdout_z, z_params)
     if g is not None:
-        return _ZGram(g, 1.0, g.shape[0])
+        return _ZGram(g.copy(), 1.0, g.shape[0])
     k_zz = gram(holdout_z, holdout_z, z_params)
     return _ZGram(k_zz, np.diag(k_zz).copy(), 0)
 
@@ -161,15 +163,18 @@ def _spectrum(holdout_y, y_params: KernelParams, kz: _ZGram):
     products. Those columns are orthonormal only to about 1e-5 in the
     smallest kept directions (s near RANK_CUT times the largest). Only when
     the factor gives up is K_YY formed, for a dense eigendecomposition.
+    The factor and the eigenvectors V are freed once u is formed.
     K_ZZ comes factored as G_z G_z^T (r_z columns) where it can: then
-    p = G_z^T u, ku = G_z p and c = p^T p cost 2 M r r_z + r_z r^2 instead
-    of the dense M^2 r + M r^2.
-    Returns (s, u, ku, c, p, n_nonpositive, width): the r eigenvalues above
-    RANK_CUT times the largest, their eigenvectors u (M, r), ku = K_ZZ u,
-    the symmetric c = u^T K_ZZ u, p (r_z, r), None where K_ZZ is dense, the
-    count of non-positive eigenvalues before the cut, with the M - width
-    directions the factor never reached counted as zeros, and the factor's
-    width, 0 on the dense path.
+    c = p^T p with p = G_z^T u costs M r r_z + r_z r^2 instead of the dense
+    M^2 r + M r^2, and K_ZZ u = G_z p is left to _loo_errors, which alone
+    needs it.
+    Returns (s, u, c, zu, n_nonpositive, width): the r eigenvalues above
+    RANK_CUT times the largest, their eigenvectors u (M, r), the symmetric
+    c = u^T K_ZZ u, K_ZZ's side of u, zu = p (r_z, r) where K_ZZ is
+    factored and K_ZZ u (M, r) where it is formed, the count of
+    non-positive eigenvalues before the cut, with the M - width directions
+    the factor never reached counted as zeros, and the factor's width, 0 on
+    the dense path.
     """
     g = _holdout_factor(holdout_y, y_params)
     width = 0 if g is None else g.shape[0]
@@ -185,19 +190,13 @@ def _spectrum(holdout_y, y_params: KernelParams, kz: _ZGram):
     cut = int(np.searchsorted(s, RANK_CUT * s[-1], side="right"))
     s = s[cut:].copy()
     u = g.T @ v[:, cut:] if width else np.ascontiguousarray(v[:, cut:])
+    del g, v
     if width:  # g is G^T, so the eigenvectors of G G^T are g.T v / sqrt(s)
         u /= np.sqrt(s)
-    del g
-    if kz.width:
-        p = kz.matrix @ u
-        ku = kz.matrix.T @ p
-        c = p.T @ p
-    else:
-        p = None
-        ku = kz.matrix @ u
-        c = u.T @ ku
+    zu = kz.matrix @ u
+    c = zu.T @ zu if kz.width else u.T @ zu
     c = 0.5 * (c + c.T)
-    return s, u, ku, c, p, n_nonpositive, width
+    return s, u, c, zu, n_nonpositive, width
 
 
 def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
@@ -206,11 +205,11 @@ def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     truncated at RANK_CUT."""
     lam = float(_check_lams([lam])[0])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
-    s, u, _, c, _, _, _ = _spectrum(holdout_y, y_params, _z_gram(holdout_z, z_params))
+    s, u, c, _, _, _ = _spectrum(holdout_y, y_params, _z_gram(holdout_z, z_params))
     return CmeModel(holdout_y, holdout_z, lam, y_params, z_params, u, s, c)
 
 
-def _loo_errors(s, u, ku, c, p, k_zz_diag, lams):
+def _loo_errors(s, u, c, zu, kz: _ZGram, lams):
     """Leave-one-out errors of every lam in lams from one truncated spectrum.
 
     With K_YY = U diag(s) U^T and d = s / (s + lam), the hat matrix is
@@ -220,25 +219,35 @@ def _loo_errors(s, u, ku, c, p, k_zz_diag, lams):
         diag(A K_ZZ A^T) = rowsum((W C) o W),  C = U^T K_ZZ U,
     so each lam costs one M r^2 product over the r kept eigenpairs; a
     discarded eigenvalue would contribute d below RANK_CUT s_max / lam
-    (Rifkin & Lippert 2007). With K_ZZ ~ G_z G_z^T and p = G_z^T U (p not
-    None), diag(A K_ZZ A^T) = rowsum((W p^T)^2) costs M r r_z instead.
+    (Rifkin & Lippert 2007). With K_ZZ ~ G_z G_z^T and zu = p = G_z^T U,
+    diag(A K_ZZ A^T) = rowsum((W p^T)^2) costs M r r_z instead.
+    K_ZZ U (G_z p, or the dense route's zu), U o K_ZZ U, U o U and every
+    lam's W are written in turn into one (M, r) scratch array, so besides U
+    the grid holds one M x r working set and K_ZZ U is gone once its
+    d-product is taken.
     """
     d = s[:, None] / (s[:, None] + lams[None, :])
-    diag_a = (u * u) @ d
-    diag_ak = (u * ku) @ d
+    work = np.empty_like(u)
+    if kz.width:
+        np.matmul(kz.matrix.T, zu, out=work)
+        np.multiply(u, work, out=work)
+    else:
+        np.multiply(u, zu, out=work)
+    diag_ak = work @ d
+    diag_a = np.multiply(u, u, out=work) @ d
     errors = np.empty(len(lams))
     for j in range(len(lams)):
         denom = 1.0 - diag_a[:, j]
         if np.any(denom <= LOO_DIAG_GUARD):
             errors[j] = math.inf
             continue
-        w = u * d[:, j]
-        if p is None:
-            quad = np.einsum("ij,ij->i", w @ c, w)
-        else:
-            wp = w @ p.T
+        w = np.multiply(u, d[:, j], out=work)
+        if kz.width:
+            wp = w @ zu.T
             quad = np.einsum("ij,ij->i", wp, wp)
-        resid = k_zz_diag - 2.0 * diag_ak[:, j] + quad
+        else:
+            quad = np.einsum("ij,ij->i", w @ c, w)
+        resid = kz.diag - 2.0 * diag_ak[:, j] + quad
         np.maximum(resid, 0.0, out=resid)
         errors[j] = np.mean(resid / denom**2)
     return errors
@@ -257,8 +266,8 @@ def loo_error(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     lams = _check_lams([lam])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
     kz = _z_gram(holdout_z, z_params)
-    s, u, ku, c, p, _, _ = _spectrum(holdout_y, y_params, kz)
-    return float(_loo_errors(s, u, ku, c, p, kz.diag, lams)[0])
+    s, u, c, zu, _, _ = _spectrum(holdout_y, y_params, kz)
+    return float(_loo_errors(s, u, c, zu, kz, lams)[0])
 
 
 def _better(err, lam, s2, best):
@@ -306,16 +315,16 @@ def select_hyperparams(holdout_y, holdout_z,
     widths = np.empty(len(sigma2_y_grid), dtype=np.int64)
     best = best_spectrum = None
     for j, (s2, params) in enumerate(zip(sigma2_y_grid, y_params)):
-        s, u, ku, c, p, floored[j], widths[j] = _spectrum(holdout_y, params, kz)
+        s, u, c, zu, floored[j], widths[j] = _spectrum(holdout_y, params, kz)
         ranks[j] = s.shape[0]
-        errors[:, j] = _loo_errors(s, u, ku, c, p, kz.diag, lams)
+        errors[:, j] = _loo_errors(s, u, c, zu, kz, lams)
         for i, lam in enumerate(lambda_grid):
             err = float(errors[i, j])
             if math.isfinite(err) and _better(err, lam, s2, best):
                 best = (err, lam, s2)
                 best_spectrum = (u, s, c)
         # the next spectrum is the grid's peak: hold only the best one there
-        del s, u, ku, c, p
+        del s, u, c, zu
 
     if best is None:
         raise ConfigError("all grid points produced non-finite leave-one-out error")

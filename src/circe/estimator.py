@@ -17,12 +17,11 @@ import numpy as np
 
 from .cme import CmeModel
 from .exceptions import ConfigError
-from .kernels import KernelParams, as_points, gram
+from .kernels import KernelParams, as_points, gram, gram_into
 
 VARIANTS = ("plain", "debiased", "centered")
 # rows per block when building the holdout cross-term factors: a 512-row
-# block's Gram at M=1000 (4 MB) stays under glibc's dynamic mmap threshold,
-# so its buffer is reused from the heap instead of mapped and faulted afresh
+# block's Gram at M=1000 is 4 MB
 FACTOR_BLOCK_ROWS = 512
 
 
@@ -42,7 +41,11 @@ def cross_factors(y, z, model: CmeModel):
     and Q = L D c D L^T. Q is symmetric, so Q - P - P^T = T + T^T with
     T = L S^T. Row i of both factors depends on point i alone, so a batch
     of rows is a row gather. Rows are filled in blocks of FACTOR_BLOCK_ROWS
-    so no full (n, M) Gram temporary is alive.
+    so no full (n, M) Gram temporary is alive. Every block's y Gram and z
+    Gram is built in one (FACTOR_BLOCK_ROWS, M) buffer, with a second for
+    the cross product of points of two or more columns, both allocated once
+    per call: blocks that each mapped and freed their own buffers faulted
+    their pages in afresh.
     """
     y = as_points(y)
     z = as_points(z)
@@ -51,12 +54,17 @@ def cross_factors(y, z, model: CmeModel):
     u_d = model.u * d
     half_dcd = 0.5 * (d[:, None] * model.c * d)
     left, right = np.empty((n, model.rank)), np.empty((n, model.rank))
+    shape = (min(n, FACTOR_BLOCK_ROWS), model.n_holdout)
+    buffer = np.empty(shape)
+    work = np.empty(shape) if max(y.shape[1], z.shape[1]) > 1 else None
     for start in range(0, n, FACTOR_BLOCK_ROWS):
-        rows = slice(start, start + FACTOR_BLOCK_ROWS)
-        np.matmul(gram(y[rows], model.holdout_y, model.y_params), model.u,
-                  out=left[rows])
+        stop = min(n, start + FACTOR_BLOCK_ROWS)
+        rows, out = slice(start, stop), buffer[:stop - start]
+        tmp = None if work is None else work[:stop - start]
+        np.matmul(gram_into(y[rows], model.holdout_y, model.y_params, out, tmp),
+                  model.u, out=left[rows])
         np.matmul(left[rows], half_dcd, out=right[rows])
-        right[rows] -= gram(z[rows], model.holdout_z, model.z_params) @ u_d
+        right[rows] -= gram_into(z[rows], model.holdout_z, model.z_params, out, tmp) @ u_d
     return left, right
 
 

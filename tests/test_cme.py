@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -219,7 +220,7 @@ def test_wide_gram_takes_the_dense_path_bitwise():
     z = rng.standard_normal((400, 1))
     yp = KernelParams(sigma2=0.01)
     k_zz = gram(z, z, KernelParams(sigma2=1.0))
-    s, u, _, c, _, floored, width = _spectrum(y, yp, _dense_z(k_zz))
+    s, u, c, _, floored, width = _spectrum(y, yp, _dense_z(k_zz))
     assert width == 0
     s_ref, u_ref = np.linalg.eigh(gram(y, y, yp))
     cut = int(np.searchsorted(s_ref, RANK_CUT * s_ref[-1], side="right"))
@@ -247,11 +248,12 @@ def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
     batch_z = std.transform("z", rows.z[:256])
     zp = KernelParams(sigma2=1.0)
     k_zz = gram(z, z, zp)
+    kz = _dense_z(k_zz)
     lams = np.array([0.001, 0.01, 0.1, 1.0])
     factored = []
     for s2 in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=s2)
-        s, u, ku, c, _, _, width = _spectrum(y, yp, _dense_z(k_zz))
+        s, u, c, ku, _, width = _spectrum(y, yp, kz)
         if not width:
             continue
         factored.append(s2)
@@ -263,8 +265,8 @@ def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
         ku_ref = k_zz @ u_ref
         c_ref = u_ref.T @ ku_ref
         c_ref = 0.5 * (c_ref + c_ref.T)
-        errors = _loo_errors(s, u, ku, c, None, np.diag(k_zz), lams)
-        ref = _loo_errors(s_ref, u_ref, ku_ref, c_ref, None, np.diag(k_zz), lams)
+        errors = _loo_errors(s, u, c, ku, kz, lams)
+        ref = _loo_errors(s_ref, u_ref, c_ref, ku_ref, kz, lams)
         assert np.all(np.abs(errors - ref) <= 2e-10 * ref)
         grams = [centered_gram(batch_y, batch_z, CmeModel(y, z, 0.001, yp, zp, *spec),
                                yp, zp) for spec in ((u, s, c), (u_ref, s_ref, c_ref))]
@@ -275,8 +277,8 @@ def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
 
 @pytest.mark.parametrize("case", ["uni1", "multi1", "multi2"])
 def test_z_factor_matches_the_dense_z_gram(case):
-    # K_ZZ ~ G_z G_z^T enters as p = G_z^T u: against the formed K_ZZ on the
-    # same y spectrum, at every bandwidth of the M = 1000 grid (y factor and
+    # K_ZZ ~ G_z G_z^T enters as p = G_z^T u, and _loo_errors forms
+    # ku = G_z p: against the formed K_ZZ on the same y spectrum, at every bandwidth of the M = 1000 grid (y factor and
     # dense eigh alike). Bounds are 10x above the largest value measured on
     # these cells: ku and c 1.1e-14 of their largest entry, LOO errors
     # 1.4e-9 relative (multi2, sigma2_y = 0.001, lam = 0.001: the factor's
@@ -287,6 +289,7 @@ def test_z_factor_matches_the_dense_z_gram(case):
     zp = KernelParams(sigma2=1.0)
     kz = _z_gram(z, zp)
     k_zz = gram(z, z, zp)
+    kz_dense = _dense_z(k_zz)
     # the factor reads K_ZZ's diagonal as the Gaussian kernel's exact 1; the
     # reference keeps gram's, which the norm expansion of two-column z
     # (multi1) moves off 1 by roundoff
@@ -294,15 +297,16 @@ def test_z_factor_matches_the_dense_z_gram(case):
     lams = np.array([0.001, 0.01, 0.1, 1.0])
     for s2 in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=s2)
-        s, u, ku, c, p, _, _ = _spectrum(y, yp, kz)
-        s_ref, u_ref, ku_ref, c_ref, p_ref, _, _ = _spectrum(y, yp, _dense_z(k_zz))
-        assert p.shape == (kz.width, s.shape[0]) and p_ref is None
+        s, u, c, p, _, _ = _spectrum(y, yp, kz)
+        s_ref, u_ref, c_ref, ku_ref, _, _ = _spectrum(y, yp, kz_dense)
+        assert p.shape == (kz.width, s.shape[0]) and ku_ref.shape == u.shape
         assert np.array_equal(s, s_ref) and np.array_equal(u, u_ref)
+        ku = kz.matrix.T @ p
         assert np.max(np.abs(ku - ku_ref)) <= 1e-13 * np.max(np.abs(ku_ref))
         assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
         assert np.array_equal(c, c.T)
-        errors = _loo_errors(s, u, ku, c, p, kz.diag, lams)
-        ref = _loo_errors(s_ref, u_ref, ku_ref, c_ref, None, np.diag(k_zz), lams)
+        errors = _loo_errors(s, u, c, p, kz, lams)
+        ref = _loo_errors(s_ref, u_ref, c_ref, ku_ref, kz_dense, lams)
         assert np.all(np.abs(errors - ref) <= 2e-8 * ref)
 
 
@@ -325,6 +329,27 @@ def test_z_gram_is_formed_where_its_factor_gives_up():
                                     rel=1e-8)
     _, report = select_hyperparams(y, z, lambda_grid=[1.0], sigma2_y_grid=[1.0])
     assert report.z_factor_width == _z_gram(z, KernelParams(sigma2=1.0)).width > 0
+
+
+@pytest.mark.parametrize("case, bound_mb", [("uni1", 10.0), ("multi1", 12.0)])
+def test_loo_grid_peak_memory(case, bound_mb):
+    # tracemalloc counts numpy's buffers exactly, and this peak repeats to
+    # 1e-3 MB at one and two BLAS threads. One M = 1000 grid peaks at 8.39
+    # MB on uni1 and 10.57 MB on multi1 (MB = 2^20 bytes), with the LOO in
+    # one (M, r) scratch array and the K_ZZ factor in an array of its own
+    # width; while K_ZZ u, u o u, u o K_ZZ u and each lam's W were separate
+    # arrays and the factor a view of its (M/2, M) buffer, it peaked at
+    # 14.84 and 16.48 MB
+    ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
+    y = ds.standardizer.transform("y", ds.holdout.y)
+    z = ds.standardizer.transform("z", ds.holdout.z)
+    tracemalloc.start()
+    try:
+        select_hyperparams(y, z)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb
 
 
 def test_factor_gives_up_early_only_where_the_width_limit_would(monkeypatch):

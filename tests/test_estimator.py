@@ -127,10 +127,10 @@ def test_compressed_spectrum_matches_the_dense_path(monkeypatch):
     kz = _z_gram(z, ZP)
     for sigma2_y in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=sigma2_y)
-        s, u, _, c, _, _, width = _spectrum(y, yp, kz)
+        s, u, c, _, _, width = _spectrum(y, yp, kz)
         with monkeypatch.context() as mp:
             mp.setattr(cme_mod, "pivoted_cholesky", lambda y, params, stop, checkpoint: None)
-            s_d, u_d, _, c_d, _, _, width_d = _spectrum(y, yp, kz)
+            s_d, u_d, c_d, _, _, width_d = _spectrum(y, yp, kz)
         assert 0 < width < 500 and width_d == 0
         assert abs(s.shape[0] - s_d.shape[0]) <= 1
     batch = train_data_from_dataset(ds).train.take(np.arange(256))
@@ -143,21 +143,23 @@ def test_compressed_spectrum_matches_the_dense_path(monkeypatch):
 
 
 def test_cross_factors_do_not_depend_on_the_block_size(monkeypatch):
-    # the block size only bounds the Gram temporary: each factor row depends
-    # on its own point alone, so every block size gives the same bits
-    ds = make_dataset("uni1", 4000, 2, 0, m_holdout=200)
-    std = ds.standardizer
-    model, _ = select_hyperparams(std.transform("y", ds.holdout.y),
-                                  std.transform("z", ds.holdout.z))
-    train = train_data_from_dataset(ds).train
-    assert train.n > 1024
-    factors = {}
-    for rows in (512, 1024, train.n):
-        monkeypatch.setattr(estimator_mod, "FACTOR_BLOCK_ROWS", rows)
-        factors[rows] = cross_factors(train.y, train.z, model)
-    for rows in (1024, train.n):
-        for got, want in zip(factors[rows], factors[512]):
-            assert np.array_equal(got, want)
+    # the block size only bounds the Gram buffers: each factor row depends
+    # on its own point alone, so every block size gives the same bits, also
+    # through the cross-product buffer of multi1's two-column z
+    for case in ("uni1", "multi1"):
+        ds = make_dataset(case, 4000, 2, 0, m_holdout=200)
+        std = ds.standardizer
+        model, _ = select_hyperparams(std.transform("y", ds.holdout.y),
+                                      std.transform("z", ds.holdout.z))
+        train = train_data_from_dataset(ds).train
+        assert train.n > 1024
+        factors = {}
+        for rows in (512, 1024, train.n):
+            monkeypatch.setattr(estimator_mod, "FACTOR_BLOCK_ROWS", rows)
+            factors[rows] = cross_factors(train.y, train.z, model)
+        for rows in (1024, train.n):
+            for got, want in zip(factors[rows], factors[512]):
+                assert np.array_equal(got, want)
 
 
 def test_statistic_variants_match_brute_force_sums():

@@ -26,6 +26,9 @@ def test_loo_grid_timing_smoke_prints_its_json():
     assert set(out["cases"]) == {"uni1", "uni2", "multi1", "multi2"}
     for case in out["cases"].values():
         assert _positive(case["min_s"]) and case["min_s"] <= case["median_s"]
+        assert isinstance(case["grid_minor_faults"], int) and case["grid_minor_faults"] >= 0
+        # an M = 200 grid peaks at 1.3-1.9 MB
+        assert 0 < case["grid_peak_mb"] < 10
         assert len(case["cold_first_call_s"]) == 1
         assert all(_positive(t) for t in case["cold_first_call_s"])
         assert case["cold_max_s"] == max(case["cold_first_call_s"])

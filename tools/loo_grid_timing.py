@@ -15,7 +15,10 @@ grid seconds over every repeat of every seed, each cold first-call time
 and their max, the median fit_cme seconds per sigma2_y, and per seed and
 sigma2_y the path taken ("factor" or "eigh"), the factor width and the
 kept rank, and per seed the route of K_ZZ ("factor" or "dense") with its
-factor width; plus the size and the BLAS thread count. --src picks the
+factor width; and for one more grid call on the first seed its minor
+page faults, then for another its tracemalloc peak in MB (2^20 bytes,
+numpy's buffers counted exactly); plus the size and the BLAS thread
+count. --src picks the
 package to time, so the same script measures two checkouts, such as a
 parent commit and a change. --smoke runs every path at n=1500, M=200, one
 seed, one repeat and one cold run.
@@ -25,10 +28,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +59,20 @@ def timed(repeats, fn, *args):
         out = fn(*args)
         times.append(time.perf_counter() - start)
     return times, out
+
+
+def grid_memory(select, y, z):
+    """Minor page faults of one grid call, then the tracemalloc peak (MB) of another."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    select(y, z)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    tracemalloc.start()
+    try:
+        select(y, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return faults, peak / 2**20
 
 
 def cold_first_call(src, case, seed, smoke):
@@ -93,6 +112,8 @@ def main(argv=None):
             y, z = holdout(case, seed, size)
             times, (_, report) = timed(size["repeats"], cme.select_hyperparams, y, z)
             grid_times += times
+            if seed == seeds[0]:
+                faults, peak_mb = grid_memory(cme.select_hyperparams, y, z)
             for s2 in cme.DEFAULT_SIGMA2_Y_GRID:
                 times, _ = timed(size["repeats"], cme.fit_cme, y, z, report.best_lam,
                                  KernelParams(sigma2=s2), z_params)
@@ -107,6 +128,7 @@ def main(argv=None):
         cold = [cold_first_call(args.src, case, seeds[i % len(seeds)], args.smoke)
                 for i in range(size["cold_runs"])]
         cases[case] = {"min_s": min(grid_times), "median_s": statistics.median(grid_times),
+                       "grid_minor_faults": faults, "grid_peak_mb": peak_mb,
                        "cold_first_call_s": cold, "cold_max_s": max(cold),
                        "fit_cme_median_s": {s2: statistics.median(t)
                                             for s2, t in fit_times.items()},
