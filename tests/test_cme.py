@@ -278,11 +278,12 @@ def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
 @pytest.mark.parametrize("case", ["uni1", "multi1", "multi2"])
 def test_z_factor_matches_the_dense_z_gram(case):
     # K_ZZ ~ G_z G_z^T enters as p = G_z^T u, and _loo_errors forms
-    # ku = G_z p: against the formed K_ZZ on the same y spectrum, at every bandwidth of the M = 1000 grid (y factor and
-    # dense eigh alike). Bounds are 10x above the largest value measured on
-    # these cells: ku and c 1.1e-14 of their largest entry, LOO errors
-    # 1.4e-9 relative (multi2, sigma2_y = 0.001, lam = 0.001: the factor's
-    # stop of 1e-13 is amplified by 1 / (1 - A_ii)^2 at the smallest lam)
+    # ku = G_z p: against the formed K_ZZ on the same y spectrum, at every
+    # bandwidth of the M = 1000 grid (y factor and dense eigh alike). Bounds
+    # are 10x above the largest value measured on these cells: ku and c
+    # 1.1e-14 of their largest entry, LOO errors 1.4e-9 relative (multi2,
+    # sigma2_y = 0.001, lam = 0.001: the factor's stop of 1e-13 is
+    # amplified by 1 / (1 - A_ii)^2 at the smallest lam)
     ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
     y = ds.standardizer.transform("y", ds.holdout.y)
     z = ds.standardizer.transform("z", ds.holdout.z)

@@ -18,10 +18,9 @@ kept rank, and per seed the route of K_ZZ ("factor" or "dense") with its
 factor width; and for one more grid call on the first seed its minor
 page faults, then for another its tracemalloc peak in MB (2^20 bytes,
 numpy's buffers counted exactly); plus the size and the BLAS thread
-count. --src picks the
-package to time, so the same script measures two checkouts, such as a
-parent commit and a change. --smoke runs every path at n=1500, M=200, one
-seed, one repeat and one cold run.
+count. --src picks the package to time, so the same script measures two
+checkouts, such as a parent commit and a change. --smoke runs every path
+at n=1500, M=200, one seed, one repeat and one cold run.
 """
 
 from __future__ import annotations
