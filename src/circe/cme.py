@@ -136,9 +136,7 @@ def _holdout_factor(points, params: KernelParams):
 class _ZGram(NamedTuple):
     """K_ZZ as _spectrum takes it: matrix is its factor G_z^T (width, M),
     whose diagonal is the Gaussian kernel's exact 1, or, where that factor
-    gives up, K_ZZ itself with its computed diagonal and width 0. The
-    factor is copied out of pivoted_cholesky's (M/2, M) buffer, which a
-    view would keep alive through the whole grid."""
+    gives up, K_ZZ itself with its computed diagonal and width 0."""
 
     matrix: np.ndarray
     diag: np.ndarray | float
@@ -148,7 +146,7 @@ class _ZGram(NamedTuple):
 def _z_gram(holdout_z, z_params: KernelParams) -> _ZGram:
     g = _holdout_factor(holdout_z, z_params)
     if g is not None:
-        return _ZGram(g.copy(), 1.0, g.shape[0])
+        return _ZGram(g, 1.0, g.shape[0])
     k_zz = gram(holdout_z, holdout_z, z_params)
     return _ZGram(k_zz, np.diag(k_zz).copy(), 0)
 

@@ -20,9 +20,10 @@ from .exceptions import ConfigError
 from .kernels import KernelParams, as_points, gram, gram_into
 
 VARIANTS = ("plain", "debiased", "centered")
-# rows per block when building the holdout cross-term factors: a 512-row
-# block's Gram at M=1000 is 4 MB
-FACTOR_BLOCK_ROWS = 512
+# rows per block when building the holdout cross-term factors: a 128-row
+# block's Gram at M=1000 is 1 MB, small enough to reuse the holes that the
+# LOO grid leaves in the heap
+FACTOR_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,25 @@
 A sweep executes the cross product cases x methods x gamma grid x seeds as
 one job per (case, seed) cell. The job generates the cell's dataset and fits
 its embedding once, trains every method and gamma on them, and drops the
-cell when it returns. Runs are seed-scoped and deterministic, so worker
-concurrency never changes results.
+cell when it returns. Runs are seed-scoped and deterministic at a fixed
+OpenBLAS thread count. A pool's workers each run max(1, cores // workers)
+threads, at most the parent's count, so they do not contend for the cores;
+a serial sweep runs the parent's count. So on two cores `--workers 2`
+reproduces a one-thread serial sweep, while a serial sweep at the default
+two threads moves some cells in their last bits.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import itertools
 import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -345,6 +352,26 @@ def _run_case_seed(payload):
     return [record for record, _ in _run_cell(config, case, seed, runs, strict=False)]
 
 
+# where numpy's wheels bundle their OpenBLAS
+NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+
+
+def blas_threads(threads: int | None = None) -> int | None:
+    """Thread count of numpy's bundled OpenBLAS, after setting it to
+    `threads` where given; None, and nothing set, where numpy bundles no
+    OpenBLAS with the scipy_openblas 64-bit symbols."""
+    for path in sorted(NUMPY_LIBS.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            if threads is not None:
+                put(threads)
+            return get()
+    return None
+
+
 def run_sweep(config: SweepConfig, out_csv=None, workers: int = 1):
     """Execute the sweep; returns (records, any_unstable)."""
     if workers < 1:
@@ -353,7 +380,11 @@ def run_sweep(config: SweepConfig, out_csv=None, workers: int = 1):
     if workers == 1 or len(jobs) == 1:
         per_job = [_run_case_seed(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # each worker would run the parent's BLAS thread count, and workers x
+        # threads spinning on fewer cores run several times slower than serial
+        share = max(1, min(blas_threads() or 1, len(os.sched_getaffinity(0)) // workers))
+        with ProcessPoolExecutor(max_workers=workers, initializer=blas_threads,
+                                 initargs=(share,)) as pool:
             per_job = list(pool.map(_run_case_seed, jobs))
     by_key = {(r.case_id, r.method, r.gamma, r.seed): r
               for rows in per_job for r in rows}

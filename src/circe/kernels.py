@@ -178,7 +178,7 @@ def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
 def pivoted_cholesky(points, params: KernelParams, stop: float,
                      checkpoint: int) -> np.ndarray | None:
     """Greedy pivoted Cholesky K ~ G G^T of the Gaussian Gram K of `points`;
-    returns G^T, (r, n).
+    returns G^T, (r, n), an array that owns exactly its r rows.
 
     Each step takes the largest residual diagonal as its pivot and ends the
     factor once that diagonal falls to `stop` (Harbrecht, Peters & Schneider
@@ -212,7 +212,11 @@ def pivoted_cholesky(points, params: KernelParams, stop: float,
         p = int(d.argmax())
         pivot = d[p]
         if pivot <= stop:
-            return g[:j]
+            # shrink the buffer to the j rows written, so the factor owns no
+            # more than itself; no view of g may outlive the resize
+            row = None
+            g.resize((j, n), refcheck=False)
+            return g
         if j == limit or (j == checkpoint and pivot > FACTOR_GIVE_UP):
             return None
         row = g[j]

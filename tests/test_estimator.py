@@ -144,8 +144,13 @@ def test_compressed_spectrum_matches_the_dense_path(monkeypatch):
 
 def test_cross_factors_do_not_depend_on_the_block_size(monkeypatch):
     # the block size only bounds the Gram buffers: each factor row depends
-    # on its own point alone, so every block size gives the same bits, also
-    # through the cross-product buffer of multi1's two-column z
+    # on its own point alone, so every block size gives the same bits here,
+    # also through the cross-product buffer of multi1's two-column z. That
+    # holds at one OpenBLAS thread and at two, but not at every rank: a
+    # product of at most about 1e6 multiply-adds (rows x M x r) takes
+    # OpenBLAS's small-matrix dgemm, which rounds rows differently at some
+    # ranks, so uni1 seed 1 (r = 18 at M = 200) moves in its last bits
+    # between 128-row and 512-row blocks
     for case in ("uni1", "multi1"):
         ds = make_dataset(case, 4000, 2, 0, m_holdout=200)
         std = ds.standardizer
@@ -154,10 +159,10 @@ def test_cross_factors_do_not_depend_on_the_block_size(monkeypatch):
         train = train_data_from_dataset(ds).train
         assert train.n > 1024
         factors = {}
-        for rows in (512, 1024, train.n):
+        for rows in (128, 512, 1024, train.n):
             monkeypatch.setattr(estimator_mod, "FACTOR_BLOCK_ROWS", rows)
             factors[rows] = cross_factors(train.y, train.z, model)
-        for rows in (1024, train.n):
+        for rows in (128, 1024, train.n):
             for got, want in zip(factors[rows], factors[512]):
                 assert np.array_equal(got, want)
 

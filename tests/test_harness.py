@@ -13,6 +13,7 @@ from circe.harness import (
     CSV_COLUMNS,
     RunRecord,
     SweepConfig,
+    blas_threads,
     eval_vcf,
     pareto_front,
     read_records_csv,
@@ -23,6 +24,20 @@ from circe.harness import (
 )
 from circe.scm import gen_scm
 from circe.trainer import TrainConfig
+
+
+def test_blas_threads_sets_and_reads_the_bundled_openblas(tmp_path, monkeypatch):
+    # the pool's worker initializer, which pool workers run untraced
+    before = blas_threads()
+    assert before >= 1
+    try:
+        assert blas_threads(1) == 1
+        assert blas_threads() == 1
+    finally:
+        assert blas_threads(before) == before
+    # where numpy bundles no OpenBLAS it sets and reports nothing
+    monkeypatch.setattr(harness_mod, "NUMPY_LIBS", tmp_path)
+    assert blas_threads(1) is None
 
 
 def test_vcf_constant_predictor_is_zero():

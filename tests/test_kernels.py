@@ -295,6 +295,8 @@ def test_pivoted_cholesky_on_one_column_points_is_the_dense_row_factor_bitwise(s
         ref = _dense_row_factor(gram(points, points, params), stop, checkpoint)
         assert (g is None) == (ref is None)
         assert g is None or np.array_equal(g, ref)
+        # a finished factor owns exactly its rows, not a view of its buffer
+        assert g is None or (g.flags.owndata and g.shape == (ref.shape[0], points.shape[0]))
         # every holdout bandwidth of uni1 factors
         assert g is not None or points.shape[0] == 256
 
