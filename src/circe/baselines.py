@@ -64,8 +64,8 @@ def _check_batch(x_feats, z, y, lam):
         raise ConfigError("x_feats, z, y must share the batch dimension")
     if n < GCM_MIN_BATCH:
         raise ConfigError(f"batch of {n} too small, need at least {GCM_MIN_BATCH}")
-    if lam <= 0:
-        raise ConfigError(f"lambda must be positive, got {lam}")
+    if not np.isfinite(lam) or lam <= 0:
+        raise ConfigError(f"lambda must be positive and finite, got {lam}")
     return x_feats, z, y
 
 

@@ -40,13 +40,17 @@ def cross_factors(y, z, model: CmeModel):
     With the model's truncated spectrum u, s, c and D = diag(1 / (s + lam)),
     the holdout cross terms of the centered Gram are P = K_yY u D u^T K_Zz
     and Q = L D c D L^T. Q is symmetric, so Q - P - P^T = T + T^T with
-    T = L S^T. Row i of both factors depends on point i alone, so a batch
-    of rows is a row gather. Rows are filled in blocks of FACTOR_BLOCK_ROWS
-    so no full (n, M) Gram temporary is alive. Every block's y Gram and z
-    Gram is built in one (FACTOR_BLOCK_ROWS, M) buffer, with a second for
-    the cross product of points of two or more columns, both allocated once
-    per call: blocks that each mapped and freed their own buffers faulted
-    their pages in afresh.
+    T = L S^T. Row i of both factors is a function of point i alone, so a
+    batch of rows is a row gather. Bitwise, a row also depends on the row
+    count of its block: OpenBLAS takes a small-matrix dgemm kernel for
+    products of at most about 1e6 multiply-adds (rows x M x r), and at some
+    ranks r it rounds rows differently from the blocked kernel.
+
+    Rows are filled in blocks of FACTOR_BLOCK_ROWS so no full (n, M) Gram
+    temporary is alive. Every block's y Gram and z Gram is built in one
+    (FACTOR_BLOCK_ROWS, M) buffer, with a second for the cross product of
+    points of two or more columns, both allocated once per call: blocks that
+    each mapped and freed their own buffers faulted their pages in afresh.
     """
     y = as_points(y)
     z = as_points(z)
@@ -154,39 +158,3 @@ def circe_statistic(k_xx: np.ndarray, centered: np.ndarray, variant: str) -> Cir
                           f"Gram's {centered.shape}")
     coeff = statistic_gradient_coeff(centered, variant)
     return CirceEstimate(value=float(np.vdot(k_xx, coeff)), coeff=coeff)
-
-
-def circe_oracle(batch_x_feats, batch_y, batch_z, analytic_mu,
-                 x_params: KernelParams, y_params: KernelParams,
-                 z_params: KernelParams, variant: str) -> CirceEstimate:
-    """Statistic with the true conditional embedding supplied analytically.
-
-    analytic_mu(batch_y) must return (anchors, weights) with anchors (P, d_z)
-    and weights (B, P) such that mu(y_i) = sum_p weights[i, p] psi(anchors[p]).
-    Used as the reference the regression-based estimator is tested against.
-    """
-    batch_x_feats = as_points(batch_x_feats)
-    batch_y = as_points(batch_y)
-    batch_z = as_points(batch_z)
-    b = batch_y.shape[0]
-    if batch_x_feats.shape[0] != b or batch_z.shape[0] != b:
-        raise ConfigError("batch arrays must share the leading dimension")
-
-    anchors, weights = analytic_mu(batch_y)
-    anchors = as_points(anchors)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (b, anchors.shape[0]):
-        raise ConfigError(
-            f"weights shape {weights.shape} does not match "
-            f"(batch={b}, anchors={anchors.shape[0]})"
-        )
-
-    k_yy = gram(batch_y, batch_y, y_params)
-    k_zz = gram(batch_z, batch_z, z_params)
-    k_zA = gram(batch_z, anchors, z_params)
-    k_AA = gram(anchors, anchors, z_params)
-
-    cross = k_zA @ weights.T
-    inner = k_zz - cross - cross.T + weights @ k_AA @ weights.T
-    k_xx = gram(batch_x_feats, batch_x_feats, x_params)
-    return circe_statistic(k_xx, k_yy * inner, variant)

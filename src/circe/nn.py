@@ -177,10 +177,11 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, lr: float, weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ConfigError(f"lr must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {weight_decay}")
+        if not np.isfinite(lr) or lr <= 0:
+            raise ConfigError(f"lr must be positive and finite, got {lr}")
+        if not np.isfinite(weight_decay) or weight_decay < 0:
+            raise ConfigError(
+                f"weight_decay must be nonnegative and finite, got {weight_decay}")
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.t = 0

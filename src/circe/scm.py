@@ -5,9 +5,9 @@ regenerate every descendant through the same structural equations. The
 causal layout is Y -> Z -> A -> B with additional edges from Y and Z into
 A and B; the regression task is to predict B from (A, Y, Z).
 
-EQUATIONS maps each case id to its equations (y, z, noises, params) -> (a, b),
-and is the one place that decides them: the generators draw (y, z) and the
-noises and call it, and regenerate calls it again with z replaced.
+EQUATIONS maps each case id to its equations (y, z, noises) -> (a, b), and
+is the one place that decides them: gen_scm draws (y, z) and the noises and
+calls it, and regenerate calls it again with z replaced.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class ScmBatch:
     y: np.ndarray
     z: np.ndarray
     noises: dict
-    params: dict
 
     @property
     def n(self) -> int:
@@ -49,35 +48,30 @@ def _noise_std(var: float) -> float:
     return float(np.sqrt(var))
 
 
-def _uni1_equations(y, z, noises, params):
+def _uni1_equations(y, z, noises):
     a = 0.5 * z * noises["eps_a"] + 2.0 * y
     b = 0.5 * np.exp(-a * y) * np.sin(2.0 * a * y) + 5.0 * z + 0.2 * noises["eps_b"]
     return a, b
 
 
-def _uni2_equations(y, z, noises, params):
+def _uni2_equations(y, z, noises):
     a = np.exp(-0.5 * z**2) * np.sin(2.0 * z) + 2.0 * y + 0.2 * noises["eps_a"]
     b = np.sin(2.0 * a * y) * np.exp(-0.5 * a * y) + 5.0 * z + 0.2 * noises["eps_b"]
     return a, b
 
 
-def _multi1_equations(y, z, noises, params):
+def _multi1_equations(y, z, noises):
     zsum = z.sum(axis=1, keepdims=True)
     a = np.exp(-0.5 * z[:, 0:1]) + zsum * np.sin(y) + 0.1 * noises["eps_a"]
     b = np.exp(-0.5 * z[:, 1:2]) * zsum + a * y + 0.1 * noises["eps_b"]
     return a, b
 
 
-def _multi2_equations(y, z, noises, params):
+def _multi2_equations(y, z, noises):
     ysum = y.sum(axis=1, keepdims=True)
     a = np.exp(-0.5 * z) + np.sin(ysum) * z + 0.1 * noises["eps_a"]
     b = np.exp(-0.5 * z) * z + ysum + z + a * y[:, 0:1] + 0.1 * noises["eps_b"]
     return a, b
-
-
-def _nonlinear_gcm_equations(y, z, noises, params):
-    a = np.hstack([y + params["alpha"] * z**2, y + noises["xi_y"]])
-    return a, y.copy()
 
 
 EQUATIONS = {
@@ -85,7 +79,6 @@ EQUATIONS = {
     "uni2": _uni2_equations,
     "multi1": _multi1_equations,
     "multi2": _multi2_equations,
-    "nonlinear_gcm": _nonlinear_gcm_equations,
 }
 
 
@@ -114,27 +107,8 @@ def gen_scm(case: str, n: int, d: int, seed: int) -> ScmBatch:
               "eps_a": _col(rng.normal(0.0, s_small, n)),
               "eps_b": _col(rng.normal(0.0, s_small, n))}
     z = np.sum(y * y, axis=1, keepdims=True) + eps_z
-    a, b = EQUATIONS[case](y, z, noises, {})
-    return ScmBatch(case, a, b, y, z, noises, {})
-
-
-def gen_nonlinear_gcm_case(n: int, alpha: float, sigma_z: float, sigma_y: float,
-                           seed: int) -> ScmBatch:
-    """Two observed covariates (Y + alpha xi_z^2, Y + xi_y) with target Y.
-
-    The first covariate depends on the distractor z = xi_z only through its
-    square, so the residual product with z has zero mean by symmetry even
-    though the covariate is not conditionally independent of z given Y.
-    """
-    if n < 1:
-        raise ConfigError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
-    y = _col(rng.standard_normal(n))
-    xi_z = _col(rng.normal(0.0, sigma_z, n))
-    noises = {"xi_y": _col(rng.normal(0.0, sigma_y, n))}
-    params = {"alpha": float(alpha)}
-    a, b = EQUATIONS["nonlinear_gcm"](y, xi_z, noises, params)
-    return ScmBatch("nonlinear_gcm", a, b, y, xi_z, noises, params)
+    a, b = EQUATIONS[case](y, z, noises)
+    return ScmBatch(case, a, b, y, z, noises)
 
 
 def regenerate(batch: ScmBatch, z_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,21 +118,7 @@ def regenerate(batch: ScmBatch, z_new: np.ndarray) -> tuple[np.ndarray, np.ndarr
         raise ConfigError(f"z_new shape {z_new.shape} does not match {batch.z.shape}")
     if batch.case_id not in EQUATIONS:
         raise ConfigError(f"cannot regenerate case {batch.case_id!r}")
-    return EQUATIONS[batch.case_id](batch.y, z_new, batch.noises, batch.params)
-
-
-def intervene_z(batch: ScmBatch, i: int, z_new) -> dict:
-    """Counterfactual single point under do(Z_i = z_new); Y and noises fixed."""
-    if not 0 <= i < batch.n:
-        raise ConfigError(f"index {i} out of range for batch of {batch.n}")
-    point = slice_batch(batch, np.array([i]))
-    z_row = np.asarray(z_new, dtype=np.float64).reshape(1, -1)
-    if z_row.shape[1] != batch.z.shape[1]:
-        raise ConfigError(
-            f"z_new has {z_row.shape[1]} columns, expected {batch.z.shape[1]}"
-        )
-    a, b = regenerate(point, z_row)
-    return {"a": a[0], "b": b[0], "y": point.y[0], "z": z_row[0]}
+    return EQUATIONS[batch.case_id](batch.y, z_new, batch.noises)
 
 
 def slice_batch(batch: ScmBatch, idx: np.ndarray) -> ScmBatch:
@@ -170,50 +130,6 @@ def slice_batch(batch: ScmBatch, idx: np.ndarray) -> ScmBatch:
         z=batch.z[idx],
         noises={k: v[idx] for k, v in batch.noises.items()},
     )
-
-
-@dataclass
-class ToyBatch:
-    """Linear toy task: z ~ N(0, s_z), y = z + xi1, x = (y + xi2, z).
-
-    Under the shifted marginal y is rebuilt from an independent copy of z,
-    which breaks the x2 shortcut while keeping every marginal the same.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    sigma1_sq: float
-    sigma2_sq: float
-    sigma_z_sq: float
-    shifted: bool
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-
-def gen_toy(n: int, sigma1_sq: float, sigma2_sq: float, sigma_z_sq: float,
-            shifted: bool, seed: int) -> ToyBatch:
-    if n < 1:
-        raise ConfigError(f"n must be positive, got {n}")
-    for name, v in (("sigma1_sq", sigma1_sq), ("sigma2_sq", sigma2_sq),
-                    ("sigma_z_sq", sigma_z_sq)):
-        if v <= 0:
-            raise ConfigError(f"{name} must be positive, got {v}")
-    rng = np.random.default_rng(seed)
-    z = _col(rng.normal(0.0, _noise_std(sigma_z_sq), n))
-    xi1 = _col(rng.normal(0.0, _noise_std(sigma1_sq), n))
-    xi2 = _col(rng.normal(0.0, _noise_std(sigma2_sq), n))
-    if shifted:
-        z_indep = _col(rng.normal(0.0, _noise_std(sigma_z_sq), n))
-        y = z_indep + xi1
-    else:
-        y = z + xi1
-    x = np.hstack([y + xi2, z])
-    return ToyBatch(x=x, y=y, z=z, sigma1_sq=float(sigma1_sq),
-                    sigma2_sq=float(sigma2_sq), sigma_z_sq=float(sigma_z_sq),
-                    shifted=bool(shifted))
 
 
 class Standardizer:

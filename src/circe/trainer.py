@@ -136,7 +136,6 @@ class TrainBatch:
 class TrainData:
     train: TrainBatch
     eval: TrainBatch | None = None
-    ood: TrainBatch | None = None
 
 
 @dataclass
@@ -157,8 +156,12 @@ class _CirceContext:
     """Holdout cross-term factors (L, S) of every training row, with copies
     of the rows and the kernel parameters of the model they were built from.
 
-    A batch drawn by row index gathers its rows of both factors; the centered
-    Gram equals the direct per-batch computation bitwise.
+    A batch drawn by row index gathers its rows of both factors. The centered
+    Gram equals the direct per-batch computation (estimator.centered_gram)
+    to rounding, and bitwise when the context's blocks and the batch's one
+    round each row alike: when every one of their factor products takes the
+    same dgemm kernel, or at a rank where the two kernels agree (see
+    estimator.cross_factors).
     """
 
     def __init__(self, train_y, train_z, model: CmeModel):
@@ -291,7 +294,6 @@ def train(config: TrainConfig, data: TrainData,
             "train_loss": epoch_loss / used if used else float("nan"),
             "train_statistic": epoch_stat / used if used else float("nan"),
             "eval_mse": _split_mse(model, data.eval),
-            "ood_mse": _split_mse(model, data.ood),
         }
         if used:
             last_stat = entry["train_statistic"]
@@ -314,14 +316,3 @@ def train_data_from_dataset(ds) -> TrainData:
         )
 
     return TrainData(train=as_train_batch(pool), eval=as_train_batch(ds.eval))
-
-
-def train_data_from_toy(toy, ood_toy=None) -> TrainData:
-    """Toy task in raw coordinates so closed-form weights stay comparable."""
-    def as_train_batch(t):
-        return TrainBatch(inputs=t.x, targets=t.y, y=t.y, z=t.z)
-
-    return TrainData(
-        train=as_train_batch(toy),
-        ood=None if ood_toy is None else as_train_batch(ood_toy),
-    )

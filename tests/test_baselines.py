@@ -174,6 +174,18 @@ def test_grad_dispatch_and_validation():
         hscic_with_grad(x, z[:8], y, XP, ZP, YP, LAM)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_non_finite_lambda_raises_config_error(lam):
+    # at 256 one-column rows the factor route is taken, whose residual check
+    # would report the bad lambda as a NumericalError
+    rng = np.random.default_rng(2)
+    y, z, x = (rng.standard_normal((256, 1)) for _ in range(3))
+    with pytest.raises(ConfigError, match="lambda must be positive and finite"):
+        gcm_with_grad(x, z, y, YP, lam)
+    with pytest.raises(ConfigError, match="lambda must be positive and finite"):
+        hscic_with_grad(x, z, y, XP, ZP, YP, lam)
+
+
 def test_gcm_failure_mode_light():
     # symmetric distractor noise: residual covariance vanishes in
     # population even though dependence is real

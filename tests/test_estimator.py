@@ -7,7 +7,6 @@ from circe.cme import CmeModel, _spectrum, _z_gram, fit_cme, select_hyperparams
 from circe.estimator import (
     centered_from_factors,
     centered_gram,
-    circe_oracle,
     circe_statistic,
     cross_factors,
     statistic_gradient_coeff,
@@ -16,6 +15,7 @@ from circe.exceptions import ConfigError
 from circe.kernels import KernelParams, gram
 from circe.scm import make_dataset
 from circe.trainer import train_data_from_dataset
+from oracles import circe_oracle
 
 
 YP = KernelParams(sigma2=0.5)

@@ -172,6 +172,16 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(model.forward(x)[1], loaded.forward(x)[1])
 
 
+@pytest.mark.parametrize("cls", [Adam, AdamW])
+@pytest.mark.parametrize("lr, weight_decay",
+                         [(np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, np.inf)])
+def test_non_finite_hyperparameters_raise_config_error(cls, lr, weight_decay):
+    # NaN passes every range check: lr=nan turns each parameter NaN after one
+    # step, and weight_decay=nan switches decay off, since nan > 0 is False
+    with pytest.raises(ConfigError, match="finite"):
+        cls(lr=lr, weight_decay=weight_decay)
+
+
 def test_invalid_arguments(tmp_path):
     with pytest.raises(ConfigError):
         MlpModel(0, (4,))

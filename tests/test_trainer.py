@@ -19,7 +19,7 @@ from circe.exceptions import ConfigError, NumericalError
 from circe.kernels import (KernelParams, gram, gram_backprop, pivoted_cholesky,
                            regularized_solve, ridge_factor)
 from circe.nn import MlpModel
-from circe.scm import gen_toy, make_dataset
+from circe.scm import make_dataset
 from circe.trainer import (
     TrainBatch,
     TrainConfig,
@@ -29,8 +29,8 @@ from circe.trainer import (
     loss_and_grad,
     train,
     train_data_from_dataset,
-    train_data_from_toy,
 )
+from oracles import gen_toy, train_data_from_toy
 
 
 def small_problem(seed=0, n=16, d_in=3):
