@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericalError
+from .exceptions import BAD_NPZ_ERRORS, ConfigError, NumericalError
 from .kernels import KernelParams, as_points, gram, pivoted_cholesky
 
 LOO_DIAG_GUARD = 1e-10
@@ -355,20 +355,25 @@ def save_cme(model: CmeModel, path) -> None:
 
 
 def load_cme(path) -> CmeModel:
-    with np.load(path) as data:
-        version = int(data["schema_version"])
-        if version != MODEL_SCHEMA_VERSION:
-            raise ConfigError(
-                f"model schema version {version} is not {MODEL_SCHEMA_VERSION}; "
-                "refit the model with `circe fit-cme`"
+    """The model save_cme wrote to path; ConfigError naming path for any
+    other file, one of another schema version among them."""
+    try:
+        with np.load(path) as data:
+            version = int(data["schema_version"])
+            if version != MODEL_SCHEMA_VERSION:
+                raise ConfigError(
+                    f"model schema version {version} is not {MODEL_SCHEMA_VERSION}; "
+                    "refit the model with `circe fit-cme`"
+                )
+            return CmeModel(
+                holdout_y=data["holdout_y"],
+                holdout_z=data["holdout_z"],
+                lam=float(data["lam"]),
+                y_params=KernelParams(sigma2=float(data["sigma2_y"])),
+                z_params=KernelParams(sigma2=float(data["sigma2_z"])),
+                u=data["u"],
+                s=data["s"],
+                c=data["c"],
             )
-        return CmeModel(
-            holdout_y=data["holdout_y"],
-            holdout_z=data["holdout_z"],
-            lam=float(data["lam"]),
-            y_params=KernelParams(sigma2=float(data["sigma2_y"])),
-            z_params=KernelParams(sigma2=float(data["sigma2_z"])),
-            u=data["u"],
-            s=data["s"],
-            c=data["c"],
-        )
+    except BAD_NPZ_ERRORS as exc:
+        raise ConfigError(f"cannot load embedding model {path}: {exc}") from exc

@@ -5,6 +5,12 @@ and maps to CLI exit code 2. NumericalError covers linear-algebra failures
 that survive the jitter ladder and maps to exit code 3.
 """
 
+import zipfile
+
+# what np.load and the reads of its fields raise on a file that is not the
+# npz a loader expects; the loaders raise ConfigError naming the file instead
+BAD_NPZ_ERRORS = (KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile)
+
 
 class CirceError(Exception):
     """Base class for package errors."""

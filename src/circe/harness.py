@@ -242,11 +242,19 @@ class SweepConfig:
                 grids[method] = tuple(float(g) for g in
                                       check_items("gammas", grid, numbers.Real))
         self.gammas = grids
-        # each run's own TrainConfig; the rest of what a run sets (seed, the
+        # a repeated value would train and write the same rows twice
+        for key, values in (("cases", self.cases), ("methods", self.methods),
+                            ("seeds", self.seeds),
+                            *((f"gammas of {m}", g) for m, g in grids.items())):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
+        # each run's own TrainConfig and each seed; the rest a run sets (the
         # case's lr and weight_decay, the LOO winner) is valid by the checks above
         for method in self.methods:
             for gamma in self.gammas[method]:
                 self.train.replace(method=method, gamma=gamma)
+        for seed in self.seeds:
+            self.train.replace(seed=seed)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -299,12 +307,12 @@ def _run_cell(config: SweepConfig, case: str, seed: int, runs, strict: bool):
     """Prepare the (case, seed) cell once, then run each (method, gamma) of
     runs on it; yields (RunRecord, model) per run.
 
-    With strict=False a CirceError or FloatingPointError becomes an unstable
-    row with NaN metrics and a None model, so one failed run does not end the
-    sweep; a failed preparation makes every row of the cell such a row. Any
-    other exception is a bug and propagates. The first row's wall_seconds
-    includes the preparation. When the runs end, also by an exception, the
-    cell's embedding drops the cross factors its circe runs shared.
+    With strict=False a CirceError becomes an unstable row with NaN metrics
+    and a None model, so one failed run does not end the sweep; a failed
+    preparation makes every row of the cell such a row. Any other exception
+    is a bug and propagates. The first row's wall_seconds includes the
+    preparation. When the runs end, also by an exception, the cell's
+    embedding drops the cross factors its circe runs shared.
     """
     nan = float("nan")
     failed = dict(lam=nan, sigma2_y=nan, mse_in=nan, vcf=nan,
@@ -312,7 +320,7 @@ def _run_cell(config: SweepConfig, case: str, seed: int, runs, strict: bool):
     start = time.perf_counter()
     try:
         cell = _prepare_case(config, case, seed)
-    except (CirceError, FloatingPointError):
+    except CirceError:
         if strict:
             raise
         cell = None
@@ -322,7 +330,7 @@ def _run_cell(config: SweepConfig, case: str, seed: int, runs, strict: bool):
             if cell is not None:
                 try:
                     metrics, model = _run_one(config, cell, case, method, gamma, seed)
-                except (CirceError, FloatingPointError):
+                except CirceError:
                     if strict:
                         raise
             record = RunRecord(case_id=case, method=method, variant=config.train.variant,

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import BAD_NPZ_ERRORS, ConfigError
 
 LEAKY_SLOPE = 0.01
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def hidden_widths_tuple(hidden_widths) -> tuple:
@@ -26,26 +26,20 @@ def hidden_widths_tuple(hidden_widths) -> tuple:
 
 
 class MlpModel:
-    """Leaky-ReLU MLP, He-initialized, float64 throughout.
+    """Leaky-ReLU MLP with one scalar output, He-initialized, float64
+    throughout.
 
     hidden_widths=() degrades to a single linear layer, in which case the
     features are the raw inputs.
     """
 
-    def __init__(self, in_dim: int, hidden_widths, out_dim: int = 1,
-                 seed: int = 0, slope: float = LEAKY_SLOPE):
-        if in_dim < 1 or out_dim < 1:
-            raise ConfigError(f"bad dims in={in_dim} out={out_dim}")
-        if not 0.0 < slope <= 1.0:
-            raise ConfigError(f"leaky slope must be in (0, 1], got {slope}")
-        hidden_widths = hidden_widths_tuple(hidden_widths)
+    def __init__(self, in_dim: int, hidden_widths, seed: int = 0):
+        if in_dim < 1:
+            raise ConfigError(f"input dimension must be positive, got {in_dim}")
         self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
-        self.hidden_widths = hidden_widths
-        self.slope = float(slope)
-        self.seed = int(seed)
+        self.hidden_widths = hidden_widths_tuple(hidden_widths)
         rng = np.random.default_rng(seed)
-        dims = (self.in_dim,) + hidden_widths + (self.out_dim,)
+        dims = (self.in_dim,) + self.hidden_widths + (1,)
         self.params: list[np.ndarray] = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
@@ -55,10 +49,6 @@ class MlpModel:
     @property
     def n_layers(self) -> int:
         return len(self.params) // 2
-
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params)
 
     def _inputs(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -92,7 +82,7 @@ class MlpModel:
                 return u
             # max(u, slope u) is where(u > 0, u, slope u) for 0 < slope <= 1,
             # at +-0, NaN and +-inf too
-            h = np.multiply(u, self.slope, out=h_out)
+            h = np.multiply(u, LEAKY_SLOPE, out=h_out)
             np.maximum(u, h, out=h)
             if cache is not None:
                 cache["acts"].append(h)
@@ -124,10 +114,10 @@ class MlpModel:
         for layer in range(last - 1, -1, -1):
             # d_h * where(u > 0, 1, slope) without a branch per element:
             # mask * (1 - slope) + slope is exactly 1 or slope, since
-            # (1 - s) + s == 1.0 for every s in (0, 1]
+            # (1 - 0.01) + 0.01 == 1.0
             d_u = np.greater(preacts[layer], 0.0).astype(np.float64)
-            d_u *= 1.0 - self.slope
-            d_u += self.slope
+            d_u *= 1.0 - LEAKY_SLOPE
+            d_u += LEAKY_SLOPE
             d_u *= d_h
             grads[2 * layer] = acts[layer].T @ d_u
             grads[2 * layer + 1] = d_u.sum(axis=0)
@@ -137,34 +127,33 @@ class MlpModel:
 
 
 def save_model(model: MlpModel, path) -> None:
-    arrays = {f"param_{i}": p for i, p in enumerate(model.params)}
     np.savez(
         path,
         checkpoint_version=np.array(CHECKPOINT_VERSION),
         in_dim=np.array(model.in_dim),
-        out_dim=np.array(model.out_dim),
         hidden_widths=np.array(model.hidden_widths, dtype=np.int64),
-        slope=np.array(model.slope),
-        seed=np.array(model.seed),
-        n_params=np.array(len(model.params)),
-        **arrays,
+        **{f"param_{i}": p for i, p in enumerate(model.params)},
     )
 
 
 def load_model(path) -> MlpModel:
-    with np.load(path) as data:
-        version = int(data["checkpoint_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version}")
-        model = MlpModel(
-            in_dim=int(data["in_dim"]),
-            hidden_widths=tuple(int(w) for w in data["hidden_widths"]),
-            out_dim=int(data["out_dim"]),
-            seed=int(data["seed"]),
-            slope=float(data["slope"]),
-        )
-        model.params = [data[f"param_{i}"].copy()
-                        for i in range(int(data["n_params"]))]
+    """The model save_model wrote to path; ConfigError naming path for any
+    other file, a checkpoint of another version among them."""
+    try:
+        with np.load(path) as data:
+            version = int(data["checkpoint_version"])
+            if version != CHECKPOINT_VERSION:
+                raise ConfigError(f"unsupported checkpoint version {version}, "
+                                  f"expected {CHECKPOINT_VERSION}")
+            model = MlpModel(int(data["in_dim"]), data["hidden_widths"])
+            for i, init in enumerate(model.params):
+                param = data[f"param_{i}"]
+                if param.shape != init.shape:
+                    raise ConfigError(f"param_{i} has shape {param.shape}, "
+                                      f"expected {init.shape}")
+                model.params[i] = param
+    except BAD_NPZ_ERRORS as exc:
+        raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
     return model
 
 
@@ -187,43 +176,30 @@ class Adam:
         self.t = 0
         self.m: list | None = None
         self.v: list | None = None
-        self.scratch: list | None = None
 
     def step(self, params: list, grads: list) -> None:
+        """Update params in place from float64 grads, which it leaves as
+        they are."""
         if len(params) != len(grads):
             raise ConfigError("params and grads length mismatch")
         if self.m is None:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
-            self.scratch = [np.empty((2,) + p.shape) for p in params]
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         decay = self.weight_decay > 0.0
-        # the textbook expressions in their order, each into a scratch slot:
-        # g += wd p (coupled); m = b1 m + (1 - b1) g; v = b2 v + ((1 - b2) g) g;
-        # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p (decoupled))
-        for p, g, m, v, (s, t) in zip(params, grads, self.m, self.v, self.scratch):
-            g = np.asarray(g, dtype=np.float64)
+        for p, g, m, v in zip(params, grads, self.m, self.v):
             if decay and not self.decoupled:
-                np.multiply(p, self.weight_decay, out=t)
-                t += g
-                g = t
+                g = g + self.weight_decay * p
             m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s)
+            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s)
-            s *= g
-            v += s
-            np.divide(v, bc2, out=s)
-            np.sqrt(s, out=s)
-            s += self.eps
-            np.divide(m, bc1, out=t)
-            np.divide(t, s, out=s)
+            v += (1.0 - self.beta2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             if decay and self.decoupled:
-                s += np.multiply(p, self.weight_decay, out=t)
-            s *= self.lr
-            p -= s
+                update += self.weight_decay * p
+            p -= self.lr * update
 
 
 class AdamW(Adam):

@@ -98,6 +98,8 @@ def gen_scm(case: str, n: int, d: int, seed: int) -> ScmBatch:
         raise ConfigError(f"unknown case {case!r}, expected one of {SCM_CASES}")
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     check_d(case, d)
     rng = np.random.default_rng(seed)
     s_small = _noise_std(0.1)

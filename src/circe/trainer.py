@@ -89,6 +89,8 @@ class TrainConfig:
                               f"{GCM_MIN_BATCH}, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.lam <= 0:
             raise ConfigError(f"lam must be positive, got {self.lam}")
         make_optimizer(self.optimizer, self.lr, self.weight_decay)
@@ -253,8 +255,7 @@ def train(config: TrainConfig, data: TrainData,
         raise ConfigError(
             f"training split of {n} smaller than batch_size {config.batch_size}"
         )
-    model = MlpModel(batch.inputs.shape[1], config.hidden_widths, out_dim=1,
-                     seed=config.seed)
+    model = MlpModel(batch.inputs.shape[1], config.hidden_widths, seed=config.seed)
     optimizer = make_optimizer(config.optimizer, config.lr, config.weight_decay)
 
     context = None

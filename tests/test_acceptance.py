@@ -8,7 +8,6 @@ are asserted as stated; nothing is loosened to force a green run.
 import time
 
 import numpy as np
-import pytest
 
 from circe.baselines import gcm_with_grad
 from circe.cme import fit_cme, loo_error

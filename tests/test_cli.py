@@ -161,6 +161,23 @@ def test_sweep_value_no_run_accepts_exits_2(tmp_path):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["gen", "--case", "uni1", "--n", "50", "--seed", "-1"], None),
+    (["fit-cme", "--case", "uni1", "--seed", "-1"], None),
+    (["train", "--config", "cfg.json", "--seed", "-1"], {"case": "uni1", "method": "none"}),
+    (["sweep", "--config", "cfg.json"], {"cases": ["uni1"], "methods": ["none"],
+                                         "seeds": [-1]}),
+], ids=["gen", "fit-cme", "train", "sweep"])
+def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, argv, config):
+    # each used to exit 1 with numpy's "expected non-negative integer" traceback
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(argv) == 2
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"] * (config is not None)
+
+
 def test_sweep_bad_config_key_exits_2(tmp_path):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({"cases": ["uni1"], "methods": ["none"],
@@ -276,8 +293,11 @@ def test_wrong_value_type_names_key_and_exits_2(tmp_path):
     assert "gamma" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# the last used to train four times and write four identical rows, which
+# report counted as n_seeds 4
 @pytest.mark.parametrize("entry", [{"lambda_grid": [-0.1]}, {"lambda_grid": []},
-                                   {"m_holdout": 700, "n": 600}, {"n": 0}])
+                                   {"m_holdout": 700, "n": 600}, {"n": 0},
+                                   {"methods": ["none", "none"], "seeds": [0, 0]}])
 def test_sweep_level_value_no_run_accepts_exits_2(tmp_path, capsys, entry):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({"cases": ["uni1"], "methods": ["none"], **entry}))

@@ -467,6 +467,24 @@ def test_load_rejects_version_1_model(tmp_path):
         load_cme(path)
 
 
+@pytest.mark.parametrize("malformed", ["missing_field", "not_npz"])
+def test_malformed_model_file_raises_config_error_naming_path(tmp_path, malformed):
+    # used to raise KeyError ("holdout_y is not a file in the archive") or
+    # numpy's ValueError about pickled data
+    path = tmp_path / "cme.npz"
+    if malformed == "missing_field":
+        rng = np.random.default_rng(6)
+        save_cme(fit_cme(*_sample_pairs(rng, 12), 0.02, KernelParams(sigma2=0.5),
+                         KernelParams(sigma2=1.5)), path)
+        with np.load(path) as data:
+            arrays = {k: v for k, v in data.items() if k != "holdout_y"}
+        np.savez(path, **arrays)
+    else:
+        path.write_text("holdout_y,1.0\n")
+    with pytest.raises(ConfigError, match="cannot load embedding model .*cme.npz"):
+        load_cme(path)
+
+
 def test_cme_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     y, z = _sample_pairs(rng, 12)

@@ -226,6 +226,20 @@ def test_sweep_config_validation():
     assert cfg.lr is None and cfg.weight_decay == 0.0
 
 
+@pytest.mark.parametrize("entry, key", [
+    ({"cases": ["uni1", "uni2", "uni1"]}, "cases"),
+    ({"methods": ["circe", "none", "circe"]}, "methods"),
+    ({"seeds": [0, 1, 0]}, "seeds"),
+    ({"gammas": {"circe": [1.0, 10, 1]}}, "gammas of circe"),
+    ({"gammas": {"gcm": [0.1, 0.1]}}, "gammas of gcm"),
+], ids=["cases", "methods", "seeds", "circe_gammas", "gcm_gammas"])
+def test_repeated_sweep_axis_values_rejected(entry, key):
+    # a repeated value used to train the same runs again and write their rows twice
+    config = {"cases": ["uni1"], "methods": ["none", "circe"], **entry}
+    with pytest.raises(ConfigError, match=f"{key} must not repeat a value"):
+        SweepConfig.from_dict(config)
+
+
 def test_sweep_level_values_rejected_when_built():
     # each used to build, then fail per run as a case of NaN rows marked unstable
     bad = [{"lambda_grid": (-0.1,)}, {"lambda_grid": ()}, {"sigma2_y_grid": ()},
@@ -234,6 +248,9 @@ def test_sweep_level_values_rejected_when_built():
     for entry in bad:
         with pytest.raises(ConfigError):
             SweepConfig(cases=("uni1",), methods=("none",), **entry)
+    # a negative seed used to build, then end the sweep in numpy's default_rng
+    with pytest.raises(ConfigError, match="seed must be nonnegative, got -2"):
+        SweepConfig(cases=("uni1",), methods=("none",), seeds=(0, -2))
     with pytest.raises(ConfigError, match="sigma2_y_grid values"):
         SweepConfig(cases=("uni1",), methods=("none",), sigma2_y_grid=(0.0,))
     # the 80% train split of n = 600 has 480 rows; a holdout of 478 leaves a

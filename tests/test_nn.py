@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from circe.exceptions import ConfigError
-from circe.nn import Adam, AdamW, MlpModel, load_model, make_optimizer, save_model
+from circe.nn import (
+    CHECKPOINT_VERSION,
+    LEAKY_SLOPE,
+    Adam,
+    AdamW,
+    MlpModel,
+    load_model,
+    make_optimizer,
+    save_model,
+)
 
 
 def numeric_grads(model, x, target, step=1e-6):
@@ -31,12 +40,16 @@ def numeric_grads(model, x, target, step=1e-6):
 
 def test_backprop_matches_finite_differences():
     rng = np.random.default_rng(0)
-    model = MlpModel(3, (4, 5), out_dim=2, seed=1)
+    model = MlpModel(3, (4, 5), seed=1)
     x = rng.standard_normal((8, 3))
-    target = rng.standard_normal((8, 2))
+    target = rng.standard_normal((8, 1))
     _, pred, cache = model.forward(x)
     grads = model.backward(cache, pred - target)
-    expected = numeric_grads(model, x, target)
+    # the loss is quadratic in each parameter between the leaky ReLU's kinks,
+    # so a step of 1e-4 adds no truncation error and keeps the differences'
+    # rounding error (about 1e-16 * loss / step) below the bound on the
+    # smallest gradients
+    expected = numeric_grads(model, x, target, step=1e-4)
     for g, e in zip(grads, expected):
         denom = np.maximum(np.abs(e), 1e-8)
         assert np.max(np.abs(g - e) / denom) <= 1e-6
@@ -70,27 +83,27 @@ def test_feature_injection_gradient_matches_finite_differences():
 
 
 def test_identity_single_layer_and_leaky_slope():
-    model = MlpModel(3, (), out_dim=3, seed=0)
-    model.params[0] = np.eye(3)
-    model.params[1] = np.zeros(3)
-    x = np.array([[1.0, -2.0, 0.5]])
+    model = MlpModel(1, (), seed=0)
+    model.params[0] = np.ones((1, 1))
+    model.params[1] = np.zeros(1)
+    x = np.array([[1.0], [-2.0], [0.5]])
     feats, pred, _ = model.forward(x)
     assert np.array_equal(pred, x)
     assert np.array_equal(feats, x)
 
-    deep = MlpModel(1, (1,), out_dim=1, seed=0)
+    deep = MlpModel(1, (1,), seed=0)
     deep.params[0] = np.array([[1.0]])
     deep.params[1] = np.zeros(1)
     deep.params[2] = np.array([[1.0]])
     deep.params[3] = np.zeros(1)
     _, neg, _ = deep.forward(np.array([[-3.0]]))
-    assert neg[0, 0] == pytest.approx(-3.0 * 0.01)
+    assert neg[0, 0] == pytest.approx(-3.0 * LEAKY_SLOPE)
     _, pos, _ = deep.forward(np.array([[3.0]]))
     assert pos[0, 0] == pytest.approx(3.0)
 
 
 def test_zero_weights_expose_bias_pathway():
-    model = MlpModel(2, (3,), out_dim=1, seed=0)
+    model = MlpModel(2, (3,), seed=0)
     for i in range(0, len(model.params), 2):
         model.params[i] = np.zeros_like(model.params[i])
     model.params[1] = np.array([1.0, -2.0, 0.5])
@@ -100,15 +113,8 @@ def test_zero_weights_expose_bias_pathway():
     assert np.allclose(pred, 0.25)
     model.params[2] = np.ones_like(model.params[2])
     _, pred, _ = model.forward(np.zeros((1, 2)))
-    hidden = np.array([1.0, -2.0 * 0.01, 0.5])
+    hidden = np.array([1.0, -2.0 * LEAKY_SLOPE, 0.5])
     assert pred[0, 0] == pytest.approx(hidden.sum() + 0.25)
-
-
-def test_param_count_matches_widths():
-    model = MlpModel(7, (64,) * 9, out_dim=1, seed=2)
-    dims = (7,) + (64,) * 9 + (1,)
-    expected = sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
-    assert model.param_count == expected
 
 
 def test_batch_forward_equals_stacked_single_rows():
@@ -160,7 +166,7 @@ def test_determinism():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    model = MlpModel(3, (4, 2), out_dim=2, seed=11)
+    model = MlpModel(3, (4, 2), seed=11)
     model.params[0][0, 0] = 42.0
     path = tmp_path / "model.npz"
     save_model(model, path)
@@ -170,6 +176,53 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(a, b)
     x = np.random.default_rng(0).standard_normal((5, 3))
     assert np.array_equal(model.forward(x)[1], loaded.forward(x)[1])
+    with np.load(path) as data:
+        assert sorted(data) == sorted(["checkpoint_version", "in_dim", "hidden_widths"]
+                                      + [f"param_{i}" for i in range(6)])
+
+
+def _rewrite_checkpoint(path, **changes):
+    """Save a fresh model to path, then rewrite it with changes applied; a
+    None value drops that field."""
+    save_model(MlpModel(3, (4,), seed=0), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays.update(changes)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+
+
+@pytest.mark.parametrize("version", [1, CHECKPOINT_VERSION + 1])
+def test_checkpoint_of_another_version_rejected(tmp_path, version):
+    # version 1 also stored out_dim, slope, seed and n_params
+    path = tmp_path / "model.npz"
+    _rewrite_checkpoint(path, checkpoint_version=np.array(version), out_dim=np.array(1),
+                        slope=np.array(0.01), seed=np.array(0), n_params=np.array(4))
+    with pytest.raises(ConfigError, match=f"unsupported checkpoint version {version}"):
+        load_model(path)
+
+
+def _write_npy(path):
+    with open(path, "wb") as f:
+        np.save(f, np.zeros(3))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: _rewrite_checkpoint(path, param_3=None),
+    lambda path: _rewrite_checkpoint(path, param_2=np.zeros((5, 1))),
+    lambda path: _rewrite_checkpoint(path, in_dim=np.array([3, 3])),
+    lambda path: _rewrite_checkpoint(path, hidden_widths=np.array([0])),
+    lambda path: path.write_text("in_dim,3\n"),
+    lambda path: path.write_bytes(b""),
+    _write_npy,
+    lambda path: (save_model(MlpModel(3, (4,)), path),
+                  path.write_bytes(path.read_bytes()[:40])),
+], ids=["missing_param", "param_shape", "in_dim_shape", "zero_width", "text", "empty",
+        "npy", "truncated"])
+def test_malformed_checkpoint_raises_config_error_naming_path(tmp_path, write):
+    path = tmp_path / "model.npz"
+    write(path)
+    with pytest.raises(ConfigError, match="cannot load checkpoint .*model.npz"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("cls", [Adam, AdamW])
@@ -198,9 +251,6 @@ def test_invalid_arguments(tmp_path):
         model.forward(np.zeros((2, 5)))
     with pytest.raises(ConfigError, match="length mismatch"):
         Adam(lr=0.1).step(model.params, model.params[:-1])
-    np.savez(tmp_path / "future.npz", checkpoint_version=np.array(2))
-    with pytest.raises(ConfigError, match="unsupported checkpoint version 2"):
-        load_model(tmp_path / "future.npz")
 
 
 def _forward_reference(model, x):
@@ -210,7 +260,7 @@ def _forward_reference(model, x):
         u = h @ model.params[2 * layer] + model.params[2 * layer + 1]
         preacts.append(u)
         if layer < model.n_layers - 1:
-            h = np.where(u > 0.0, u, model.slope * u)
+            h = np.where(u > 0.0, u, LEAKY_SLOPE * u)
             acts.append(h)
     return acts, preacts
 
@@ -224,7 +274,7 @@ def _backward_reference(model, acts, preacts, delta, d_features=None):
     if d_features is not None:
         d_h += d_features
     for layer in range(last - 1, -1, -1):
-        d_u = d_h * np.where(preacts[layer] > 0.0, 1.0, model.slope)
+        d_u = d_h * np.where(preacts[layer] > 0.0, 1.0, LEAKY_SLOPE)
         grads[2 * layer] = acts[layer].T @ d_u
         grads[2 * layer + 1] = d_u.sum(axis=0)
         d_h = d_u @ model.params[2 * layer].T
@@ -257,16 +307,17 @@ def _same_floats(a, b):
 
 def test_leaky_relu_matches_where_form_on_special_values():
     u = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320, -2.5, 3.0]]).T
-    for slope in (0.01, 0.5, 1.0, 1e-300):
+    # max(u, s u) is the where form for every s in (0, 1]
+    for slope in (LEAKY_SLOPE, 0.5, 1.0, 1e-300):
         assert _same_floats(np.maximum(u, u * slope), np.where(u > 0.0, u, slope * u))
-        # through the model: u = x * 1 + (-0); BLAS turns -0 into +0 on the way
-        model = MlpModel(1, (1,), seed=0, slope=slope)
-        model.params[0] = np.ones((1, 1))
-        model.params[1] = np.array([-0.0])
-        feats, _, cache = model.forward(u)
-        pre = cache["preacts"][0]
-        assert _same_floats(feats, np.where(pre > 0.0, pre, slope * pre))
-        assert _same_floats(model.predict(u), model.forward(u)[1])
+    # through the model: u = x * 1 + (-0); BLAS turns -0 into +0 on the way
+    model = MlpModel(1, (1,), seed=0)
+    model.params[0] = np.ones((1, 1))
+    model.params[1] = np.array([-0.0])
+    feats, _, cache = model.forward(u)
+    pre = cache["preacts"][0]
+    assert _same_floats(feats, np.where(pre > 0.0, pre, LEAKY_SLOPE * pre))
+    assert _same_floats(model.predict(u), model.forward(u)[1])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -277,37 +328,20 @@ def test_leaky_relu_derivative_matches_where_form_on_special_values():
     # column j injects d_h = special[j] at the feature node
     u = np.repeat(special[:, None], n, axis=1)
     d_features = np.repeat(special[None, :], n, axis=0)
-    for slope in (0.01, 0.3, 1.0, 5e-324):
-        model = MlpModel(1, (n,), seed=0, slope=slope)
-        h = np.where(u > 0.0, u, slope * u)
-        cache = {"acts": [np.ones((n, 1)), h], "preacts": [u, np.zeros((n, 1))]}
-        delta = np.zeros((n, 1))
-        got = model.backward(cache, delta, d_features)
-        want = _backward_reference(model, cache["acts"], cache["preacts"], delta, d_features)
-        for g, e in zip(got, want):
-            assert _same_floats(g, e)
-        # the per-element product itself, before any reduction
+    model = MlpModel(1, (n,), seed=0)
+    h = np.where(u > 0.0, u, LEAKY_SLOPE * u)
+    cache = {"acts": [np.ones((n, 1)), h], "preacts": [u, np.zeros((n, 1))]}
+    delta = np.zeros((n, 1))
+    got = model.backward(cache, delta, d_features)
+    want = _backward_reference(model, cache["acts"], cache["preacts"], delta, d_features)
+    for g, e in zip(got, want):
+        assert _same_floats(g, e)
+    # the per-element product itself, before any reduction, for every s in (0, 1]
+    for slope in (LEAKY_SLOPE, 0.3, 1.0, 5e-324):
         d_u = np.greater(u, 0.0).astype(np.float64)
         d_u *= 1.0 - slope
         d_u += slope
         assert _same_floats(d_u * d_features, d_features * np.where(u > 0.0, 1.0, slope))
-
-
-def test_slope_outside_unit_interval_rejected(tmp_path):
-    # max(u, slope u) equals the where form only for 0 < slope <= 1; at
-    # slope 0, u = +inf gives 0 * inf = NaN where the where form gives inf
-    for slope in (-0.1, 0.0, 1.5, float("nan")):
-        with pytest.raises(ConfigError, match="slope"):
-            MlpModel(3, (4,), slope=slope)
-    model = MlpModel(3, (4,), slope=0.2)
-    path = tmp_path / "model.npz"
-    save_model(model, path)
-    with np.load(path) as data:
-        arrays = dict(data)
-    arrays["slope"] = np.array(1.5)
-    np.savez(path, **arrays)
-    with pytest.raises(ConfigError, match="slope"):
-        load_model(path)
 
 
 def _adam_reference(opt, params, grads, state):

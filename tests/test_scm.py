@@ -7,7 +7,6 @@ import pytest
 from circe.exceptions import ConfigError
 from circe.scm import (
     SCM_CASES,
-    Standardizer,
     export_csv,
     gen_scm,
     make_dataset,
@@ -184,6 +183,10 @@ def test_csv_roundtrip_exact(tmp_path):
 def test_invalid_arguments_raise_config_error():
     with pytest.raises(ConfigError):
         gen_scm("nope", 10, 1, seed=0)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        gen_scm("uni1", 10, 1, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        make_dataset("uni1", 100, 1, seed=-1, m_holdout=10)
     with pytest.raises(ConfigError):
         gen_scm("uni1", 0, 1, seed=0)
     with pytest.raises(ConfigError):

@@ -23,7 +23,6 @@ from circe.scm import make_dataset
 from circe.trainer import (
     TrainBatch,
     TrainConfig,
-    TrainData,
     TrainLog,
     _CirceContext,
     loss_and_grad,
@@ -445,6 +444,8 @@ def test_cme_model_is_frozen():
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(method="mystery")
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        TrainConfig(seed=-1)
     with pytest.raises(ConfigError):
         TrainConfig(gamma=-1.0)
     with pytest.raises(ConfigError):
