@@ -97,7 +97,7 @@ def _cmd_fit_cme(args) -> int:
     print("sigma2_y nonpositive_eigenvalues rank")
     for s2, count, rank in report.floor_rows():
         print(f"{s2:g} {count} {rank}")
-    # 0: the K_ZZ factor gave up and the Gram was formed
+    # the width of the pivoted Cholesky factor of K_ZZ, 1 to m_holdout
     print("sigma2_z z_factor_width")
     print(f"{model.z_params.sigma2:g} {report.z_factor_width}")
     print(f"selected lambda={model.lam:g} sigma2_y={model.y_params.sigma2:g} "
@@ -133,8 +133,7 @@ def _cmd_train(args) -> int:
                           "use sweep for several")
     seed = sweep_config.seeds[0]
     gamma = sweep_config.gammas[method][0]
-    record, model = run_single_with_model(sweep_config, case, method, gamma,
-                                          seed, strict=True)
+    record, model = run_single_with_model(sweep_config, case, method, gamma, seed)
     print(f"case={record.case_id} method={record.method} gamma={record.gamma:g} "
           f"seed={record.seed}")
     print(f"mse_in={record.mse_in:.6g} vcf={record.vcf:.6g} "

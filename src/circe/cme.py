@@ -4,26 +4,24 @@ leave-one-out model selection.
 The embedding of Z given Y is estimated from a holdout set of (y, z) pairs:
 mu(y) = sum_j beta_j(y) psi(z_j) with beta(y) = (K_YY + lam I)^{-1} k_Y(y).
 The fit keeps the numerically nonzero part of the spectrum of K_YY. A greedy
-pivoted Cholesky factor K_YY ~ G G^T of width k < M/2
-(kernels.pivoted_cholesky, which reads only the diagonal and the k pivot
-rows of K_YY) finds that part in O(M k^2), and an eigh of the small k x k
-Gram G^T G gives its eigenpairs. K_ZZ ~ G_z G_z^T is factored the same way,
-once per fit or grid, and enters only through G_z^T u. Either Gram is formed
-only where its factor gives up: K_YY for a dense eigh, K_ZZ for dense
-products. The leave-one-out error of every lam has a closed form in the
-same eigenpairs and never refits.
+pivoted Cholesky factor K_YY ~ G G^T of width k (kernels.pivoted_cholesky,
+which reads only the diagonal and the k pivot rows of K_YY) finds that part
+in O(M k^2), and an eigh of the small k x k Gram G^T G gives its eigenpairs.
+K_ZZ ~ G_z G_z^T is factored the same way, once per fit or grid, and enters
+only through G_z^T u. Neither factor gives up, so neither M x M Gram is ever
+formed. The leave-one-out error of every lam has a closed form in the same
+eigenpairs and never refits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import BAD_NPZ_ERRORS, ConfigError, NumericalError
-from .kernels import KernelParams, as_points, gram, pivoted_cholesky
+from .kernels import KernelParams, as_points, pivoted_cholesky
 
 LOO_DIAG_GUARD = 1e-10
 # eigenpairs of K_YY at or below this fraction of the largest eigenvalue are
@@ -80,10 +78,9 @@ class LooReport:
     singular one from duplicated y rows); a Cholesky factor of width k counts
     the M - k directions it never reached as zeros. ranks[j] counts the
     eigenpairs kept by the rank cut, which drops the non-positive ones with
-    the rest of the roundoff, and factor_widths[j] the factor's width, 0
-    where a dense eigendecomposition ran. z_factor_width is the width of
-    the one factor of K_ZZ that every bandwidth shared, 0 where K_ZZ was
-    formed.
+    the rest of the roundoff, and factor_widths[j] the width of the K_YY
+    factor. z_factor_width is the width of the one factor of K_ZZ that every
+    bandwidth shared. Every width is at least 1 and at most M.
     """
 
     lams: np.ndarray
@@ -126,75 +123,54 @@ def _check_lams(lams, name: str = "lambda") -> np.ndarray:
     return lams
 
 
-def _holdout_factor(points, params: KernelParams):
-    """Pivoted Cholesky factor G^T of a holdout Gram, or None where it gives
-    up: it stops at a tenth of RANK_CUT times the largest diagonal, below
-    every eigenvalue the cut keeps, with its give-up checkpoint at M/3."""
-    return pivoted_cholesky(points, params, 0.1 * RANK_CUT, points.shape[0] // 3)
+def _holdout_factor(points, params: KernelParams) -> np.ndarray:
+    """Pivoted Cholesky factor G^T (width, M) of a holdout Gram. It stops at
+    a tenth of RANK_CUT times the largest diagonal, below every eigenvalue
+    the cut keeps, and never gives up, so a near full-rank Gram takes a
+    factor up to M wide."""
+    return pivoted_cholesky(points, params, 0.1 * RANK_CUT, None)
 
 
-class _ZGram(NamedTuple):
-    """K_ZZ as _spectrum takes it: matrix is its factor G_z^T (width, M),
-    whose diagonal is the Gaussian kernel's exact 1, or, where that factor
-    gives up, K_ZZ itself with its computed diagonal and width 0."""
-
-    matrix: np.ndarray
-    diag: np.ndarray | float
-    width: int
-
-
-def _z_gram(holdout_z, z_params: KernelParams) -> _ZGram:
-    g = _holdout_factor(holdout_z, z_params)
-    if g is not None:
-        return _ZGram(g, 1.0, g.shape[0])
-    k_zz = gram(holdout_z, holdout_z, z_params)
-    return _ZGram(k_zz, np.diag(k_zz).copy(), 0)
-
-
-def _spectrum(holdout_y, y_params: KernelParams, kz: _ZGram):
+def _spectrum(holdout_y, y_params: KernelParams, gz: np.ndarray):
     """Truncated eigendecomposition of K_YY with K_ZZ projected onto it.
 
-    The pivoted Cholesky factor G is tried first, on the labels themselves:
-    it computes only the k pivot rows of K_YY it reads. G^T G has the
-    nonzero eigenvalues of G G^T, so with G^T G = V diag(s) V^T the
-    eigenvectors of K_YY are G V diag(s)^{-1/2}: a k x k eigh and two M k^2
-    products. Those columns are orthonormal only to about 1e-5 in the
-    smallest kept directions (s near RANK_CUT times the largest). Only when
-    the factor gives up is K_YY formed, for a dense eigendecomposition.
-    The factor and the eigenvectors V are freed once u is formed.
-    K_ZZ comes factored as G_z G_z^T (r_z columns) where it can: then
-    c = p^T p with p = G_z^T u costs M r r_z + r_z r^2 instead of the dense
-    M^2 r + M r^2, and K_ZZ u = G_z p is left to _loo_errors, which alone
+    The pivoted Cholesky factor G runs on the labels themselves and computes
+    only the k pivot rows of K_YY it reads. G^T G has the nonzero
+    eigenvalues of G G^T, so with G^T G = V diag(s) V^T the eigenvectors of
+    K_YY are G V diag(s)^{-1/2}: a k x k eigh and two M k^2 products. Those
+    columns are orthonormal only to about 1e-5 in the smallest kept
+    directions (s near RANK_CUT times the largest). The factor and the
+    eigenvectors V are freed once u is formed. K_ZZ comes factored as
+    G_z G_z^T, gz = G_z^T (r_z, M): c = p^T p with p = G_z^T u costs
+    M r r_z + r_z r^2, and K_ZZ u = G_z p is left to _loo_errors, which alone
     needs it.
-    Returns (s, u, c, zu, n_nonpositive, width): the r eigenvalues above
+    Returns (s, u, c, p, n_nonpositive, width): the r eigenvalues above
     RANK_CUT times the largest, their eigenvectors u (M, r), the symmetric
-    c = u^T K_ZZ u, K_ZZ's side of u, zu = p (r_z, r) where K_ZZ is
-    factored and K_ZZ u (M, r) where it is formed, the count of
-    non-positive eigenvalues before the cut, with the M - width directions
-    the factor never reached counted as zeros, and the factor's width, 0 on
-    the dense path.
+    c = u^T K_ZZ u, p (r_z, r), the count of non-positive eigenvalues before
+    the cut, with the M - width directions the factor never reached counted
+    as zeros, and the factor's width.
     """
     g = _holdout_factor(holdout_y, y_params)
-    width = 0 if g is None else g.shape[0]
+    width = g.shape[0]
     try:
-        s, v = np.linalg.eigh(g @ g.T if width else gram(holdout_y, holdout_y, y_params))
+        s, v = np.linalg.eigh(g @ g.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of K_YY failed: {exc}") from None
     if not np.all(np.isfinite(s)):
         raise NumericalError("K_YY has non-finite eigenvalues")
-    # the directions a factor never reached are zeros of K_YY
-    n_nonpositive = int(np.count_nonzero(s <= 0.0)) + holdout_y.shape[0] - s.shape[0]
+    # the directions the factor never reached are zeros of K_YY
+    n_nonpositive = int(np.count_nonzero(s <= 0.0)) + holdout_y.shape[0] - width
     # eigh sorts ascending, so the kept eigenpairs are the last r
     cut = int(np.searchsorted(s, RANK_CUT * s[-1], side="right"))
     s = s[cut:].copy()
-    u = g.T @ v[:, cut:] if width else np.ascontiguousarray(v[:, cut:])
+    # g is G^T, so the eigenvectors of G G^T are g.T v / sqrt(s)
+    u = g.T @ v[:, cut:]
     del g, v
-    if width:  # g is G^T, so the eigenvectors of G G^T are g.T v / sqrt(s)
-        u /= np.sqrt(s)
-    zu = kz.matrix @ u
-    c = zu.T @ zu if kz.width else u.T @ zu
+    u /= np.sqrt(s)
+    p = gz @ u
+    c = p.T @ p
     c = 0.5 * (c + c.T)
-    return s, u, c, zu, n_nonpositive, width
+    return s, u, c, p, n_nonpositive, width
 
 
 def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
@@ -203,34 +179,30 @@ def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     truncated at RANK_CUT."""
     lam = float(_check_lams([lam])[0])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
-    s, u, c, _, _, _ = _spectrum(holdout_y, y_params, _z_gram(holdout_z, z_params))
+    s, u, c, _, _, _ = _spectrum(holdout_y, y_params, _holdout_factor(holdout_z, z_params))
     return CmeModel(holdout_y, holdout_z, lam, y_params, z_params, u, s, c)
 
 
-def _loo_errors(s, u, c, zu, kz: _ZGram, lams):
+def _loo_errors(s, u, p, gz: np.ndarray, lams):
     """Leave-one-out errors of every lam in lams from one truncated spectrum.
 
     With K_YY = U diag(s) U^T and d = s / (s + lam), the hat matrix is
-    A = U diag(d) U^T = W U^T with W = U diag(d). Then
+    A = U diag(d) U^T = W U^T with W = U diag(d). With K_ZZ ~ G_z G_z^T,
+    gz = G_z^T and p = G_z^T U,
         diag(A) = (U o U) d,
-        diag(A K_ZZ) = (U o K_ZZ U) d,
-        diag(A K_ZZ A^T) = rowsum((W C) o W),  C = U^T K_ZZ U,
-    so each lam costs one M r^2 product over the r kept eigenpairs; a
+        diag(A K_ZZ) = (U o G_z p) d,
+        diag(A K_ZZ A^T) = rowsum((W p^T)^2),
+    so each lam costs one M r r_z product over the r kept eigenpairs; a
     discarded eigenvalue would contribute d below RANK_CUT s_max / lam
-    (Rifkin & Lippert 2007). With K_ZZ ~ G_z G_z^T and zu = p = G_z^T U,
-    diag(A K_ZZ A^T) = rowsum((W p^T)^2) costs M r r_z instead.
-    K_ZZ U (G_z p, or the dense route's zu), U o K_ZZ U, U o U and every
-    lam's W are written in turn into one (M, r) scratch array, so besides U
-    the grid holds one M x r working set and K_ZZ U is gone once its
-    d-product is taken.
+    (Rifkin & Lippert 2007). diag(K_ZZ) is the Gaussian kernel's exact 1.
+    K_ZZ U, U o K_ZZ U, U o U and every lam's W are written in turn into one
+    (M, r) scratch array, so besides U the grid holds one M x r working set
+    and K_ZZ U is gone once its d-product is taken.
     """
     d = s[:, None] / (s[:, None] + lams[None, :])
     work = np.empty_like(u)
-    if kz.width:
-        np.matmul(kz.matrix.T, zu, out=work)
-        np.multiply(u, work, out=work)
-    else:
-        np.multiply(u, zu, out=work)
+    np.matmul(gz.T, p, out=work)
+    np.multiply(u, work, out=work)
     diag_ak = work @ d
     diag_a = np.multiply(u, u, out=work) @ d
     errors = np.empty(len(lams))
@@ -239,13 +211,9 @@ def _loo_errors(s, u, c, zu, kz: _ZGram, lams):
         if np.any(denom <= LOO_DIAG_GUARD):
             errors[j] = math.inf
             continue
-        w = np.multiply(u, d[:, j], out=work)
-        if kz.width:
-            wp = w @ zu.T
-            quad = np.einsum("ij,ij->i", wp, wp)
-        else:
-            quad = np.einsum("ij,ij->i", w @ c, w)
-        resid = kz.diag - 2.0 * diag_ak[:, j] + quad
+        wp = np.multiply(u, d[:, j], out=work) @ p.T
+        quad = np.einsum("ij,ij->i", wp, wp)
+        resid = 1.0 - 2.0 * diag_ak[:, j] + quad
         np.maximum(resid, 0.0, out=resid)
         errors[j] = np.mean(resid / denom**2)
     return errors
@@ -263,9 +231,9 @@ def loo_error(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     """
     lams = _check_lams([lam])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
-    kz = _z_gram(holdout_z, z_params)
-    s, u, c, zu, _, _ = _spectrum(holdout_y, y_params, kz)
-    return float(_loo_errors(s, u, c, zu, kz, lams)[0])
+    gz = _holdout_factor(holdout_z, z_params)
+    s, u, _, p, _, _ = _spectrum(holdout_y, y_params, gz)
+    return float(_loo_errors(s, u, p, gz, lams)[0])
 
 
 def _better(err, lam, s2, best):
@@ -291,12 +259,12 @@ def select_hyperparams(holdout_y, holdout_z,
     """Grid-search (lam, sigma2_y) by leave-one-out error and fit the winner.
 
     The z-kernel bandwidth is fixed by the caller and not searched. K_ZZ is
-    factored once (formed only where its factor gives up), and one
-    truncated spectrum of K_YY per sigma2_y scores the whole lambda grid.
-    Only the leading bandwidth's spectrum is kept, and the winner is built
-    from it. Every bandwidth takes the same _spectrum as fit_cme, both
-    factor attempts included, so the winner is bitwise equal to fit_cme at
-    its parameters whenever both run on the same BLAS thread count.
+    factored once, and one truncated spectrum of K_YY per sigma2_y scores
+    the whole lambda grid. Only the leading bandwidth's spectrum is kept,
+    and the winner is built from it. Every bandwidth takes the same
+    _spectrum as fit_cme, both factors included, so the winner is bitwise
+    equal to fit_cme at its parameters whenever both run on the same BLAS
+    thread count.
     """
     lambda_grid = [float(v) for v in lambda_grid]
     sigma2_y_grid = [float(v) for v in sigma2_y_grid]
@@ -306,23 +274,23 @@ def select_hyperparams(holdout_y, holdout_z,
     y_params = [KernelParams(sigma2=s2) for s2 in sigma2_y_grid]
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
 
-    kz = _z_gram(holdout_z, z_params)
+    gz = _holdout_factor(holdout_z, z_params)
     errors = np.empty((len(lambda_grid), len(sigma2_y_grid)))
     floored = np.empty(len(sigma2_y_grid), dtype=np.int64)
     ranks = np.empty(len(sigma2_y_grid), dtype=np.int64)
     widths = np.empty(len(sigma2_y_grid), dtype=np.int64)
     best = best_spectrum = None
     for j, (s2, params) in enumerate(zip(sigma2_y_grid, y_params)):
-        s, u, c, zu, floored[j], widths[j] = _spectrum(holdout_y, params, kz)
+        s, u, c, p, floored[j], widths[j] = _spectrum(holdout_y, params, gz)
         ranks[j] = s.shape[0]
-        errors[:, j] = _loo_errors(s, u, c, zu, kz, lams)
+        errors[:, j] = _loo_errors(s, u, p, gz, lams)
         for i, lam in enumerate(lambda_grid):
             err = float(errors[i, j])
             if math.isfinite(err) and _better(err, lam, s2, best):
                 best = (err, lam, s2)
                 best_spectrum = (u, s, c)
         # the next spectrum is the grid's peak: hold only the best one there
-        del s, u, c, zu
+        del s, u, c, p
 
     if best is None:
         raise ConfigError("all grid points produced non-finite leave-one-out error")
@@ -330,7 +298,7 @@ def select_hyperparams(holdout_y, holdout_z,
     report = LooReport(np.repeat(lambda_grid, len(sigma2_y_grid)),
                        np.tile(sigma2_y_grid, len(lambda_grid)),
                        errors.ravel(), b_lam, b_s2, b_err, floored, ranks, widths,
-                       kz.width)
+                       gz.shape[0])
     model = CmeModel(holdout_y, holdout_z, b_lam, KernelParams(sigma2=b_s2), z_params,
                      *best_spectrum)
     return model, report

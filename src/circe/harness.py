@@ -344,10 +344,10 @@ def _run_cell(config: SweepConfig, case: str, seed: int, runs, strict: bool):
 
 
 def run_single_with_model(config: SweepConfig, case: str, method: str,
-                          gamma: float, seed: int, strict: bool = False):
+                          gamma: float, seed: int):
     """Prepare the (case, seed) cell and run one (method, gamma) on it;
-    returns (RunRecord, model), failures handled as in a sweep."""
-    [row] = _run_cell(config, case, seed, [(method, gamma)], strict)
+    returns (RunRecord, model). A CirceError propagates."""
+    [row] = _run_cell(config, case, seed, [(method, gamma)], strict=True)
     return row
 
 

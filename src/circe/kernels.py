@@ -23,10 +23,8 @@ JITTER_CAP = 1e-4
 RESIDUAL_TOL = 1e-8
 # a pivoted Cholesky factor gives up at its checkpoint column while the
 # pivot is still above this fraction of the largest diagonal. On the SCM
-# cases' Gaussian Grams, every holdout factor (M = 200 and 1000) that
-# finished within M/2 columns was below 1e-5 at M/3, and at M = 1000 every
-# one that did not was still above 3e-4; at B = 256 the batch factors that
-# finish were below 1e-5 at B/8 and those that fail above 1e-2
+# cases' Gaussian batch Grams at B = 256, the factors that finish were below
+# 1e-5 at B/8 and those that fail above 1e-2
 FACTOR_GIVE_UP = 1e-4
 
 
@@ -176,16 +174,19 @@ def regularized_solve(K: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
 
 
 def pivoted_cholesky(points, params: KernelParams, stop: float,
-                     checkpoint: int) -> np.ndarray | None:
+                     checkpoint: int | None) -> np.ndarray | None:
     """Greedy pivoted Cholesky K ~ G G^T of the Gaussian Gram K of `points`;
     returns G^T, (r, n), an array that owns exactly its r rows.
 
     Each step takes the largest residual diagonal as its pivot and ends the
     factor once that diagonal falls to `stop` (Harbrecht, Peters & Schneider
-    2012), so a numerically low-rank K costs O(n r^2). Returns None when the
-    factor would need n/2 columns or more, one that wide being no cheaper
-    than a dense factorization, also at column `checkpoint` while the pivot
-    is still above FACTOR_GIVE_UP. K's diagonal is 1, so both are absolute.
+    2012), so a numerically low-rank K costs O(n r^2). With an integer
+    `checkpoint` it returns None when the factor would need n/2 columns or
+    more, one that wide being no cheaper than a dense factorization, also at
+    column `checkpoint` while the pivot is still above FACTOR_GIVE_UP. K's
+    diagonal is 1, so both are absolute. With checkpoint None it never gives
+    up: its (n-1)/2-row buffer grows to n rows for a factor that needs them,
+    and n columns end any factor.
 
     The factor reads only that diagonal and the rows of its pivots, each
     computed when its pivot is taken: from direct differences on one-column
@@ -208,7 +209,7 @@ def pivoted_cholesky(points, params: KernelParams, stop: float,
         norms = np.sum(points * points, axis=1)
         # 2 rows cols^T is exactly (2 rows) cols^T: scaling by 2 is exact
         twice = 2.0 * points
-    for j in range(limit + 1):
+    for j in range(n):
         p = int(d.argmax())
         pivot = d[p]
         if pivot <= stop:
@@ -217,7 +218,11 @@ def pivoted_cholesky(points, params: KernelParams, stop: float,
             row = None
             g.resize((j, n), refcheck=False)
             return g
-        if j == limit or (j == checkpoint and pivot > FACTOR_GIVE_UP):
+        if j == limit:
+            if checkpoint is not None:
+                return None
+            g.resize((n, n), refcheck=False)
+        elif j == checkpoint and pivot > FACTOR_GIVE_UP:
             return None
         row = g[j]
         # row p of K in the row itself, in the operation order of gram
@@ -237,6 +242,7 @@ def pivoted_cholesky(points, params: KernelParams, stop: float,
         np.less(np.abs(row, out=tmp), 1e-150, out=tiny)
         row[tiny] = 0.0
         d -= np.multiply(row, row, out=tmp)
+    return g
 
 
 def ridge_factor(gt: np.ndarray, lam: float) -> np.ndarray:

@@ -246,7 +246,9 @@ def _split_mse(model: MlpModel, split: TrainBatch | None):
 
 def train(config: TrainConfig, data: TrainData,
           cme_model: CmeModel | None = None):
-    """Mini-batch training loop; returns (model, TrainLog)."""
+    """Mini-batch training loop; returns (model, TrainLog). Each epoch logs
+    its mean train loss and statistic; the last also logs eval_mse, the
+    trained model's mse on data.eval (None without one)."""
     batch = data.train
     n = batch.n
     if config.method == "circe" and config.gamma > 0.0 and cme_model is None:
@@ -294,11 +296,12 @@ def train(config: TrainConfig, data: TrainData,
             "epoch": epoch,
             "train_loss": epoch_loss / used if used else float("nan"),
             "train_statistic": epoch_stat / used if used else float("nan"),
-            "eval_mse": _split_mse(model, data.eval),
         }
         if used:
             last_stat = entry["train_statistic"]
         log.epochs.append(entry)
+    # the eval split is predicted once, by the trained model
+    log.epochs[-1]["eval_mse"] = _split_mse(model, data.eval)
     log.final_statistic = last_stat
     return model, log
 

@@ -13,7 +13,7 @@ from circe.baselines import gcm_with_grad
 from circe.cme import fit_cme, loo_error
 from circe.estimator import centered_gram, circe_statistic
 from circe.kernels import KernelParams, gram, regularized_solve
-from circe.harness import SweepConfig, run_single_with_model
+from circe.harness import SweepConfig, run_sweep
 from circe.nn import MlpModel
 from circe.rff import precompute_rff_weights, rff_centered_gram, sample_rff
 from circe.scm import SCM_CASES, gen_scm, regenerate
@@ -288,17 +288,19 @@ def test_criterion_07_toy_analytic():
 
 
 def test_criterion_08_desk_scale_reproduction():
+    # the ten runs as one sweep of five cells, each prepared once for its
+    # none and circe rows, in two pool workers
     t0 = time.time()
-    cfg = SweepConfig(cases=("uni1",), methods=("none", "circe"))
+    cfg = SweepConfig(cases=("uni1",), methods=("none", "circe"),
+                      gammas={"none": [0.0], "circe": [1e4]}, seeds=(0, 1, 2, 3, 4))
+    records, any_unstable = run_sweep(cfg, workers=2)
+    assert not any_unstable
     medians = {}
-    for method, gamma in [("none", 0.0), ("circe", 1e4)]:
-        mses, vcfs = [], []
-        for seed in range(5):
-            rec, _ = run_single_with_model(cfg, "uni1", method, gamma, seed,
-                                           strict=True)
-            mses.append(rec.mse_in)
-            vcfs.append(rec.vcf)
-        medians[method] = (float(np.median(mses)), float(np.median(vcfs)))
+    for method in ("none", "circe"):
+        rows = [r for r in records if r.method == method]
+        assert len(rows) == 5
+        medians[method] = (float(np.median([r.mse_in for r in rows])),
+                           float(np.median([r.vcf for r in rows])))
     mse0, vcf0 = medians["none"]
     mse1, vcf1 = medians["circe"]
     wall = time.time() - t0

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp
 
 import circe.baselines as baselines_mod
-import circe.cme as cme_mod
+import circe.kernels as kernels_mod
 from circe.baselines import (
     FACTOR_STOP,
     GCM_SMOOTHMAX_TAU,
@@ -12,6 +12,7 @@ from circe.baselines import (
     gcm_with_grad,
     hscic_with_grad,
 )
+from circe.cme import DEFAULT_SIGMA2_Y_GRID, select_hyperparams
 from circe.exceptions import ConfigError, NumericalError
 from circe.kernels import (KernelParams, gram, gram_backprop, pivoted_cholesky,
                            regularized_solve, ridge_factor, ridge_solve, ridge_system)
@@ -484,37 +485,37 @@ def test_gcm_factors_once_per_step(monkeypatch):
 
 
 def test_factor_routes_build_no_label_gram(monkeypatch):
-    # the factor computes its own pivot rows, so a holdout or a batch on the
-    # factor route never forms K_YY or K_yy, nor a holdout K_ZZ; on the dense
-    # route it is formed once, which also shows that the recorder sees it
-    seen = []
+    # the factor computes its own pivot rows, so a holdout grid forms no
+    # Gram at all, also on multi2's near full-rank y and on multi1's near
+    # full-rank z at sigma2_z = 0.1, and a batch on the factor route never
+    # forms K_yy; on the batch dense route it is formed once, which also
+    # shows that the recorders see it
+    seen, distances = [], []
+    squared_distances = kernels_mod.squared_distances
 
     def recording_gram(rows, cols, params):
         seen.append((rows, cols))
         return gram(rows, cols, params)
 
+    def recording_distances(rows, cols, out=None, work=None):
+        distances.append(rows.shape)
+        return squared_distances(rows, cols, out, work)
+
     def label_grams(y):
         return [(rows.shape, cols.shape) for rows, cols in seen if rows is y and cols is y]
 
-    monkeypatch.setattr(cme_mod, "gram", recording_gram)
-    monkeypatch.setattr(baselines_mod, "gram", recording_gram)
-    for case, routes_factor in (("uni1", True), ("multi2", False)):
+    monkeypatch.setattr(kernels_mod, "squared_distances", recording_distances)
+    for case, sigma2_z, grid in (("multi2", 1.0, DEFAULT_SIGMA2_Y_GRID),
+                                 ("multi1", 0.1, [1.0])):
         ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
-        y = ds.standardizer.transform("y", ds.holdout.y)
-        z = ds.standardizer.transform("z", ds.holdout.z)
-        seen.clear()
-        kz = cme_mod._z_gram(z, KernelParams(sigma2=1.0))
-        width = cme_mod._spectrum(y, KernelParams(sigma2=0.1), kz)[-1]
-        assert (width > 0) == routes_factor and kz.width > 0
-        assert label_grams(y) == ([] if routes_factor else [(y.shape, y.shape)])
-        assert label_grams(z) == []
-    # multi1's two-column z at sigma2_z = 0.1 gives its factor up: K_ZZ once
-    ds = make_dataset("multi1", 2000, 2, 0, m_holdout=1000)
-    z = ds.standardizer.transform("z", ds.holdout.z)
-    seen.clear()
-    assert cme_mod._z_gram(z, KernelParams(sigma2=0.1)).width == 0
-    assert label_grams(z) == [(z.shape, z.shape)]
+        _, report = select_hyperparams(ds.standardizer.transform("y", ds.holdout.y),
+                                       ds.standardizer.transform("z", ds.holdout.z),
+                                       sigma2_y_grid=grid,
+                                       z_params=KernelParams(sigma2=sigma2_z))
+        assert max(report.factor_widths.max(), report.z_factor_width) > 500
+    assert distances == []
 
+    monkeypatch.setattr(baselines_mod, "gram", recording_gram)
     x, z, y = _low_rank_batch(256, 12)
     rng = np.random.default_rng(52)
     y_dense = rng.standard_normal((256, 2))
@@ -527,3 +528,4 @@ def test_factor_routes_build_no_label_gram(monkeypatch):
         seen.clear()
         gcm_with_grad(x, z, labels, yp, LAM)
         assert label_grams(labels) == expected
+    assert (256, 2) in distances

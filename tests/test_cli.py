@@ -73,7 +73,7 @@ def test_fit_cme_prints_report_and_saves(tmp_path):
     # one row per grid bandwidth: sigma2_y, non-positive count, kept rank
     s2, floored, rank = proc.stdout.split("nonpositive_eigenvalues rank\n")[1].split("\n")[0].split()
     assert s2 == "1" and 0 <= int(floored) and 1 <= int(rank) <= 60
-    # the K_ZZ factor's width, 0 where the Gram was formed
+    # the width of the K_ZZ factor
     s2_z, z_width = proc.stdout.split("sigma2_z z_factor_width\n")[1].split("\n")[0].split()
     assert s2_z == "1" and 0 < int(z_width) < 30
     assert proc.stdout.count("\n") >= 4

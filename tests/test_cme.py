@@ -16,10 +16,9 @@ from circe.cme import (
     save_cme,
     select_hyperparams,
     _better,
+    _holdout_factor,
     _loo_errors,
     _spectrum,
-    _z_gram,
-    _ZGram,
 )
 from circe.estimator import centered_gram
 from circe.exceptions import ConfigError, NumericalError
@@ -40,10 +39,31 @@ def _spectral_w1(model):
     return (model.u * d) @ model.u.T + np.eye(model.n_holdout) / model.lam
 
 
-def _dense_z(k_zz):
-    """K_ZZ on the dense route of _spectrum, as _z_gram gives it where the
-    factor gives up."""
-    return _ZGram(k_zz, np.diag(k_zz).copy(), 0)
+def _dense_spectrum(y, y_params):
+    """Reference: the eigenpairs of the formed K_YY above RANK_CUT times the
+    largest, by a dense eigh, and its count of non-positive eigenvalues."""
+    s, u = np.linalg.eigh(gram(y, y, y_params))
+    cut = int(np.searchsorted(s, RANK_CUT * s[-1], side="right"))
+    return s[cut:], np.ascontiguousarray(u[:, cut:]), int(np.count_nonzero(s <= 0.0))
+
+
+def _dense_loo_errors(s, u, k_zz, lams):
+    """Reference: the leave-one-out errors of every lam on the spectrum (s, u)
+    of K_YY, with the formed K_ZZ and its computed diagonal,
+    diag(A K_ZZ A^T) = rowsum((W C) o W) with C = u^T K_ZZ u; and that C."""
+    d = s[:, None] / (s[:, None] + lams[None, :])
+    ku = k_zz @ u
+    c = u.T @ ku
+    c = 0.5 * (c + c.T)
+    diag_ak = (u * ku) @ d
+    diag_a = (u * u) @ d
+    errors = np.empty(len(lams))
+    for j in range(len(lams)):
+        w = u * d[:, j]
+        resid = np.diag(k_zz) - 2.0 * diag_ak[:, j] + np.einsum("ij,ij->i", w @ c, w)
+        np.maximum(resid, 0.0, out=resid)
+        errors[j] = np.mean(resid / (1.0 - diag_a[:, j])**2)
+    return errors, ku, c
 
 
 def _sample_pairs(rng, m):
@@ -197,8 +217,10 @@ def test_singular_holdout_is_floored_and_finite():
     assert report.floored_eigs.shape == (4,)
     assert report.floored_eigs.sum() > 0
     assert [row[0] for row in report.floor_rows()] == [0.001, 0.01, 0.1, 1.0]
-    # 30 distinct points need a factor of width M/2 at the narrow bandwidths
-    assert report.factor_widths[0] == 0 and report.floored_eigs[0] > 0
+    # the factor of 30 distinct points twice over stops within 30 columns,
+    # and the directions it never reached count as zeros
+    width = report.factor_widths[0]
+    assert 0 < width <= 30 and report.floored_eigs[0] >= 60 - width
 
     # 300 distinct points twice over: rank <= M/2 at sigma2_y = 1, so the
     # Cholesky factor runs, and every direction it never reached counts
@@ -213,32 +235,36 @@ def test_singular_holdout_is_floored_and_finite():
     assert report.ranks[0] <= width
 
 
-def test_wide_gram_takes_the_dense_path_bitwise():
-    # 400 spread 2-d points at a narrow bandwidth: numerical rank near M
+def test_wide_gram_factor_matches_the_dense_eigh():
+    # 400 spread 2-d points at a narrow bandwidth: numerical rank near M, so
+    # the factor runs past M/2 columns. Against a dense eigh of the formed
+    # K_YY it keeps the same rank, its eigenvalues agree within 2.1e-14 of
+    # the largest (bound 10x above) and it counts the directions it never
+    # reached as the dense eigh's non-positive eigenvalues
     rng = np.random.default_rng(11)
     y = rng.standard_normal((400, 2))
     z = rng.standard_normal((400, 1))
     yp = KernelParams(sigma2=0.01)
-    k_zz = gram(z, z, KernelParams(sigma2=1.0))
-    s, u, c, _, floored, width = _spectrum(y, yp, _dense_z(k_zz))
-    assert width == 0
-    s_ref, u_ref = np.linalg.eigh(gram(y, y, yp))
-    cut = int(np.searchsorted(s_ref, RANK_CUT * s_ref[-1], side="right"))
-    assert 400 - cut > 200
-    assert np.array_equal(s, s_ref[cut:]) and np.array_equal(u, u_ref[:, cut:])
-    assert floored == np.count_nonzero(s_ref <= 0.0)
+    s, u, c, _, floored, width = _spectrum(y, yp, _holdout_factor(z, KernelParams(sigma2=1.0)))
+    s_ref, u_ref, floored_ref = _dense_spectrum(y, yp)
+    assert 200 < width <= 400 and s.shape == s_ref.shape
+    assert np.max(np.abs(s - s_ref)) <= 3e-13 * s_ref[-1]
+    assert floored == floored_ref + 400 - width
 
 
 @pytest.mark.parametrize("case", ["uni1", "multi1", "multi2"])
 def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
     # the factor's eigenpairs come from its small Gram G^T G; check them
     # against a dense eigh of K_YY cut at the same RANK_CUT, on every
-    # bandwidth that takes the factor at M = 1000, with K_ZZ dense on both
-    # sides so only the y route differs. Bounds are 10x or more
-    # above the largest value measured on these cells at one and two BLAS
-    # threads: eigenvalues 3.9e-15 s_max, LOO errors 1.3e-11 relative, and
-    # centered Grams at lam = 0.001 2.6e-8 relative to their largest entry
-    # (the smallest kept directions are orthonormal only to about 1e-5)
+    # bandwidth at M = 1000, with the formed K_ZZ on both sides so only the
+    # y route differs. Where the factor is narrower than M/2, bounds are 10x
+    # or more above the largest value measured on these cells at one and two
+    # BLAS threads: eigenvalues 3.9e-15 s_max, LOO errors 1.3e-11 relative,
+    # and centered Grams at lam = 0.001 2.6e-8 relative to their largest
+    # entry (the smallest kept directions are orthonormal only to about
+    # 1e-5). multi2's factors at sigma2_y <= 0.1 run 748-1000 columns wide:
+    # their eigenvalues agree within 2.7e-13 s_max (bound 3e-12), LOO errors
+    # within 2.5e-11 and centered Grams within 8.5e-8, under the same bounds
     ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
     std = ds.standardizer
     y = std.transform("y", ds.holdout.y)
@@ -248,88 +274,79 @@ def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
     batch_z = std.transform("z", rows.z[:256])
     zp = KernelParams(sigma2=1.0)
     k_zz = gram(z, z, zp)
-    kz = _dense_z(k_zz)
+    gz = _holdout_factor(z, zp)
     lams = np.array([0.001, 0.01, 0.1, 1.0])
-    factored = []
+    widths = []
     for s2 in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=s2)
-        s, u, c, ku, _, width = _spectrum(y, yp, kz)
-        if not width:
-            continue
-        factored.append(s2)
-        s_ref, u_ref = np.linalg.eigh(gram(y, y, yp))
-        cut = int(np.searchsorted(s_ref, RANK_CUT * s_ref[-1], side="right"))
-        s_ref, u_ref = s_ref[cut:], np.ascontiguousarray(u_ref[:, cut:])
+        s, u, c, _, _, width = _spectrum(y, yp, gz)
+        widths.append(width)
+        s_ref, u_ref, _ = _dense_spectrum(y, yp)
         assert s.shape == s_ref.shape
-        assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[-1]
-        ku_ref = k_zz @ u_ref
-        c_ref = u_ref.T @ ku_ref
-        c_ref = 0.5 * (c_ref + c_ref.T)
-        errors = _loo_errors(s, u, c, ku, kz, lams)
-        ref = _loo_errors(s_ref, u_ref, c_ref, ku_ref, kz, lams)
+        eig_bound = 3e-12 if case == "multi2" and s2 < 1.0 else 1e-13
+        assert np.max(np.abs(s - s_ref)) <= eig_bound * s_ref[-1]
+        errors, _, _ = _dense_loo_errors(s, u, k_zz, lams)
+        ref, _, c_ref = _dense_loo_errors(s_ref, u_ref, k_zz, lams)
         assert np.all(np.abs(errors - ref) <= 2e-10 * ref)
         grams = [centered_gram(batch_y, batch_z, CmeModel(y, z, 0.001, yp, zp, *spec),
                                yp, zp) for spec in ((u, s, c), (u_ref, s_ref, c_ref))]
         assert np.max(np.abs(grams[0] - grams[1])) <= 3e-7 * np.max(np.abs(grams[1]))
-    # 1-d y takes the factor at every bandwidth, 2-d y at sigma2_y = 1 only
-    assert factored == ([1.0] if case == "multi2" else [0.001, 0.01, 0.1, 1.0])
+    # 1-d y factors below M/2 at every bandwidth, 2-d y only at sigma2_y = 1
+    assert (max(widths[:3]) > 500) == (case == "multi2") and widths[3] < 500
 
 
 @pytest.mark.parametrize("case", ["uni1", "multi1", "multi2"])
 def test_z_factor_matches_the_dense_z_gram(case):
     # K_ZZ ~ G_z G_z^T enters as p = G_z^T u, and _loo_errors forms
     # ku = G_z p: against the formed K_ZZ on the same y spectrum, at every
-    # bandwidth of the M = 1000 grid (y factor and dense eigh alike). Bounds
-    # are 10x above the largest value measured on these cells: ku and c
-    # 1.1e-14 of their largest entry, LOO errors 1.4e-9 relative (multi2,
-    # sigma2_y = 0.001, lam = 0.001: the factor's stop of 1e-13 is
-    # amplified by 1 / (1 - A_ii)^2 at the smallest lam)
+    # bandwidth of the M = 1000 grid. Bounds are 10x above the largest value
+    # measured on these cells: ku and c 1.1e-14 of their largest entry, LOO
+    # errors 1.4e-9 relative (multi2, sigma2_y = 0.001, lam = 0.001: the
+    # factor's stop of 1e-13 is amplified by 1 / (1 - A_ii)^2 at the
+    # smallest lam)
     ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
     y = ds.standardizer.transform("y", ds.holdout.y)
     z = ds.standardizer.transform("z", ds.holdout.z)
     zp = KernelParams(sigma2=1.0)
-    kz = _z_gram(z, zp)
+    gz = _holdout_factor(z, zp)
     k_zz = gram(z, z, zp)
-    kz_dense = _dense_z(k_zz)
     # the factor reads K_ZZ's diagonal as the Gaussian kernel's exact 1; the
     # reference keeps gram's, which the norm expansion of two-column z
     # (multi1) moves off 1 by roundoff
-    assert 0 < kz.width < 500 and kz.diag == 1.0
+    assert 0 < gz.shape[0] < 500
     lams = np.array([0.001, 0.01, 0.1, 1.0])
     for s2 in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=s2)
-        s, u, c, p, _, _ = _spectrum(y, yp, kz)
-        s_ref, u_ref, c_ref, ku_ref, _, _ = _spectrum(y, yp, kz_dense)
-        assert p.shape == (kz.width, s.shape[0]) and ku_ref.shape == u.shape
-        assert np.array_equal(s, s_ref) and np.array_equal(u, u_ref)
-        ku = kz.matrix.T @ p
+        s, u, c, p, _, _ = _spectrum(y, yp, gz)
+        ref, ku_ref, c_ref = _dense_loo_errors(s, u, k_zz, lams)
+        assert p.shape == (gz.shape[0], s.shape[0])
+        ku = gz.T @ p
         assert np.max(np.abs(ku - ku_ref)) <= 1e-13 * np.max(np.abs(ku_ref))
         assert np.max(np.abs(c - c_ref)) <= 1e-13 * np.max(np.abs(c_ref))
         assert np.array_equal(c, c.T)
-        errors = _loo_errors(s, u, c, p, kz, lams)
-        ref = _loo_errors(s_ref, u_ref, c_ref, ku_ref, kz_dense, lams)
+        errors = _loo_errors(s, u, p, gz, lams)
         assert np.all(np.abs(errors - ref) <= 2e-8 * ref)
 
 
-def test_z_gram_is_formed_where_its_factor_gives_up():
+def test_near_full_rank_z_takes_a_factor_past_half_width():
     # multi1's two-column z at sigma2_z = 0.1 is near full rank at M = 1000:
-    # K_ZZ is formed by gram, as every grid before the z factor formed it,
-    # and the grid on it matches the dense Cholesky reference
+    # its factor runs past M/2 columns, where one with a give-up checkpoint
+    # would have stopped, and the grid on it matches the dense Cholesky
+    # reference
     ds = make_dataset("multi1", 2000, 2, 0, m_holdout=1000)
     y = ds.standardizer.transform("y", ds.holdout.y)
     z = ds.standardizer.transform("z", ds.holdout.z)
     zp = KernelParams(sigma2=0.1)
-    kz = _z_gram(z, zp)
-    assert kz.width == 0 and np.array_equal(kz.matrix, gram(z, z, zp))
-    assert np.array_equal(kz.diag, np.diag(kz.matrix))
+    width = _holdout_factor(z, zp).shape[0]
+    assert 500 < width <= 1000
     _, report = select_hyperparams(y, z, lambda_grid=[0.01, 1.0], sigma2_y_grid=[1.0],
                                    z_params=zp)
-    assert report.z_factor_width == 0
+    assert report.z_factor_width == width
     for lam, s2, err in report.as_rows():
         assert err == pytest.approx(cholesky_loo(y, z, lam, KernelParams(sigma2=s2), zp),
                                     rel=1e-8)
     _, report = select_hyperparams(y, z, lambda_grid=[1.0], sigma2_y_grid=[1.0])
-    assert report.z_factor_width == _z_gram(z, KernelParams(sigma2=1.0)).width > 0
+    assert report.z_factor_width == _holdout_factor(z, KernelParams(sigma2=1.0)).shape[0] < 500
 
 
 @pytest.mark.parametrize("case, bound_mb", [("uni1", 10.0), ("multi1", 12.0)])
@@ -353,44 +370,42 @@ def test_loo_grid_peak_memory(case, bound_mb):
     assert peak <= bound_mb
 
 
-def test_factor_gives_up_early_only_where_the_width_limit_would(monkeypatch):
-    # on the SCM Grams at M = 1000 the M/3 give-up ends no factor that the
-    # M/2 limit lets finish, and changes no bit of those that finish
-    def factor(y, params):
-        return pivoted_cholesky(y, params, 0.1 * RANK_CUT, y.shape[0] // 3)
-
+def test_holdout_factor_never_gives_up(monkeypatch):
+    # on the SCM Grams at M = 1000 a factor that finishes under the M/3
+    # checkpoint and the M/2 limit is bitwise the one that runs without
+    # them; where multi2's two-column y gives up there (sigma2_y <= 0.1),
+    # the holdout factor runs past M/2
     for case in ("uni1", "multi2"):
         ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
         y = ds.standardizer.transform("y", ds.holdout.y)
         for s2 in (0.001, 0.01, 0.1, 1.0):
             params = KernelParams(sigma2=s2)
-            g = factor(y, params)
-            with monkeypatch.context() as mp:
-                mp.setattr(kernels_mod, "FACTOR_GIVE_UP", math.inf)
-                g_full = factor(y, params)
-            assert (g is None) == (g_full is None)
-            if g is not None:
-                assert np.array_equal(g, g_full)
+            g = _holdout_factor(y, params)
+            g_checked = pivoted_cholesky(y, params, 0.1 * RANK_CUT, 1000 // 3)
+            assert (g_checked is None) == (case == "multi2" and s2 < 1.0)
+            if g_checked is None:
+                assert g.shape[0] > 500
+            else:
+                assert np.array_equal(g, g_checked)
 
-    # a near-full-rank Gram stops at M/3 columns instead of M/2, and
-    # _spectrum passes that checkpoint
+    # a near-full-rank Gram takes a column per point, past M/3 and M/2
     rng = np.random.default_rng(11)
     y = rng.standard_normal((400, 2))
     rows = []
     monkeypatch.setattr(kernels_mod, "math", SimpleNamespace(
         sqrt=lambda x: rows.append(x) or math.sqrt(x)))
-    _spectrum(y, KernelParams(sigma2=0.01), _dense_z(np.eye(400)))
-    assert len(rows) == 400 // 3
+    width = _spectrum(y, KernelParams(sigma2=0.01), np.ones((1, 400)))[-1]
+    assert len(rows) == width == 400
 
 
 @pytest.mark.parametrize("sigma2_y", [0.01, 1.0])
 def test_failed_or_non_finite_eigh_raises_numerical_error(monkeypatch, sigma2_y):
-    # sigma2_y 0.01 on 40 spread points takes the dense eigh, 1.0 the factor's
+    # sigma2_y 0.01 on 40 spread points takes a factor past M/2, 1.0 a narrow one
     rng = np.random.default_rng(12)
     y, z = _sample_pairs(rng, 40)
     yp, zp = KernelParams(sigma2=sigma2_y), KernelParams(sigma2=1.0)
     eigh = np.linalg.eigh
-    assert (_spectrum(y, yp, _dense_z(np.eye(40)))[-1] > 0) == (sigma2_y == 1.0)
+    assert (_spectrum(y, yp, np.ones((1, 40)))[-1] > 20) == (sigma2_y == 0.01)
 
     def fails(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

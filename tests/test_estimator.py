@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-import circe.cme as cme_mod
 import circe.estimator as estimator_mod
-from circe.cme import CmeModel, _spectrum, _z_gram, fit_cme, select_hyperparams
+from circe.cme import (RANK_CUT, CmeModel, _holdout_factor, _spectrum, fit_cme,
+                      select_hyperparams)
 from circe.estimator import (
     centered_from_factors,
     centered_gram,
@@ -116,22 +116,25 @@ def test_two_factor_assembly_matches_the_three_factor_form(case):
     assert rel <= 1e-12
 
 
-def test_compressed_spectrum_matches_the_dense_path(monkeypatch):
+def test_compressed_spectrum_matches_the_dense_path():
     # every uni1 bandwidth at M = 1000 has rank < M/2: the Cholesky-factor
-    # spectrum keeps the dense rank to within one eigenpair, and at the grid
-    # winner its centered Gram meets the dense path's 1e-7 bound
+    # spectrum keeps the rank of a dense eigh of the formed K_YY to within
+    # one eigenpair, and at the grid winner its centered Gram meets the
+    # dense eigh's 1e-7 bound
     ds = make_dataset("uni1", 2000, 2, 0, m_holdout=1000)
     std = ds.standardizer
     y = std.transform("y", ds.holdout.y)
     z = std.transform("z", ds.holdout.z)
-    kz = _z_gram(z, ZP)
+    k_zz = gram(z, z, ZP)
     for sigma2_y in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=sigma2_y)
-        s, u, c, _, _, width = _spectrum(y, yp, kz)
-        with monkeypatch.context() as mp:
-            mp.setattr(cme_mod, "pivoted_cholesky", lambda y, params, stop, checkpoint: None)
-            s_d, u_d, c_d, _, _, width_d = _spectrum(y, yp, kz)
-        assert 0 < width < 500 and width_d == 0
+        s, u, c, _, _, width = _spectrum(y, yp, _holdout_factor(z, ZP))
+        s_d, u_d = np.linalg.eigh(gram(y, y, yp))
+        cut = int(np.searchsorted(s_d, RANK_CUT * s_d[-1], side="right"))
+        s_d, u_d = s_d[cut:], u_d[:, cut:]
+        c_d = u_d.T @ k_zz @ u_d
+        c_d = 0.5 * (c_d + c_d.T)
+        assert 0 < width < 500
         assert abs(s.shape[0] - s_d.shape[0]) <= 1
     batch = train_data_from_dataset(ds).train.take(np.arange(256))
     for model in (CmeModel(y, z, 0.01, yp, ZP, u, s, c),

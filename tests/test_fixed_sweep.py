@@ -2,10 +2,11 @@
 
 tools/fixed_sweep.json is small (30 rows, about 2.4 s) but runs every method
 on a uni case and two multi cases, so a change that moves any number of a
-sweep shows here. multi2's two-column y takes the dense label Gram in its LOO
-grid and in its baselines' batch regressions, which uni1 and multi1 do not. The sweep runs in a fresh interpreter with one OpenBLAS thread: two
-one-thread runs are byte-identical, while the default thread count moves the
-gcm cells by about 1e-14. Only wall_seconds is ignored.
+sweep shows here. multi2's two-column y takes a near full-width factor in its
+LOO grid and the dense label Gram in its baselines' batch regressions, which
+uni1 and multi1 do not. The sweep runs in a fresh interpreter with one
+OpenBLAS thread: two one-thread runs are byte-identical, while the default
+thread count moves the gcm cells by about 1e-14. Only wall_seconds is ignored.
 
 `--workers 2` reproduces it at the default thread count too: run_sweep gives
 each pool worker max(1, cores // workers) OpenBLAS threads, and that test holds

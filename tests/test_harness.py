@@ -380,7 +380,7 @@ def test_failed_preparation_makes_every_row_of_its_cell_unstable(monkeypatch):
         assert all(math.isnan(v) for v in (record.lam, record.sigma2_y, record.mse_in,
                                           record.vcf, record.statistic_final))
     with pytest.raises(NumericalError, match="synthetic LOO failure"):
-        run_single_with_model(tiny_sweep_config(), "uni1", "circe", 1.0, 0, strict=True)
+        run_single_with_model(tiny_sweep_config(), "uni1", "circe", 1.0, 0)
 
 
 def _capture_cell_models(monkeypatch):
@@ -417,7 +417,7 @@ def test_cell_releases_its_cross_factors(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "eval_vcf", failing_eval)
     with pytest.raises(NumericalError, match="synthetic eval failure"):
-        run_single_with_model(tiny_sweep_config(), "uni1", "circe", 1.0, 0, strict=True)
+        run_single_with_model(tiny_sweep_config(), "uni1", "circe", 1.0, 0)
     assert held == [True, True, True]
     assert len(models) == 2 and not models[1]._slot
 

@@ -252,19 +252,32 @@ def test_pivoted_cholesky_gives_up_at_its_checkpoint_or_half_width(monkeypatch):
         assert len(columns) == width
 
 
+def test_pivoted_cholesky_without_a_checkpoint_reaches_full_width():
+    # points 3 apart at sigma2 = 0.01 give K = I to roundoff: a factor that
+    # never gives up grows its (n-1)/2-row buffer and takes a column per
+    # point, then owns exactly its n rows
+    x = 3.0 * np.arange(50.0)[::-1, None]
+    g = pivoted_cholesky(x, KernelParams(sigma2=0.01), 1e-13, None)
+    assert g.shape == (50, 50) and g.flags.owndata
+    assert np.max(np.abs(g.T @ g - gram(x, x, KernelParams(sigma2=0.01)))) <= 1e-150
+    # with a checkpoint the same Gram gives up at the (n-1)/2 limit
+    assert pivoted_cholesky(x, KernelParams(sigma2=0.01), 1e-13, 50) is None
+
+
 def _dense_row_factor(K, stop, checkpoint):
     """The pivoted Cholesky factor on the rows of a dense Gram K, as it was
-    written before the factor computed its own pivot rows."""
+    written before the factor computed its own pivot rows; checkpoint None
+    never gives up."""
     n = K.shape[0]
     d = np.diag(K).copy()
     top = d.max()
-    limit = (n - 1) // 2
+    limit = n if checkpoint is None else (n - 1) // 2
     g = np.empty((limit, n))
     tmp = np.empty(n)
     for j in range(limit + 1):
         p = int(d.argmax())
         pivot = d[p]
-        if pivot <= stop * top:
+        if pivot <= stop * top or j == n:
             return g[:j]
         if j == limit or (j == checkpoint and pivot > kernels_mod.FACTOR_GIVE_UP * top):
             return None
@@ -281,7 +294,7 @@ def _factor_inputs(case):
     ds = make_dataset(case, 2000, 2, 0, m_holdout=1000)
     y = ds.standardizer.transform("y", ds.holdout.y)
     batch_y = ds.standardizer.transform("y", ds.fit_pool().y[:256])
-    return ((y, 0.1 * RANK_CUT, 1000 // 3), (batch_y, FACTOR_STOP, 256 // 8))
+    return ((y, 0.1 * RANK_CUT, None), (batch_y, FACTOR_STOP, 256 // 8))
 
 
 @pytest.mark.parametrize("sigma2", [0.001, 0.01, 0.1, 1.0])
@@ -305,7 +318,7 @@ def test_pivoted_cholesky_on_one_column_points_is_the_dense_row_factor_bitwise(s
 def test_pivoted_cholesky_on_two_column_points_reproduces_the_gram(sigma2):
     # two-column pivot rows come from the norm expansion, a GEMV instead of
     # gram's GEMM, so the factor agrees with the dense Gram to roundoff and
-    # gives up where the dense-row factor does
+    # gives up where the dense-row factor does, which a holdout never does
     params = KernelParams(sigma2=sigma2)
     for points, stop, checkpoint in _factor_inputs("multi2"):
         assert points.shape[1] == 2
@@ -314,9 +327,13 @@ def test_pivoted_cholesky_on_two_column_points_reproduces_the_gram(sigma2):
         ref = _dense_row_factor(K, stop, checkpoint)
         assert (g is None) == (ref is None)
         if g is not None:
-            assert np.max(np.abs(g.T @ g - K)) <= 1e-12
-        # multi2's holdout factors at sigma2 = 1 alone, its batch nowhere
-        assert (g is not None) == (sigma2 == 1.0 and points.shape[0] == 1000)
+            # the holdout factors at sigma2 <= 0.1 run 748-1000 columns wide
+            # and reproduce K within 1.8e-12 at sigma2 = 0.001, 1.8e-13 at
+            # 0.01 (seeds 0-2, one and two BLAS threads)
+            bound = 2e-11 if points.shape[0] == 1000 and sigma2 < 1.0 else 1e-12
+            assert np.max(np.abs(g.T @ g - K)) <= bound
+        # multi2's holdout factors at every bandwidth, its batch nowhere
+        assert (g is not None) == (points.shape[0] == 1000)
 
 
 def test_ridge_factor_raises_on_a_non_finite_factor():

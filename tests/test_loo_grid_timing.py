@@ -37,13 +37,13 @@ def test_loo_grid_timing_smoke_prints_its_json():
         rows = case["bandwidths"]["0"]
         assert [row["sigma2_y"] for row in rows] == [0.001, 0.01, 0.1, 1.0]
         for row in rows:
-            assert (row["path"] == "factor") == (row["width"] is not None)
-            assert 0 < row["rank"] <= (row["width"] or 200)
-        z_route = case["z"]["0"]
-        assert (z_route["path"] == "factor") == (z_route["width"] is not None)
-    # at M = 200 1-d y is low rank at sigma2_y = 1, and 2-d y is not at 0.001
-    assert out["cases"]["uni1"]["bandwidths"]["0"][-1]["path"] == "factor"
-    assert out["cases"]["multi2"]["bandwidths"]["0"][0]["path"] == "eigh"
-    # and 1-d z is low rank at sigma2_z = 1, while multi1's 2-d z is not
-    assert out["cases"]["uni1"]["z"]["0"]["path"] == "factor"
-    assert out["cases"]["multi1"]["z"]["0"]["path"] == "dense"
+            assert 0 < row["rank"] <= row["width"] <= 200
+        assert 0 < case["z_widths"]["0"] <= 200
+    # at M = 200 1-d y is low rank at sigma2_y = 1, and 2-d y takes a
+    # column per point at 0.001
+    assert out["cases"]["uni1"]["bandwidths"]["0"][-1]["width"] < 100
+    assert out["cases"]["multi2"]["bandwidths"]["0"][0]["width"] == 200
+    # and 1-d z is low rank at sigma2_z = 1, while multi1's 2-d z factors
+    # past M/2
+    assert out["cases"]["uni1"]["z_widths"]["0"] < 100
+    assert out["cases"]["multi1"]["z_widths"]["0"] > 100

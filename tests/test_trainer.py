@@ -29,7 +29,7 @@ from circe.trainer import (
     train,
     train_data_from_dataset,
 )
-from oracles import gen_toy, train_data_from_toy
+from oracles import gen_toy, toy_batch, train_data_from_toy
 
 
 def small_problem(seed=0, n=16, d_in=3):
@@ -157,6 +157,24 @@ def test_training_is_deterministic_bitwise():
     for a, b in zip(m1.params, m2.params):
         assert np.array_equal(a, b)
     assert log1.epochs[-1]["train_loss"] == log2.epochs[-1]["train_loss"]
+
+
+def test_eval_split_is_predicted_once_after_the_last_epoch(monkeypatch):
+    toy = gen_toy(1024, 1.0, 1.0, 1.0, shifted=False, seed=0)
+    held_out = toy_batch(gen_toy(256, 1.0, 1.0, 1.0, shifted=False, seed=1))
+    config = TrainConfig(method="none", batch_size=128, epochs=3, lr=1e-2,
+                         weight_decay=0.0, hidden_widths=(8,), seed=7)
+    calls = []
+    split_mse = trainer_mod._split_mse
+    monkeypatch.setattr(trainer_mod, "_split_mse",
+                        lambda model, split: calls.append(split) or split_mse(model, split))
+    model, log = train(config, trainer_mod.TrainData(toy_batch(toy), held_out))
+    assert calls == [held_out]
+    assert ["eval_mse" in entry for entry in log.epochs] == [False, False, True]
+    mse = np.mean((model.predict(held_out.inputs) - held_out.targets) ** 2)
+    assert log.epochs[-1]["eval_mse"] == float(mse)
+    _, log = train(config, train_data_from_toy(toy))
+    assert log.epochs[-1]["eval_mse"] is None
 
 
 def test_gamma_zero_trajectory_ignores_cme_model():

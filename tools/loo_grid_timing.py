@@ -12,11 +12,10 @@ and the dataset: a stall of the first BLAS call in a process shows only
 there, since every later call is warm. Cold run i uses seed i modulo the
 seed count. One JSON object goes to stdout: per case, the min and median
 grid seconds over every repeat of every seed, each cold first-call time
-and their max, the median fit_cme seconds per sigma2_y, and per seed and
-sigma2_y the path taken ("factor" or "eigh"), the factor width and the
-kept rank, and per seed the route of K_ZZ ("factor" or "dense") with its
-factor width; and for one more grid call on the first seed its minor
-page faults, then for another its tracemalloc peak in MB (2^20 bytes,
+and their max, the median fit_cme seconds per sigma2_y, per seed and
+sigma2_y the width of the K_YY factor and the kept rank, and per seed the
+width of the K_ZZ factor; and for one more grid call on the first seed its
+minor page faults, then for another its tracemalloc peak in MB (2^20 bytes,
 numpy's buffers counted exactly); plus the size and the BLAS thread
 count. --src picks the package to time, so the same script measures two
 checkouts, such as a parent commit and a change. --smoke runs every path
@@ -106,7 +105,7 @@ def main(argv=None):
     seeds = size["seeds"]
     cases = {}
     for case in CASES:
-        grid_times, fit_times, bandwidths, z_routes = [], {}, {}, {}
+        grid_times, fit_times, bandwidths, z_widths = [], {}, {}, {}
         for seed in seeds:
             y, z = holdout(case, seed, size)
             times, (_, report) = timed(size["repeats"], cme.select_hyperparams, y, z)
@@ -118,12 +117,10 @@ def main(argv=None):
                                  KernelParams(sigma2=s2), z_params)
                 fit_times.setdefault(str(s2), []).extend(times)
             bandwidths[seed] = [
-                {"sigma2_y": float(s2), "path": "factor" if w else "eigh",
-                 "width": int(w) or None, "rank": int(rank)}
+                {"sigma2_y": float(s2), "width": int(w), "rank": int(rank)}
                 for (s2, _, rank), w in zip(report.floor_rows(), report.factor_widths)
             ]
-            z_routes[seed] = {"path": "factor" if report.z_factor_width else "dense",
-                              "width": report.z_factor_width or None}
+            z_widths[seed] = int(report.z_factor_width)
         cold = [cold_first_call(args.src, case, seeds[i % len(seeds)], args.smoke)
                 for i in range(size["cold_runs"])]
         cases[case] = {"min_s": min(grid_times), "median_s": statistics.median(grid_times),
@@ -131,7 +128,7 @@ def main(argv=None):
                        "cold_first_call_s": cold, "cold_max_s": max(cold),
                        "fit_cme_median_s": {s2: statistics.median(t)
                                             for s2, t in fit_times.items()},
-                       "bandwidths": bandwidths, "z": z_routes}
+                       "bandwidths": bandwidths, "z_widths": z_widths}
     print(json.dumps({"src": args.src, "size": size, "blas_threads": blas_threads(),
                       "cases": cases}))
 
