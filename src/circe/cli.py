@@ -13,8 +13,6 @@ import numbers
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .cme import save_cme
 from .exceptions import ConfigError, NumericalError
 from .harness import (

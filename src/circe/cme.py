@@ -42,12 +42,9 @@ class CmeModel:
     W2 = W1 K_ZZ W1 = u D c D u^T; the discarded eigenpairs are roundoff of a
     numerically low-rank Gram. Frozen, so one object is one fit.
 
-    Each object also keeps the holdout cross factors of the training rows
-    that the trainer last used with it, so every gamma trained on those rows
-    reuses them. It holds one context at most (2 n r floats), takes no part
-    in comparison, and starts empty, also in a copy made by
-    dataclasses.replace and in a loaded model. Whoever owns the model for a
-    sweep cell empties it when the cell ends.
+    _slot is a per-object cache for the trainer. It starts empty, also in a
+    copy made by dataclasses.replace and in a loaded model, and takes no
+    part in comparison.
     """
 
     holdout_y: np.ndarray
@@ -169,7 +166,6 @@ def _spectrum(holdout_y, y_params: KernelParams, gz: np.ndarray):
     u /= np.sqrt(s)
     p = gz @ u
     c = p.T @ p
-    c = 0.5 * (c + c.T)
     return s, u, c, p, n_nonpositive, width
 
 

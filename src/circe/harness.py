@@ -20,7 +20,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -267,7 +267,9 @@ def _prepare_case(config: SweepConfig, case: str, seed: int):
     """One (case, seed) cell: (dataset, CME, LOO report, standardized TrainData).
 
     The CME is the LOO grid's winner on the standardized holdout; every run of
-    the cell trains on the same TrainData.
+    the cell trains on the same TrainData. The cell holds its own copy of the
+    CME, which starts with an empty cache, so the cross factors its circe
+    runs share are freed with the cell even where a caller keeps the fit.
     """
     ds = make_dataset(case, config.n, config.d, seed, m_holdout=config.m_holdout)
     std = ds.standardizer
@@ -279,7 +281,7 @@ def _prepare_case(config: SweepConfig, case: str, seed: int):
         sigma2_y_grid=config.sigma2_y_grid,
         z_params=KernelParams(sigma2=config.train.sigma2_z),
     )
-    return ds, cme, report, train_data_from_dataset(ds)
+    return ds, replace(cme), report, train_data_from_dataset(ds)
 
 
 def _run_one(config: SweepConfig, cell, case: str, method: str, gamma: float,
@@ -311,8 +313,7 @@ def _run_cell(config: SweepConfig, case: str, seed: int, runs, strict: bool):
     and a None model, so one failed run does not end the sweep; a failed
     preparation makes every row of the cell such a row. Any other exception
     is a bug and propagates. The first row's wall_seconds includes the
-    preparation. When the runs end, also by an exception, the cell's
-    embedding drops the cross factors its circe runs shared.
+    preparation.
     """
     nan = float("nan")
     failed = dict(lam=nan, sigma2_y=nan, mse_in=nan, vcf=nan,
@@ -324,23 +325,19 @@ def _run_cell(config: SweepConfig, case: str, seed: int, runs, strict: bool):
         if strict:
             raise
         cell = None
-    try:
-        for method, gamma in runs:
-            metrics, model = failed, None
-            if cell is not None:
-                try:
-                    metrics, model = _run_one(config, cell, case, method, gamma, seed)
-                except CirceError:
-                    if strict:
-                        raise
-            record = RunRecord(case_id=case, method=method, variant=config.train.variant,
-                               gamma=float(gamma), seed=seed, sigma2_z=config.train.sigma2_z,
-                               wall_seconds=time.perf_counter() - start, **metrics)
-            yield record, model
-            start = time.perf_counter()
-    finally:
+    for method, gamma in runs:
+        metrics, model = failed, None
         if cell is not None:
-            cell[1]._slot.clear()
+            try:
+                metrics, model = _run_one(config, cell, case, method, gamma, seed)
+            except CirceError:
+                if strict:
+                    raise
+        record = RunRecord(case_id=case, method=method, variant=config.train.variant,
+                           gamma=float(gamma), seed=seed, sigma2_z=config.train.sigma2_z,
+                           wall_seconds=time.perf_counter() - start, **metrics)
+        yield record, model
+        start = time.perf_counter()
 
 
 def run_single_with_model(config: SweepConfig, case: str, method: str,

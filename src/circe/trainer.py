@@ -154,41 +154,20 @@ class TrainLog:
         return self.skipped_steps / self.total_steps > UNSTABLE_SKIP_FRACTION
 
 
-class _CirceContext:
-    """Holdout cross-term factors (L, S) of every training row, with copies
-    of the rows and the kernel parameters of the model they were built from.
-
-    A batch drawn by row index gathers its rows of both factors. The centered
-    Gram equals the direct per-batch computation (estimator.centered_gram)
-    to rounding, and bitwise when the context's blocks and the batch's one
-    round each row alike: when every one of their factor products takes the
-    same dgemm kernel, or at a rank where the two kernels agree (see
-    estimator.cross_factors).
-    """
-
-    def __init__(self, train_y, train_z, model: CmeModel):
-        self.y_params, self.z_params = model.y_params, model.z_params
-        self.y, self.z = train_y.copy(), train_z.copy()
-        self.left, self.right = cross_factors(train_y, train_z, model)
-
-    def serves(self, train_y, train_z) -> bool:
-        return np.array_equal(train_y, self.y) and np.array_equal(train_z, self.z)
-
-    def batch_centered(self, batch: TrainBatch, idx: np.ndarray) -> np.ndarray:
-        return centered_from_factors(batch.y, batch.z, self.y_params, self.z_params,
-                                     self.left[idx], self.right[idx])
-
-
-def _circe_context(batch: TrainBatch, model: CmeModel) -> _CirceContext:
-    """The context of these training rows, kept on the model: the factors are
-    a pure function of the frozen model and the rows, so every gamma of a
-    sweep cell, and every circe row trained on one prepared cell, reuses it
-    until a run on other rows replaces it or the model's owner empties it."""
-    context = model._slot.get("circe")
-    if context is None or not context.serves(batch.y, batch.z):
-        model._slot.clear()  # never hold two contexts at once
-        model._slot["circe"] = context = _CirceContext(batch.y, batch.z, model)
-    return context
+def _train_factors(rows: TrainBatch, model: CmeModel):
+    """Holdout cross-term factors (L, S) of every training row, kept on the
+    model with copies of the rows' y and z. A batch drawn by row index gathers
+    its rows of both factors; see estimator.cross_factors for when its
+    centered Gram equals estimator.centered_gram bitwise. The factors are a
+    pure function of the frozen model and the rows, so every gamma of a sweep
+    cell, and every circe run on one prepared cell, reuses them until a run
+    on other rows replaces them."""
+    kept = model._slot.get("circe")
+    if kept is None or not (np.array_equal(rows.y, kept[0]) and np.array_equal(rows.z, kept[1])):
+        model._slot.clear()  # never hold two sets of factors at once
+        kept = model._slot["circe"] = (rows.y.copy(), rows.z.copy(),
+                                       *cross_factors(rows.y, rows.z, model))
+    return kept[2], kept[3]
 
 
 def _penalty(config: TrainConfig, x: np.ndarray, batch: TrainBatch,
@@ -218,8 +197,8 @@ def loss_and_grad(model: MlpModel, batch: TrainBatch, config: TrainConfig,
     statistic is 0.0 on an unpenalized step.
 
     centered is the batch's (B, B) centered Gram, which a circe penalty
-    needs: train() gathers it from its run context, and a direct caller
-    builds it with estimator.centered_gram.
+    needs: train() gathers it from the training rows' factors, and a direct
+    caller builds it with estimator.centered_gram.
     """
     feats, pred, cache = model.forward(batch.inputs)
     err = pred - batch.targets
@@ -260,9 +239,9 @@ def train(config: TrainConfig, data: TrainData,
     model = MlpModel(batch.inputs.shape[1], config.hidden_widths, seed=config.seed)
     optimizer = make_optimizer(config.optimizer, config.lr, config.weight_decay)
 
-    context = None
+    left = right = None
     if config.method == "circe" and config.gamma > 0.0:
-        context = _circe_context(batch, cme_model)
+        left, right = _train_factors(batch, cme_model)
 
     rng = np.random.default_rng(config.seed)
     log = TrainLog()
@@ -277,7 +256,8 @@ def train(config: TrainConfig, data: TrainData,
             idx = perm[step * config.batch_size:(step + 1) * config.batch_size]
             mini = batch.take(idx)
             log.total_steps += 1
-            centered = None if context is None else context.batch_centered(mini, idx)
+            centered = None if left is None else centered_from_factors(
+                mini.y, mini.z, cme_model.y_params, cme_model.z_params, left[idx], right[idx])
             try:
                 loss, grads, statistic = loss_and_grad(model, mini, config, centered)
             except NumericalError:

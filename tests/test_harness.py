@@ -1,13 +1,17 @@
 import csv
+import gc
 import importlib.util
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import circe.harness as harness_mod
+import circe.trainer as trainer_mod
 from circe.cli import _load_config
+from circe.estimator import cross_factors
 from circe.exceptions import ConfigError, NumericalError
 from circe.harness import (
     CSV_COLUMNS,
@@ -384,42 +388,61 @@ def test_failed_preparation_makes_every_row_of_its_cell_unstable(monkeypatch):
 
 
 def _capture_cell_models(monkeypatch):
-    """Wrap harness.select_hyperparams and harness.train: the embedding of
-    each cell, and for each circe run whether that embedding held the run's
-    cross factors when training returned."""
-    models, held = [], []
+    """Wrap harness.select_hyperparams, harness.train and the trainer's
+    cross_factors: the fit of each cell, kept as a caller that keeps it
+    would, the number of cross-factor builds, and for each circe run a weak
+    reference to the embedding it trained with and whether that embedding
+    held the run's cross factors when training returned."""
+    fitted, builds, trained, held = [], [], [], []
     inner_select, inner_train = harness_mod.select_hyperparams, harness_mod.train
 
     def select(*args, **kwargs):
         model, report = inner_select(*args, **kwargs)
-        models.append(model)
+        fitted.append(model)
         return model, report
 
     def train(config, data, cme_model=None):
         result = inner_train(config, data, cme_model=cme_model)
         if cme_model is not None:
+            trained.append(weakref.ref(cme_model))
             held.append(bool(cme_model._slot))
         return result
 
+    def counting(*args):
+        builds.append(None)  # a count: no reference to the embedding
+        return cross_factors(*args)
+
     monkeypatch.setattr(harness_mod, "select_hyperparams", select)
     monkeypatch.setattr(harness_mod, "train", train)
-    return models, held
+    monkeypatch.setattr(trainer_mod, "cross_factors", counting)
+    return fitted, builds, trained, held
 
 
 def test_cell_releases_its_cross_factors(monkeypatch):
-    models, held = _capture_cell_models(monkeypatch)
-    run_sweep(tiny_sweep_config(seeds=(0,)))
-    assert held == [True, True]
-    assert len(models) == 1 and not models[0]._slot
+    # the cell's job is the only owner of the embedding it trains with, a
+    # copy of the fit, so reference counting frees that copy and the cross
+    # factors kept on it when the job ends, also by an exception, without
+    # the cycle collector; whoever keeps the fit keeps no factors
+    fitted, builds, trained, held = _capture_cell_models(monkeypatch)
 
     def failing_eval(*args, **kwargs):
         raise NumericalError("synthetic eval failure")
 
-    monkeypatch.setattr(harness_mod, "eval_vcf", failing_eval)
-    with pytest.raises(NumericalError, match="synthetic eval failure"):
-        run_single_with_model(tiny_sweep_config(), "uni1", "circe", 1.0, 0)
-    assert held == [True, True, True]
-    assert len(models) == 2 and not models[1]._slot
+    gc.disable()
+    try:
+        run_sweep(tiny_sweep_config(seeds=(0,)))
+        # both gammas of the cell share one build
+        assert held == [True, True] and len(builds) == 1
+        assert len(trained) == 2 and all(ref() is None for ref in trained)
+        assert len(fitted) == 1 and not fitted[0]._slot
+        monkeypatch.setattr(harness_mod, "eval_vcf", failing_eval)
+        with pytest.raises(NumericalError, match="synthetic eval failure"):
+            run_single_with_model(tiny_sweep_config(), "uni1", "circe", 1.0, 0)
+        assert held == [True, True, True] and len(builds) == 2
+        assert len(trained) == 3 and trained[2]() is None
+        assert len(fitted) == 2 and not fitted[1]._slot
+    finally:
+        gc.enable()
 
 
 def test_sweep_lets_unexpected_errors_through(monkeypatch):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from circe.harness import blas_threads
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,6 +23,9 @@ def test_loo_grid_timing_smoke_prints_its_json():
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     out = json.loads(proc.stdout)
+    # the tool reads numpy's OpenBLAS, which the child's environment sets to one
+    # thread, and reports None where numpy bundles none
+    assert out["blas_threads"] == (None if blas_threads() is None else 1)
     assert out["size"] == {"n": 1500, "m_holdout": 200, "seeds": [0], "repeats": 1,
                            "cold_runs": 1}
     assert set(out["cases"]) == {"uni1", "uni2", "multi1", "multi2"}

@@ -14,7 +14,8 @@ import circe.baselines as baselines_mod
 from circe.baselines import FACTOR_STOP, GCM_MIN_BATCH
 import circe.trainer as trainer_mod
 from circe.cme import fit_cme
-from circe.estimator import FACTOR_BLOCK_ROWS, centered_gram, cross_factors
+from circe.estimator import (FACTOR_BLOCK_ROWS, centered_from_factors, centered_gram,
+                             cross_factors)
 from circe.exceptions import ConfigError, NumericalError
 from circe.kernels import (KernelParams, gram, gram_backprop, pivoted_cholesky,
                            regularized_solve, ridge_factor)
@@ -24,7 +25,7 @@ from circe.trainer import (
     TrainBatch,
     TrainConfig,
     TrainLog,
-    _CirceContext,
+    _train_factors,
     loss_and_grad,
     train,
     train_data_from_dataset,
@@ -113,7 +114,7 @@ def test_circe_step_needs_the_centered_gram():
         loss_and_grad(model, batch, config)
 
 
-def _context_problem(n, seed):
+def _factor_problem(n, seed):
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n, 1))
     z = y**2 + rng.standard_normal((n, 1))
@@ -125,26 +126,27 @@ def _context_problem(n, seed):
     return rng, batch, cme
 
 
-def _assert_context_matches_direct(batch, cme, idx):
-    ctx = _CirceContext(batch.y, batch.z, cme)
+def _assert_factors_match_direct(batch, cme, idx):
+    left, right = _train_factors(batch, cme)
     mini = batch.take(idx)
-    fast = ctx.batch_centered(mini, idx)
+    fast = centered_from_factors(mini.y, mini.z, cme.y_params, cme.z_params,
+                                 left[idx], right[idx])
     direct = centered_gram(mini.y, mini.z, cme, cme.y_params, cme.z_params)
     assert np.array_equal(fast, direct)
 
 
 def test_precomputed_context_matches_direct_centered_gram():
-    rng, batch, cme = _context_problem(120, 11)
-    _assert_context_matches_direct(batch, cme, rng.permutation(batch.n)[:32])
+    rng, batch, cme = _factor_problem(120, 11)
+    _assert_factors_match_direct(batch, cme, rng.permutation(batch.n)[:32])
 
 
 def test_context_gathers_rows_from_partial_last_block():
     # one full block plus a 5-row block, every one of them gathered
     n = FACTOR_BLOCK_ROWS + 5
-    rng, batch, cme = _context_problem(n, 12)
+    rng, batch, cme = _factor_problem(n, 12)
     tail = np.arange(FACTOR_BLOCK_ROWS, n)
     idx = np.concatenate([tail, rng.permutation(FACTOR_BLOCK_ROWS)[:27]])
-    _assert_context_matches_direct(batch, cme, rng.permutation(idx))
+    _assert_factors_match_direct(batch, cme, rng.permutation(idx))
 
 
 def test_training_is_deterministic_bitwise():

@@ -96,10 +96,8 @@ def main(argv=None):
         (seconds,), _ = timed(1, cme.select_hyperparams, y, z)
         print(json.dumps(seconds))
         return
-    sys.path.insert(0, str(ROOT))
-    from circe import cme
+    from circe import cme, harness
     from circe.kernels import KernelParams
-    from perfbench.run import blas_threads
 
     z_params = KernelParams(sigma2=1.0)
     seeds = size["seeds"]
@@ -129,7 +127,7 @@ def main(argv=None):
                        "fit_cme_median_s": {s2: statistics.median(t)
                                             for s2, t in fit_times.items()},
                        "bandwidths": bandwidths, "z_widths": z_widths}
-    print(json.dumps({"src": args.src, "size": size, "blas_threads": blas_threads(),
+    print(json.dumps({"src": args.src, "size": size, "blas_threads": harness.blas_threads(),
                       "cases": cases}))
 
 

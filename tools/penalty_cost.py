@@ -59,13 +59,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     size = SMOKE if args.smoke else FULL
     sys.path.insert(0, args.src)
-    sys.path.insert(0, str(ROOT))
     import numpy as np
     from circe import baselines, harness, kernels
     from circe.estimator import centered_from_factors, cross_factors
     from circe.nn import MlpModel, make_optimizer
     from circe.trainer import TrainConfig, loss_and_grad
-    from perfbench.run import blas_threads
 
     cases = {}
     for case in CASES:
@@ -116,7 +114,7 @@ def main(argv=None):
         cases[case] = {"lam": cme.lam, "sigma2_y": cme.y_params.sigma2,
                        "batch_sizes": batches}
     print(json.dumps({"src": args.src, "seed": SEED, "size": size,
-                      "blas_threads": blas_threads(), "cases": cases}))
+                      "blas_threads": harness.blas_threads(), "cases": cases}))
 
 
 if __name__ == "__main__":
