@@ -47,10 +47,13 @@ FACTOR_STOP = 1e-15
 
 @dataclass
 class GcmEstimate:
-    """Max-normalized residual covariance plus its smooth trainable surrogate."""
+    """GCM statistic: t_stats holds the t-statistic of each (feature, z)
+    residual pair, NaN where the pair failed the variance guard (included
+    False); value is the largest |t| and regularizer_value its smooth
+    trainable surrogate."""
 
     value: float
-    raw_covs: np.ndarray
+    t_stats: np.ndarray
     regularizer_value: float
     included: np.ndarray
 

@@ -92,9 +92,10 @@ def _cmd_fit_cme(args) -> int:
     print("lambda sigma2_y loo_error")
     for lam, s2, err in report.as_rows():
         print(f"{lam:g} {s2:g} {err:.6g}")
-    print("sigma2_y nonpositive_eigenvalues rank")
-    for s2, count, rank in report.floor_rows():
-        print(f"{s2:g} {count} {rank}")
+    # the width of each pivoted Cholesky factor of K_YY and its kept rank
+    print("sigma2_y factor_width rank")
+    for s2, width, rank in report.bandwidth_rows():
+        print(f"{s2:g} {width} {rank}")
     # the width of the pivoted Cholesky factor of K_ZZ, 1 to m_holdout
     print("sigma2_z z_factor_width")
     print(f"{model.z_params.sigma2:g} {report.z_factor_width}")

@@ -70,13 +70,9 @@ class CmeModel:
 class LooReport:
     """Grid search record. Entries follow the (lam outer, sigma2_y inner) order.
 
-    floored_eigs[j] counts the non-positive eigenvalues of K_YY at sigma2_ys
-    grid value j (roundoff on a numerically low-rank Gram, or an exactly
-    singular one from duplicated y rows); a Cholesky factor of width k counts
-    the M - k directions it never reached as zeros. ranks[j] counts the
-    eigenpairs kept by the rank cut, which drops the non-positive ones with
-    the rest of the roundoff, and factor_widths[j] the width of the K_YY
-    factor. z_factor_width is the width of the one factor of K_ZZ that every
+    factor_widths[j] is the width of the K_YY factor at sigma2_y grid value
+    j, and ranks[j] the number of its eigenpairs the rank cut kept.
+    z_factor_width is the width of the one factor of K_ZZ that every
     bandwidth shared. Every width is at least 1 and at most M.
     """
 
@@ -86,7 +82,6 @@ class LooReport:
     best_lam: float
     best_sigma2_y: float
     best_error: float
-    floored_eigs: np.ndarray
     ranks: np.ndarray
     factor_widths: np.ndarray
     z_factor_width: int
@@ -94,10 +89,10 @@ class LooReport:
     def as_rows(self):
         return list(zip(self.lams, self.sigma2_ys, self.errors))
 
-    def floor_rows(self):
-        """(sigma2_y, non-positive eigenvalues, kept rank) per grid bandwidth."""
-        grid = self.sigma2_ys[:len(self.floored_eigs)]
-        return list(zip(grid, self.floored_eigs, self.ranks))
+    def bandwidth_rows(self):
+        """(sigma2_y, factor width, kept rank) per grid bandwidth."""
+        grid = self.sigma2_ys[:len(self.ranks)]
+        return list(zip(grid, self.factor_widths, self.ranks))
 
 
 def _check_holdout(holdout_y, holdout_z):
@@ -141,11 +136,9 @@ def _spectrum(holdout_y, y_params: KernelParams, gz: np.ndarray):
     G_z G_z^T, gz = G_z^T (r_z, M): c = p^T p with p = G_z^T u costs
     M r r_z + r_z r^2, and K_ZZ u = G_z p is left to _loo_errors, which alone
     needs it.
-    Returns (s, u, c, p, n_nonpositive, width): the r eigenvalues above
-    RANK_CUT times the largest, their eigenvectors u (M, r), the symmetric
-    c = u^T K_ZZ u, p (r_z, r), the count of non-positive eigenvalues before
-    the cut, with the M - width directions the factor never reached counted
-    as zeros, and the factor's width.
+    Returns (s, u, c, p, width): the r eigenvalues above RANK_CUT times the
+    largest, their eigenvectors u (M, r), the symmetric c = u^T K_ZZ u,
+    p (r_z, r), and the factor's width.
     """
     g = _holdout_factor(holdout_y, y_params)
     width = g.shape[0]
@@ -155,8 +148,6 @@ def _spectrum(holdout_y, y_params: KernelParams, gz: np.ndarray):
         raise NumericalError(f"eigendecomposition of K_YY failed: {exc}") from None
     if not np.all(np.isfinite(s)):
         raise NumericalError("K_YY has non-finite eigenvalues")
-    # the directions the factor never reached are zeros of K_YY
-    n_nonpositive = int(np.count_nonzero(s <= 0.0)) + holdout_y.shape[0] - width
     # eigh sorts ascending, so the kept eigenpairs are the last r
     cut = int(np.searchsorted(s, RANK_CUT * s[-1], side="right"))
     s = s[cut:].copy()
@@ -166,7 +157,7 @@ def _spectrum(holdout_y, y_params: KernelParams, gz: np.ndarray):
     u /= np.sqrt(s)
     p = gz @ u
     c = p.T @ p
-    return s, u, c, p, n_nonpositive, width
+    return s, u, c, p, width
 
 
 def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
@@ -175,7 +166,7 @@ def fit_cme(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     truncated at RANK_CUT."""
     lam = float(_check_lams([lam])[0])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
-    s, u, c, _, _, _ = _spectrum(holdout_y, y_params, _holdout_factor(holdout_z, z_params))
+    s, u, c, _, _ = _spectrum(holdout_y, y_params, _holdout_factor(holdout_z, z_params))
     return CmeModel(holdout_y, holdout_z, lam, y_params, z_params, u, s, c)
 
 
@@ -228,7 +219,7 @@ def loo_error(holdout_y, holdout_z, lam: float, y_params: KernelParams,
     lams = _check_lams([lam])
     holdout_y, holdout_z = _check_holdout(holdout_y, holdout_z)
     gz = _holdout_factor(holdout_z, z_params)
-    s, u, _, p, _, _ = _spectrum(holdout_y, y_params, gz)
+    s, u, _, p, _ = _spectrum(holdout_y, y_params, gz)
     return float(_loo_errors(s, u, p, gz, lams)[0])
 
 
@@ -272,12 +263,11 @@ def select_hyperparams(holdout_y, holdout_z,
 
     gz = _holdout_factor(holdout_z, z_params)
     errors = np.empty((len(lambda_grid), len(sigma2_y_grid)))
-    floored = np.empty(len(sigma2_y_grid), dtype=np.int64)
     ranks = np.empty(len(sigma2_y_grid), dtype=np.int64)
     widths = np.empty(len(sigma2_y_grid), dtype=np.int64)
     best = best_spectrum = None
     for j, (s2, params) in enumerate(zip(sigma2_y_grid, y_params)):
-        s, u, c, p, floored[j], widths[j] = _spectrum(holdout_y, params, gz)
+        s, u, c, p, widths[j] = _spectrum(holdout_y, params, gz)
         ranks[j] = s.shape[0]
         errors[:, j] = _loo_errors(s, u, p, gz, lams)
         for i, lam in enumerate(lambda_grid):
@@ -293,7 +283,7 @@ def select_hyperparams(holdout_y, holdout_z,
     b_err, b_lam, b_s2 = best
     report = LooReport(np.repeat(lambda_grid, len(sigma2_y_grid)),
                        np.tile(sigma2_y_grid, len(lambda_grid)),
-                       errors.ravel(), b_lam, b_s2, b_err, floored, ranks, widths,
+                       errors.ravel(), b_lam, b_s2, b_err, ranks, widths,
                        gz.shape[0])
     model = CmeModel(holdout_y, holdout_z, b_lam, KernelParams(sigma2=b_s2), z_params,
                      *best_spectrum)
@@ -320,7 +310,8 @@ def save_cme(model: CmeModel, path) -> None:
 
 def load_cme(path) -> CmeModel:
     """The model save_cme wrote to path; ConfigError naming path for any
-    other file, one of another schema version among them."""
+    other file, one of another schema version or with a holdout, lam or
+    spectrum fit_cme could not have made among them."""
     try:
         with np.load(path) as data:
             version = int(data["schema_version"])
@@ -329,15 +320,18 @@ def load_cme(path) -> CmeModel:
                     f"model schema version {version} is not {MODEL_SCHEMA_VERSION}; "
                     "refit the model with `circe fit-cme`"
                 )
-            return CmeModel(
-                holdout_y=data["holdout_y"],
-                holdout_z=data["holdout_z"],
-                lam=float(data["lam"]),
-                y_params=KernelParams(sigma2=float(data["sigma2_y"])),
-                z_params=KernelParams(sigma2=float(data["sigma2_z"])),
-                u=data["u"],
-                s=data["s"],
-                c=data["c"],
-            )
+            holdout_y, holdout_z = _check_holdout(data["holdout_y"], data["holdout_z"])
+            lam = float(_check_lams([data["lam"]])[0])
+            u, s, c = data["u"], data["s"], data["c"]
+            m = holdout_y.shape[0]
+            if u.ndim != 2 or u.shape[0] != m:
+                raise ConfigError(f"u has shape {u.shape}, expected ({m}, r)")
+            r = u.shape[1]
+            for name, arr, shape in (("s", s, (r,)), ("c", c, (r, r))):
+                if arr.shape != shape:
+                    raise ConfigError(f"{name} has shape {arr.shape}, expected {shape}")
+            return CmeModel(holdout_y, holdout_z, lam,
+                            KernelParams(sigma2=float(data["sigma2_y"])),
+                            KernelParams(sigma2=float(data["sigma2_z"])), u, s, c)
     except BAD_NPZ_ERRORS as exc:
         raise ConfigError(f"cannot load embedding model {path}: {exc}") from exc

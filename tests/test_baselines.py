@@ -54,10 +54,10 @@ def test_gcm_multivariate_max_over_pairs():
     z = rng.standard_normal((128, 2))
     x = np.hstack([rng.standard_normal((128, 1)), z[:, 1:2]])
     est, _ = gcm_with_grad(x, z, y, YP, LAM)
-    assert est.raw_covs.shape == (2, 2)
-    assert est.value == np.max(np.abs(est.raw_covs[est.included]))
+    assert est.t_stats.shape == (2, 2)
+    assert est.value == np.max(np.abs(est.t_stats[est.included]))
     # the planted (x1, z1) pair dominates
-    assert np.abs(est.raw_covs[1, 1]) == est.value
+    assert np.abs(est.t_stats[1, 1]) == est.value
 
 
 def test_gcm_variance_guard_excludes_constant_products():
@@ -68,7 +68,7 @@ def test_gcm_variance_guard_excludes_constant_products():
     est, _ = gcm_with_grad(x, z, y, YP, LAM)
     assert not est.included[0, 0]
     assert est.included[1, 0]
-    assert np.isnan(est.raw_covs[0, 0])
+    assert np.isnan(est.t_stats[0, 0])
     with pytest.raises(NumericalError):
         gcm_with_grad(np.zeros((64, 1)), z, y, YP, LAM)
 
@@ -302,7 +302,7 @@ def _assert_gcm_bitwise_per_pair(x, z, y, y_params=YP, lam=LAM):
     est, grad = gcm_with_grad(x, z, y, y_params, lam)
     ref, grad_ref = _gcm_per_pair(x, z, y, y_params, lam)
     assert est.value == ref.value
-    assert np.array_equal(est.raw_covs, ref.raw_covs, equal_nan=True)
+    assert np.array_equal(est.t_stats, ref.t_stats, equal_nan=True)
     assert est.regularizer_value == ref.regularizer_value
     assert np.array_equal(est.included, ref.included)
     assert np.array_equal(grad, grad_ref)
@@ -322,7 +322,7 @@ def test_gcm_and_hscic_match_dense_smoother_forms(d_x, d_z):
     est, grad = gcm_with_grad(x, z, y, YP, LAM)
     t, smooth, grad_ref = _gcm_dense(x, z, y, YP, LAM)
     assert est.included.all()
-    assert _rel(est.raw_covs, t) <= 1e-10
+    assert _rel(est.t_stats, t) <= 1e-10
     assert est.regularizer_value == pytest.approx(smooth, rel=1e-10)
     assert _rel(grad, grad_ref) <= 1e-10
     _assert_gcm_bitwise_per_pair(x, z, y)
@@ -380,7 +380,7 @@ def test_factor_route_matches_dense_smoother_forms(lam):
 
     est, grad = gcm_with_grad(x, z, y, YP, lam)
     t, smooth, grad_ref = _gcm_dense(x, z, y, YP, lam)
-    assert _rel(est.raw_covs, t) <= 1e-10
+    assert _rel(est.t_stats, t) <= 1e-10
     assert est.regularizer_value == pytest.approx(smooth, rel=1e-10)
     assert _rel(grad, grad_ref) <= 1e-10
     _assert_gcm_bitwise_per_pair(x, z, y, YP, lam)
@@ -422,7 +422,7 @@ def test_factor_route_on_an_exactly_singular_gram():
     assert gt is not None and gt.shape[0] < 256 // 8
     est, grad = gcm_with_grad(x, z, y, YP, LAM)
     t, smooth, grad_ref = _gcm_dense(x, z, y, YP, LAM)
-    assert _rel(est.raw_covs, t) <= 1e-10
+    assert _rel(est.t_stats, t) <= 1e-10
     assert _rel(grad, grad_ref) <= 1e-10
     _assert_gcm_bitwise_per_pair(x, z, y)
     value, grad = hscic_with_grad(x, z, y, XP, ZP, YP, LAM)

@@ -69,10 +69,10 @@ def test_fit_cme_prints_report_and_saves(tmp_path):
                    "--config", str(cfg_path))
     assert proc.returncode == 0, proc.stderr
     assert "selected lambda=" in proc.stdout
-    assert "sigma2_y nonpositive_eigenvalues rank" in proc.stdout
-    # one row per grid bandwidth: sigma2_y, non-positive count, kept rank
-    s2, floored, rank = proc.stdout.split("nonpositive_eigenvalues rank\n")[1].split("\n")[0].split()
-    assert s2 == "1" and 0 <= int(floored) and 1 <= int(rank) <= 60
+    assert "sigma2_y factor_width rank" in proc.stdout
+    # one row per grid bandwidth: sigma2_y, K_YY factor width, kept rank
+    s2, width, rank = proc.stdout.split("factor_width rank\n")[1].split("\n")[0].split()
+    assert s2 == "1" and 1 <= int(rank) <= int(width) <= 60
     # the width of the K_ZZ factor
     s2_z, z_width = proc.stdout.split("sigma2_z z_factor_width\n")[1].split("\n")[0].split()
     assert s2_z == "1" and 0 < int(z_width) < 30

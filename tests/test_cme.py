@@ -41,10 +41,10 @@ def _spectral_w1(model):
 
 def _dense_spectrum(y, y_params):
     """Reference: the eigenpairs of the formed K_YY above RANK_CUT times the
-    largest, by a dense eigh, and its count of non-positive eigenvalues."""
+    largest, by a dense eigh."""
     s, u = np.linalg.eigh(gram(y, y, y_params))
     cut = int(np.searchsorted(s, RANK_CUT * s[-1], side="right"))
-    return s[cut:], np.ascontiguousarray(u[:, cut:]), int(np.count_nonzero(s <= 0.0))
+    return s[cut:], np.ascontiguousarray(u[:, cut:])
 
 
 def _dense_loo_errors(s, u, k_zz, lams):
@@ -186,7 +186,7 @@ def test_select_hyperparams_minimizes_loo_on_grid():
     refit = fit_cme(y, z, report.best_lam, KernelParams(sigma2=report.best_sigma2_y), zp)
     for name in ("u", "s", "c"):
         assert np.array_equal(getattr(model, name), getattr(refit, name))
-    kept = {s2: rank for s2, _, rank in report.floor_rows()}
+    kept = {s2: rank for s2, _, rank in report.bandwidth_rows()}
     assert model.rank == kept[model.y_params.sigma2]
 
 
@@ -207,49 +207,42 @@ def test_spectral_grid_matches_cholesky_reference(case):
         assert (report.best_lam, report.best_sigma2_y) == best[1:]
 
 
-def test_singular_holdout_is_floored_and_finite():
+def test_singular_holdout_takes_a_narrow_factor_and_stays_finite():
     rng = np.random.default_rng(8)
     y, z = _sample_pairs(rng, 30)
     y2 = np.vstack([y, y])
     z2 = np.vstack([z, y**2 + rng.standard_normal(y.shape)])
     _, report = select_hyperparams(y2, z2)
     assert np.all(np.isfinite(report.errors))
-    assert report.floored_eigs.shape == (4,)
-    assert report.floored_eigs.sum() > 0
-    assert [row[0] for row in report.floor_rows()] == [0.001, 0.01, 0.1, 1.0]
+    rows = report.bandwidth_rows()
+    assert [row[0] for row in rows] == [0.001, 0.01, 0.1, 1.0]
     # the factor of 30 distinct points twice over stops within 30 columns,
-    # and the directions it never reached count as zeros
-    width = report.factor_widths[0]
-    assert 0 < width <= 30 and report.floored_eigs[0] >= 60 - width
+    # and the rank cut keeps at most the factor's width
+    for _, width, rank in rows:
+        assert 0 < rank <= width <= 30
 
-    # 300 distinct points twice over: rank <= M/2 at sigma2_y = 1, so the
-    # Cholesky factor runs, and every direction it never reached counts
+    # 300 distinct points twice over: rank <= M/2 at sigma2_y = 1
     y, z = _sample_pairs(rng, 300)
     y2 = np.vstack([y, y])
     z2 = np.vstack([z, y**2 + rng.standard_normal(y.shape)])
     _, report = select_hyperparams(y2, z2, sigma2_y_grid=[1.0])
     assert np.all(np.isfinite(report.errors))
-    width = report.factor_widths[0]
-    assert 0 < width <= 300
-    assert report.floored_eigs[0] >= 600 - width
-    assert report.ranks[0] <= width
+    assert 0 < report.ranks[0] <= report.factor_widths[0] <= 300
 
 
 def test_wide_gram_factor_matches_the_dense_eigh():
     # 400 spread 2-d points at a narrow bandwidth: numerical rank near M, so
     # the factor runs past M/2 columns. Against a dense eigh of the formed
-    # K_YY it keeps the same rank, its eigenvalues agree within 2.1e-14 of
-    # the largest (bound 10x above) and it counts the directions it never
-    # reached as the dense eigh's non-positive eigenvalues
+    # K_YY it keeps the same rank and its eigenvalues agree within 2.1e-14
+    # of the largest (bound 10x above)
     rng = np.random.default_rng(11)
     y = rng.standard_normal((400, 2))
     z = rng.standard_normal((400, 1))
     yp = KernelParams(sigma2=0.01)
-    s, u, c, _, floored, width = _spectrum(y, yp, _holdout_factor(z, KernelParams(sigma2=1.0)))
-    s_ref, u_ref, floored_ref = _dense_spectrum(y, yp)
+    s, u, c, _, width = _spectrum(y, yp, _holdout_factor(z, KernelParams(sigma2=1.0)))
+    s_ref, u_ref = _dense_spectrum(y, yp)
     assert 200 < width <= 400 and s.shape == s_ref.shape
     assert np.max(np.abs(s - s_ref)) <= 3e-13 * s_ref[-1]
-    assert floored == floored_ref + 400 - width
 
 
 @pytest.mark.parametrize("case", ["uni1", "multi1", "multi2"])
@@ -279,9 +272,9 @@ def test_factor_spectrum_matches_the_truncated_dense_eigh(case):
     widths = []
     for s2 in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=s2)
-        s, u, c, _, _, width = _spectrum(y, yp, gz)
+        s, u, c, _, width = _spectrum(y, yp, gz)
         widths.append(width)
-        s_ref, u_ref, _ = _dense_spectrum(y, yp)
+        s_ref, u_ref = _dense_spectrum(y, yp)
         assert s.shape == s_ref.shape
         eig_bound = 3e-12 if case == "multi2" and s2 < 1.0 else 1e-13
         assert np.max(np.abs(s - s_ref)) <= eig_bound * s_ref[-1]
@@ -317,7 +310,7 @@ def test_z_factor_matches_the_dense_z_gram(case):
     lams = np.array([0.001, 0.01, 0.1, 1.0])
     for s2 in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=s2)
-        s, u, c, p, _, _ = _spectrum(y, yp, gz)
+        s, u, c, p, _ = _spectrum(y, yp, gz)
         ref, ku_ref, c_ref = _dense_loo_errors(s, u, k_zz, lams)
         assert p.shape == (gz.shape[0], s.shape[0])
         ku = gz.T @ p
@@ -482,21 +475,39 @@ def test_load_rejects_version_1_model(tmp_path):
         load_cme(path)
 
 
-@pytest.mark.parametrize("malformed", ["missing_field", "not_npz"])
+# the saved field each malformed file edits, the edit (None drops the field)
+# and the reason load_cme gives after the path
+MALFORMED = {
+    "missing_field": ("holdout_y", None, ""),
+    "truncated_s": ("s", lambda s: s[:-1], r"s has shape \(\d+,\), expected \(\d+,\)"),
+    "negative_lam": ("lam", lambda lam: -1.0, "lambda values must be positive"),
+    "short_u": ("u", lambda u: u[1:], r"u has shape \(11, \d+\), expected \(12, r\)"),
+}
+
+
+@pytest.mark.parametrize("malformed", ["not_npz", *MALFORMED])
 def test_malformed_model_file_raises_config_error_naming_path(tmp_path, malformed):
-    # used to raise KeyError ("holdout_y is not a file in the archive") or
-    # numpy's ValueError about pickled data
+    # a missing field used to raise KeyError ("holdout_y is not a file in the
+    # archive") and a text file numpy's ValueError about pickled data; a
+    # truncated s or a short u loaded and failed later in centered_gram with
+    # numpy's "operands could not be broadcast", and a negative lam loaded
     path = tmp_path / "cme.npz"
-    if malformed == "missing_field":
+    if malformed == "not_npz":
+        path.write_text("holdout_y,1.0\n")
+        message = ""
+    else:
         rng = np.random.default_rng(6)
         save_cme(fit_cme(*_sample_pairs(rng, 12), 0.02, KernelParams(sigma2=0.5),
                          KernelParams(sigma2=1.5)), path)
+        field, edit, message = MALFORMED[malformed]
         with np.load(path) as data:
-            arrays = {k: v for k, v in data.items() if k != "holdout_y"}
+            arrays = dict(data.items())
+        if edit is None:
+            del arrays[field]
+        else:
+            arrays[field] = edit(arrays[field])
         np.savez(path, **arrays)
-    else:
-        path.write_text("holdout_y,1.0\n")
-    with pytest.raises(ConfigError, match="cannot load embedding model .*cme.npz"):
+    with pytest.raises(ConfigError, match=f"cannot load embedding model .*cme.npz: {message}"):
         load_cme(path)
 
 
@@ -514,3 +525,4 @@ def test_cme_serialization_roundtrip(tmp_path):
     for name in ("u", "s", "c"):
         assert np.array_equal(getattr(loaded, name), getattr(model, name))
     assert np.array_equal(loaded.holdout_y, model.holdout_y)
+    assert np.array_equal(loaded.holdout_z, model.holdout_z)

@@ -128,7 +128,7 @@ def test_compressed_spectrum_matches_the_dense_path():
     k_zz = gram(z, z, ZP)
     for sigma2_y in (0.001, 0.01, 0.1, 1.0):
         yp = KernelParams(sigma2=sigma2_y)
-        s, u, c, _, _, width = _spectrum(y, yp, _holdout_factor(z, ZP))
+        s, u, c, _, width = _spectrum(y, yp, _holdout_factor(z, ZP))
         s_d, u_d = np.linalg.eigh(gram(y, y, yp))
         cut = int(np.searchsorted(s_d, RANK_CUT * s_d[-1], side="right"))
         s_d, u_d = s_d[cut:], u_d[:, cut:]

@@ -115,8 +115,8 @@ def main(argv=None):
                                  KernelParams(sigma2=s2), z_params)
                 fit_times.setdefault(str(s2), []).extend(times)
             bandwidths[seed] = [
-                {"sigma2_y": float(s2), "width": int(w), "rank": int(rank)}
-                for (s2, _, rank), w in zip(report.floor_rows(), report.factor_widths)
+                {"sigma2_y": float(s2), "width": int(width), "rank": int(rank)}
+                for s2, width, rank in report.bandwidth_rows()
             ]
             z_widths[seed] = int(report.z_factor_width)
         cold = [cold_first_call(args.src, case, seeds[i % len(seeds)], args.smoke)

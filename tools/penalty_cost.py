@@ -17,11 +17,15 @@ stdout: per case the LOO winner, and per batch size the median ms per
 step of each method, the penalty cost (a
 penalty's median step minus the unpenalized one), the route of the first
 batch's ridge regression ("factor" with its width, or "dense") and the
-median ms of that batch's factor attempt, which a dense batch pays on top
-of its dense solve; plus the BLAS thread count. The attempt computes the
-pivot rows of the batch's K_yy itself and builds no Gram. --src picks the
-package to time, so the same script measures two checkouts, such as a
-parent commit and a change.
+median ms of that batch's factor attempt; plus the BLAS thread count.
+Route and attempt both come from baselines._batch_factor, the call the
+training steps make, at the winner's sigma2_y and lam, so they follow the
+checkpoint the steps take. On a dense batch the attempt is the abandoned
+factor, which the step pays on top of its dense solve; on a factor batch
+it is the whole factor route's setup, the factor and its r x r
+ridge_factor solve. The attempt computes the pivot rows of the batch's
+K_yy itself and builds no Gram. --src picks the package to time, so the
+same script measures two checkouts, such as a parent commit and a change.
 --smoke runs every path at n=1500, M=200 and 2 steps.
 """
 
@@ -60,7 +64,7 @@ def main(argv=None):
     size = SMOKE if args.smoke else FULL
     sys.path.insert(0, args.src)
     import numpy as np
-    from circe import baselines, harness, kernels
+    from circe import baselines, harness
     from circe.estimator import centered_from_factors, cross_factors
     from circe.nn import MlpModel, make_optimizer
     from circe.trainer import TrainConfig, loss_and_grad
@@ -104,11 +108,10 @@ def main(argv=None):
             first = train.take(idxs[0])
 
             def attempt():
-                return kernels.pivoted_cholesky(first.y, cme.y_params,
-                                                baselines.FACTOR_STOP, b // 8)
+                return baselines._batch_factor(first.y, cme.y_params, cme.lam)
 
-            gt = attempt()
-            entry["route"] = "dense" if gt is None else f"factor:{gt.shape[0]}"
+            factor = attempt()
+            entry["route"] = "dense" if factor is None else f"factor:{factor[0].shape[0]}"
             entry["factor_attempt_ms"] = median_ms(attempt, size["steps"])
             batches[str(b)] = entry
         cases[case] = {"lam": cme.lam, "sigma2_y": cme.y_params.sigma2,
