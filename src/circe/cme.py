@@ -330,6 +330,12 @@ def load_cme(path) -> CmeModel:
             for name, arr, shape in (("s", s, (r,)), ("c", c, (r, r))):
                 if arr.shape != shape:
                     raise ConfigError(f"{name} has shape {arr.shape}, expected {shape}")
+            for name, arr in (("holdout_y", holdout_y), ("holdout_z", holdout_z),
+                              ("u", u), ("s", s), ("c", c)):
+                if not np.isfinite(arr).all():
+                    raise ConfigError(f"{name} has a non-finite entry")
+            if np.any(s <= 0):
+                raise ConfigError(f"s must be positive, got minimum {s.min()}")
             return CmeModel(holdout_y, holdout_z, lam,
                             KernelParams(sigma2=float(data["sigma2_y"])),
                             KernelParams(sigma2=float(data["sigma2_z"])), u, s, c)

@@ -117,6 +117,7 @@ def predictor_from_model(model, standardizer):
 
 
 def _check_n_interventions(n_interventions: int) -> None:
+    check_type("n_interventions", n_interventions, numbers.Integral)
     if n_interventions < 2:
         raise ConfigError(f"n_interventions must be >= 2, got {n_interventions}")
 
@@ -129,6 +130,9 @@ def eval_vcf(predict, batch: ScmBatch, n_interventions: int = DEFAULT_N_INTERVEN
     column; all Z-descendants are regenerated from stored noises.
     """
     _check_n_interventions(n_interventions)
+    check_type("seed", seed, numbers.Integral)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     b = batch.n
     preds = np.empty((n_interventions, b))
@@ -207,7 +211,7 @@ class SweepConfig:
         self.cases = tuple(cases)
         self.methods = tuple(methods)
         self.seeds = tuple(int(s) for s in check_items("seeds", self.seeds, numbers.Integral))
-        for key in ("n", "d", "m_holdout", "n_interventions"):
+        for key in ("n", "d", "m_holdout"):
             check_type(key, getattr(self, key), numbers.Integral)
         # the checks select_hyperparams and make_dataset would make per run
         for key in ("lambda_grid", "sigma2_y_grid"):

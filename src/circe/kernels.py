@@ -49,15 +49,13 @@ def as_points(x) -> np.ndarray:
     return x
 
 
-def squared_distances(rows: np.ndarray, cols: np.ndarray, out=None, work=None) -> np.ndarray:
+def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """||rows[i] - cols[j]||^2, (n_rows, n_cols).
 
     One-column points take (r_i - c_j)^2 directly: one outer difference,
     squared in place, never negative and exactly 0 on duplicated points.
     Wider points take (r2 + c2) - 2 rows cols^T, whose GEMM beats the
-    per-column differences from two columns up. The result goes to `out`
-    and the cross product rows cols^T to `work`, (n_rows, n_cols) buffers
-    each allocated here where it is None.
+    per-column differences from two columns up.
     """
     rows = as_points(rows)
     cols = as_points(cols)
@@ -66,14 +64,14 @@ def squared_distances(rows: np.ndarray, cols: np.ndarray, out=None, work=None) -
             f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]} columns"
         )
     if rows.shape[1] == 1:
-        d2 = np.subtract.outer(rows[:, 0], cols[:, 0], out=out)
+        d2 = np.subtract.outer(rows[:, 0], cols[:, 0])
         d2 *= d2
         return d2
     r2 = np.sum(rows * rows, axis=1)[:, None]
     c2 = np.sum(cols * cols, axis=1)[None, :]
-    # (r2 + c2) - 2 (rows cols^T), in that order, in two buffers
-    d2 = np.add(r2, c2, out=out)
-    cross = np.matmul(rows, cols.T, out=work)
+    # (r2 + c2) - 2 (rows cols^T), in that order
+    d2 = r2 + c2
+    cross = rows @ cols.T
     cross *= 2.0
     d2 -= cross
     # roundoff can leave tiny negatives on near-duplicate points
@@ -82,21 +80,12 @@ def squared_distances(rows: np.ndarray, cols: np.ndarray, out=None, work=None) -
 
 
 def gram(rows, cols, params: KernelParams) -> np.ndarray:
-    """Gram matrix K[i, j] = k(rows[i], cols[j]), built in the distance buffer."""
-    return gram_into(rows, cols, params)
-
-
-def gram_into(rows, cols, params: KernelParams, out=None, work=None) -> np.ndarray:
-    """gram, built in the caller's buffers where given: out holds the Gram
-    and work the cross product of wider points (see squared_distances), so
-    a loop over same-sized blocks reuses two buffers instead of faulting
-    fresh ones in. Every buffer gives the same bits. gram itself keeps the
-    (rows, cols, params) signature that perfbench's tracer labels.
+    """Gram matrix K[i, j] = k(rows[i], cols[j]), built in the distance buffer.
 
     d2 / (-2 sigma2) is bitwise -d2 / (2 sigma2): IEEE division is exact in
     the sign.
     """
-    d2 = squared_distances(rows, cols, out, work)
+    d2 = squared_distances(rows, cols)
     np.divide(d2, -2.0 * params.sigma2, out=d2)
     return np.exp(d2, out=d2)
 

@@ -497,9 +497,9 @@ def test_factor_routes_build_no_label_gram(monkeypatch):
         seen.append((rows, cols))
         return gram(rows, cols, params)
 
-    def recording_distances(rows, cols, out=None, work=None):
+    def recording_distances(rows, cols):
         distances.append(rows.shape)
-        return squared_distances(rows, cols, out, work)
+        return squared_distances(rows, cols)
 
     def label_grams(y):
         return [(rows.shape, cols.shape) for rows, cols in seen if rows is y and cols is y]

@@ -482,6 +482,15 @@ MALFORMED = {
     "truncated_s": ("s", lambda s: s[:-1], r"s has shape \(\d+,\), expected \(\d+,\)"),
     "negative_lam": ("lam", lambda lam: -1.0, "lambda values must be positive"),
     "short_u": ("u", lambda u: u[1:], r"u has shape \(11, \d+\), expected \(12, r\)"),
+    "nan_holdout_y": ("holdout_y", lambda y: np.where(y == y.max(), np.nan, y),
+                      "holdout_y has a non-finite entry"),
+    "inf_holdout_z": ("holdout_z", lambda z: np.full_like(z, np.inf),
+                      "holdout_z has a non-finite entry"),
+    "nan_u": ("u", lambda u: u * np.nan, "u has a non-finite entry"),
+    "nan_s": ("s", lambda s: np.full_like(s, np.nan), "s has a non-finite entry"),
+    "nan_c": ("c", lambda c: np.where(c == c.max(), np.nan, c), "c has a non-finite entry"),
+    "negated_s": ("s", lambda s: -s, r"s must be positive, got minimum -"),
+    "zero_s": ("s", lambda s: np.where(s == s.min(), 0.0, s), "s must be positive, got minimum 0.0"),
 }
 
 
@@ -490,7 +499,9 @@ def test_malformed_model_file_raises_config_error_naming_path(tmp_path, malforme
     # a missing field used to raise KeyError ("holdout_y is not a file in the
     # archive") and a text file numpy's ValueError about pickled data; a
     # truncated s or a short u loaded and failed later in centered_gram with
-    # numpy's "operands could not be broadcast", and a negative lam loaded
+    # numpy's "operands could not be broadcast", and a negative lam loaded;
+    # a NaN or negated spectrum or a NaN holdout loaded and made every
+    # centered Gram non-finite, so every training step was skipped
     path = tmp_path / "cme.npz"
     if malformed == "not_npz":
         path.write_text("holdout_y,1.0\n")

@@ -79,8 +79,15 @@ def test_vcf_shift_invariance_and_consistency():
 
 def test_vcf_validation():
     batch = gen_scm("uni1", 50, 1, seed=0)
-    with pytest.raises(ConfigError):
-        eval_vcf(lambda a, y, z: z, batch, n_interventions=1, seed=0)
+    # a float count raised TypeError from np.empty and a negative seed
+    # numpy's ValueError
+    for n_interventions, seed, message in ((1, 0, "n_interventions must be >= 2"),
+                                           (2.5, 0, "n_interventions=2.5 has the wrong type"),
+                                           (True, 0, "n_interventions=True has the wrong type"),
+                                           (4, 1.0, "seed=1.0 has the wrong type"),
+                                           (4, -1, "seed must be nonnegative, got -1")):
+        with pytest.raises(ConfigError, match=message):
+            eval_vcf(lambda a, y, z: z, batch, n_interventions=n_interventions, seed=seed)
 
 
 def test_pareto_front_cases():

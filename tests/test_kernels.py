@@ -8,7 +8,7 @@ import circe.kernels as kernels_mod
 from circe.baselines import FACTOR_STOP
 from circe.cme import RANK_CUT
 from circe.exceptions import ConfigError, NumericalError
-from circe.kernels import (KernelParams, as_points, gram, gram_backprop, gram_into,
+from circe.kernels import (KernelParams, as_points, gram, gram_backprop,
                            pivoted_cholesky, regularized_solve, ridge_factor, ridge_solve,
                            ridge_system, squared_distances)
 from circe.scm import make_dataset
@@ -394,11 +394,6 @@ def test_gram_bitwise_equals_reference(n_rows, n_cols, dim):
     # a duplicated point gives exact zeros on the diagonal (clamped negatives
     # in the expansion)
     assert np.array_equal(gram(rows, rows, p), reference(rows, rows, 1.0))
-    # the same bits in the leading rows of a caller's larger buffers, as
-    # cross_factors passes them for its last block
-    out, work = np.full((2, n_rows + 5, n_cols), np.nan)
-    got = gram_into(rows, cols, p, out[:n_rows], work[:n_rows])
-    assert np.shares_memory(got, out) and np.array_equal(got, reference(rows, cols, 1.0))
 
 
 def test_one_column_gram_is_exact_on_duplicates_and_within_ulps():
